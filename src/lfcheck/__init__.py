@@ -13,7 +13,6 @@ from .repalg import (
     atom_equal,
     cg_expand,
     char_atom,
-    contragredient,
     decompose_under,
     opaque_atom,
     plethysm_sym2,
@@ -47,7 +46,6 @@ __all__ = [
     "atom_equal",
     "cg_expand",
     "char_atom",
-    "contragredient",
     "decompose_under",
     "opaque_atom",
     "plethysm_sym2",

@@ -1,11 +1,10 @@
-"""Finitely presented abelian character groups with decidable equality.
+"""Abelian character groups: free generators and generators of finite order.
 
-A character is an exponent vector over a fixed generator tuple, reduced to a
-canonical coset representative modulo an integer relation lattice.  The
-lattice is put in row echelon (Hermite-style) form once, at group
-construction, and every vector is floor-reduced against the pivot rows in
-order; two characters are equal iff their reduced vectors coincide.  All
-characters are unitary, so conjugation is inversion.
+A character is an exponent vector over a fixed generator tuple.  Each
+generator either has infinite order or a declared cyclic order n, and its
+exponent is kept reduced into [0, n); two characters are equal iff their
+reduced vectors coincide.  All characters are unitary, so conjugation is
+inversion.
 
 >>> G = CharacterGroup(("a", "b"), orders={"b": 3})
 >>> x = G.gen("a") * G.gen("b", 2)
@@ -21,59 +20,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 
-def hermite_rows(rows: Iterable[Iterable[int]], n: int) -> list[list[int]]:
-    """Row echelon form of an integer relation lattice.
-
-    Returns pivot rows ordered by leading column, each with a positive
-    pivot.  Uses plain Euclidean row combination; fine at these sizes.
-    """
-    work = [list(r) for r in rows if any(r)]
-    for r in work:
-        if len(r) != n:
-            raise ValueError("relation row of wrong length")
-    pivots: list[list[int]] = []
-    for col in range(n):
-        live = [r for r in work if r[col] != 0]
-        if not live:
-            continue
-        rest = [r for r in work if r[col] == 0]
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            base = live[0]
-            for r in live[1:]:
-                q = r[col] // base[col]
-                for i in range(n):
-                    r[i] -= q * base[i]
-            kept = [r for r in live if r[col] != 0]
-            rest.extend(r for r in live if r[col] == 0 and any(r))
-            live = kept
-        piv = live[0]
-        if piv[col] < 0:
-            piv = [-v for v in piv]
-        pivots.append(piv)
-        work = rest
-    return pivots
-
-
-def _reduce(vec: tuple[int, ...], pivots: list[list[int]]) -> tuple[int, ...]:
-    v = list(vec)
-    for row in pivots:
-        col = next(i for i, x in enumerate(row) if x)
-        q = v[col] // row[col]
-        if q:
-            for i in range(col, len(v)):
-                v[i] -= q * row[i]
-    return tuple(v)
-
-
 class CharacterGroup:
-    """Generators plus order relations (and optional extra relation rows)."""
+    """Generators plus their declared finite orders (absent: infinite)."""
 
     def __init__(
         self,
         generators: tuple[str, ...],
         orders: Mapping[str, int] | None = None,
-        relations: Iterable[Iterable[int]] = (),
     ):
         if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator name")
@@ -82,24 +35,19 @@ class CharacterGroup:
         for name, n in self.orders.items():
             if name not in self.generators or n < 1:
                 raise ValueError(f"bad order declaration {name}={n}")
-        rows = [
-            [self.orders.get(g, 0) if g == h else 0 for h in self.generators]
-            for g in self.generators
-            if g in self.orders
-        ]
-        rows.extend(list(r) for r in relations)
-        self._pivots = hermite_rows(rows, len(self.generators))
+        # per-slot modulus, 0 for a generator of infinite order
+        self._moduli = tuple(self.orders.get(g, 0) for g in self.generators)
         self._index = {g: i for i, g in enumerate(self.generators)}
 
     def __eq__(self, other):
         return (
             isinstance(other, CharacterGroup)
             and self.generators == other.generators
-            and self._pivots == other._pivots
+            and self._moduli == other._moduli
         )
 
     def __hash__(self):
-        return hash((self.generators, tuple(tuple(r) for r in self._pivots)))
+        return hash((self.generators, self._moduli))
 
     def __repr__(self):
         return f"CharacterGroup({self.generators!r})"
@@ -114,7 +62,9 @@ class CharacterGroup:
         vec = tuple(exps)
         if len(vec) != len(self.generators):
             raise ValueError("exponent vector of wrong length")
-        return FormalCharacter(self, _reduce(vec, self._pivots))
+        return FormalCharacter(
+            self, tuple(e % n if n else e for e, n in zip(vec, self._moduli))
+        )
 
     def one(self) -> "FormalCharacter":
         return self.make((0,) * len(self.generators))
@@ -185,7 +135,7 @@ class FormalCharacter:
         return f"<chr {self.pretty()}>"
 
 
-# Generator names of the standard lattice used throughout.  chi is the outer
+# Generator names of the standard group used throughout.  chi is the outer
 # twist, om_* the central characters, mu_* the cubic and eta_* the quadratic
 # characters attached to the two degenerate shapes, xiF_* the restriction of
 # the inducing character in the dihedral shape.
@@ -207,7 +157,7 @@ _STD: CharacterGroup | None = None
 
 
 def standard_group() -> CharacterGroup:
-    """The shared character lattice for the two-form setting."""
+    """The shared character group for the two-form setting."""
     global _STD
     if _STD is None:
         _STD = CharacterGroup(STD_GENERATORS, orders=STD_ORDERS)

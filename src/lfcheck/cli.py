@@ -14,8 +14,7 @@ Exit status: 0 when every verdict is PASS, 1 on any verification failure,
 2 on usage errors.  `--json` switches the report to JSON.  Hypothesis
 files are `key = value` lines: type_pi and type_pi' (dihedral,
 tetrahedral, octahedral, or general), plus optional booleans twist_equiv
-and chi_ad_selftwist.  Worker count for the scan comes from --threads or
-the LCALC_THREADS environment variable.
+and chi_ad_selftwist.
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ def _parser() -> argparse.ArgumentParser:
     ps.add_argument("--xmax", type=int, required=True)
     ps.add_argument("--lmax", type=int, default=3)
     ps.add_argument("--tol", type=float, default=1e-9)
-    ps.add_argument("--threads", type=int, default=None)
 
     pp = sub.add_parser("poles", help="pole-order ledger for an expression")
     pp.add_argument("expr")
@@ -226,7 +224,7 @@ def _cmd_scan(args) -> Report:
     char = parse_char_spec(args.char)
     rep.inputs_digest = digest(cmd, d1, d2, args.char, str(args.tol))
     points, skipped = prepare_scan_points(form1, form2, char, args.xmax)
-    res = scan_positivity(points, args.lmax, args.tol, args.threads)
+    res = scan_positivity(points, args.lmax, args.tol)
 
     skipped_txt = ",".join(map(str, skipped)) if skipped else "none"
     rep.verdicts.append(

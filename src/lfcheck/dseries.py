@@ -16,8 +16,6 @@ adjoint coefficient of the second.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .chargroup import standard_group
@@ -185,72 +183,39 @@ class ScanResult:
         return self.checked > 0 and not self.violations
 
 
-def _eval_block(args) -> list[tuple[int, int, float, float, str]]:
-    items, lmax, tol = args
-    out = []
-    for p, (a1, b1, a2, b2, cv) in items:
+def scan_positivity(
+    points: dict[int, tuple[complex, complex, complex, complex, complex]],
+    lmax: int = 3,
+    tol: float = 1e-9,
+) -> ScanResult:
+    """Check non-negativity and the square identity for each prepared prime
+    point and each prime-power exponent up to lmax, in (p, l) order.
+
+    points maps p to (alpha1, beta1, alpha2, beta2, chi(p)).
+    """
+    res = ScanResult()
+    for p, (a1, b1, a2, b2, cv) in sorted(points.items()):
         base = satake_point(a1, b1, a2, b2, {"chi": cv}, tol=1e-6)
         for ell in range(1, lmax + 1):
             pt = {k: v**ell for k, v in base.items()}
             direct = a_D_value(pt)
             sos = sos_value(pt)
-            err = ""
+            delta = abs(direct.real - sos)
+            res.rows.append((p, ell, direct.real, delta))
+            res.checked += 1
+            res.min_value = min(res.min_value, direct.real)
+            res.max_abs_delta = max(res.max_abs_delta, delta)
             if abs(direct.imag) > tol:
-                err = f"p={p} l={ell}: coefficient not real ({direct.imag:.3g})"
+                res.violations.append(
+                    f"p={p} l={ell}: coefficient not real ({direct.imag:.3g})"
+                )
             elif direct.real < -tol:
-                err = f"p={p} l={ell}: negative coefficient ({direct.real:.3g})"
-            elif abs(direct.real - sos) > tol:
-                err = (
+                res.violations.append(
+                    f"p={p} l={ell}: negative coefficient ({direct.real:.3g})"
+                )
+            elif delta > tol:
+                res.violations.append(
                     f"p={p} l={ell}: direct/square mismatch "
                     f"({direct.real:.12g} vs {sos:.12g})"
                 )
-            out.append((p, ell, direct.real, abs(direct.real - sos), err))
-    return out
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    try:
-        return max(1, int(os.environ.get("LCALC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def scan_positivity(
-    points: dict[int, tuple[complex, complex, complex, complex, complex]],
-    lmax: int = 3,
-    tol: float = 1e-9,
-    threads: int | None = None,
-) -> ScanResult:
-    """Check non-negativity and the square identity for each prepared prime
-    point and each prime-power exponent up to lmax.
-
-    points maps p to (alpha1, beta1, alpha2, beta2, chi(p)).  Work is split
-    over processes when more than one thread is requested; results merge in
-    (p, l) order either way.
-    """
-    res = ScanResult()
-    items = sorted(points.items())
-    if not items:
-        return res
-    nthreads = resolve_threads(threads)
-    if nthreads > 1:
-        nblocks = min(len(items), nthreads * 4)
-        blocks = [
-            (items[i::nblocks], lmax, tol) for i in range(nblocks)
-        ]
-        with ProcessPoolExecutor(max_workers=nthreads) as ex:
-            chunks = list(ex.map(_eval_block, blocks))
-        rows = [r for chunk in chunks for r in chunk]
-        rows.sort(key=lambda r: (r[0], r[1]))
-    else:
-        rows = _eval_block((items, lmax, tol))
-    for p, ell, val, delta, err in rows:
-        res.rows.append((p, ell, val, delta))
-        res.checked += 1
-        res.min_value = min(res.min_value, val)
-        res.max_abs_delta = max(res.max_abs_delta, delta)
-        if err:
-            res.violations.append(err)
     return res

@@ -93,7 +93,7 @@ def is_trivial(c: FormalCharacter, hyp: Hypotheses) -> Tri:
         return Tri.YES
     if len(supp) == 1:
         g, _e = supp[0]
-        n = c.group.orders.get(g) if hasattr(c.group, "orders") else None
+        n = c.group.orders.get(g)
         if n in _PRIME_ORDERS and g in nontrivial_gens(hyp):
             return Tri.NO
     return Tri.UNKNOWN

@@ -35,6 +35,35 @@ def sieve(n: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < MR_LIMIT."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @lru_cache(maxsize=8)
 def _eta_cube(nmax: int) -> tuple[int, ...]:
     # prod (1-q^n)^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}
@@ -198,7 +227,12 @@ def load_eigenvalue_file(path: str) -> NewformData:
                 p, ap = int(fields[0]), int(fields[1])
             except ValueError:
                 raise IngestError(f"{path}:{lineno}: non-integer entry") from None
-            if p < 2 or any(p % q == 0 for q in sieve(int(p**0.5))):
+            if p >= MR_LIMIT:
+                raise IngestError(
+                    f"{path}:{lineno}: {p} is too large to certify as prime "
+                    f"(limit {MR_LIMIT})"
+                )
+            if not is_prime(p):
                 raise IngestError(f"{path}:{lineno}: {p} is not prime")
             if p in seen:
                 raise IngestError(f"{path}:{lineno}: duplicate prime {p}")

@@ -23,7 +23,6 @@ from .repalg import (
     VirtualRep,
     _decompose_atom,
     atom_equal,
-    opaque_info,
 )
 
 
@@ -65,11 +64,10 @@ MAYBE = PoleInterval(0, 1)
 
 def cuspidality(atom: RepAtom, hyp: Hypotheses) -> Tri:
     """Whether the atom names a cuspidal representation under the declared
-    shapes.  Characters count as cuspidal on GL(1)."""
-    if atom.kind == "char":
+    shapes.  Characters count as cuspidal on GL(1), and every opaque atom
+    (the nu and ind summands) is cuspidal by construction."""
+    if atom.kind in ("char", "op"):
         return Tri.YES
-    if atom.kind == "op":
-        return Tri.YES if opaque_info(atom.label).cuspidal else Tri.UNKNOWN
     t = hyp.type_of(atom.base)
     if t is GL2Type.DIHEDRAL:
         return Tri.YES if atom.m == 1 else Tri.NO
@@ -128,8 +126,7 @@ def _entry_pole(key: Entry, hyp: Hypotheses) -> tuple[PoleInterval, str]:
 
 def pole_order(V: VirtualRep, hyp: Hypotheses) -> tuple[PoleInterval, list[str]]:
     """Interval bound on the order of the pole at s = 1 of the product over
-    all entries, with one reason line per entry.  The (s-1) bookkeeping
-    exponent is not applied here."""
+    all entries, with one reason line per entry."""
     total = ZERO
     reasons = []
     for key, mult in V.entries:
@@ -181,11 +178,3 @@ def self_dual_abelian_entries(V: VirtualRep, hyp: Hypotheses) -> list[str]:
                 out.append(f"x{mult} {key.pretty()}")
     return out
 
-
-def entirety_check(
-    V: VirtualRep, hyp: Hypotheses, k: int
-) -> tuple[bool, PoleInterval, list[str]]:
-    """Whether (s-1)^k times the product is certified entire at s = 1:
-    the pole-order upper bound must not exceed k."""
-    iv, reasons = pole_order(V, hyp)
-    return iv.hi <= k, iv, reasons

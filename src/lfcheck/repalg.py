@@ -1,12 +1,13 @@
 """Formal calculus of isobaric sums, Rankin-Selberg pairs, and twists.
 
 Values are immutable.  A VirtualRep is a multiset of entries, each either a
-RepAtom (a character, a symmetric-power atom over one of the two bases, or a
-registered opaque atom) or an RSPair (a formal Rankin-Selberg pair of two
-atom cores with one combined twist character).  Constructors canonicalize:
-same-base symmetric-power products expand by Clebsch-Gordan, GL(1) factors
-collapse into twists, pair members are sorted and the twist is pooled, so
-multiset equality of built values is the identity test.
+RepAtom (a character, a symmetric-power atom over one of the two bases, or
+one of the four opaque atoms of the degenerate shapes) or an RSPair (a
+formal Rankin-Selberg pair of two atom cores with one combined twist
+character).  Constructors canonicalize: same-base symmetric-power products
+expand by Clebsch-Gordan, GL(1) factors collapse into twists, pair members
+are sorted and the twist is pooled, so multiset equality of built values is
+the identity test.
 
 The unramified coefficient conventions: a twist multiplies coefficients, an
 isobaric sum adds them, a Rankin-Selberg pair multiplies them, and the
@@ -32,41 +33,29 @@ class PairOperandError(RepAlgError):
     """Raised when a Rankin-Selberg product is asked of a non-isobaric value."""
 
 
-class DualityUnknownError(RepAlgError):
-    """Raised for opaque atoms with no declared duality data."""
-
-
 @dataclass(frozen=True)
 class OpaqueInfo:
     degree: int
-    base: str
-    cuspidal: bool
-    # () means self-dual; a nonempty tuple is the extra twist (as generator
-    # exponents) picked up under contragredient; None means undeclared.
-    dual_twist: tuple[tuple[str, int], ...] | None
+    # the extra twist (as generator exponents) picked up under
+    # contragredient; () means self-dual
+    dual_twist: tuple[tuple[str, int], ...]
     selftwist_gens: tuple[str, ...] = ()
 
 
 # nu is the dihedral summand of the Sym^4-degenerate shape: self-dual, with
 # central character eta and eta itself a self-twist.  ind is the induced
 # square in the dihedral shape; Ind(theta)~ = Ind(theta) (x) conj(theta|_F).
-_REGISTRY: dict[str, OpaqueInfo] = {
-    "nu_pi": OpaqueInfo(2, "pi", True, (), ("eta_pi",)),
-    "nu_pi'": OpaqueInfo(2, "pi'", True, (), ("eta_pi'",)),
-    "ind_pi": OpaqueInfo(2, "pi", True, (("xiF_pi", -2),)),
-    "ind_pi'": OpaqueInfo(2, "pi'", True, (("xiF_pi'", -2),)),
+_OPAQUE: dict[str, OpaqueInfo] = {
+    "nu_pi": OpaqueInfo(2, (), ("eta_pi",)),
+    "nu_pi'": OpaqueInfo(2, (), ("eta_pi'",)),
+    "ind_pi": OpaqueInfo(2, (("xiF_pi", -2),)),
+    "ind_pi'": OpaqueInfo(2, (("xiF_pi'", -2),)),
 }
-
-
-def register_opaque(label: str, info: OpaqueInfo) -> None:
-    if label in _REGISTRY:
-        raise RepAlgError(f"opaque label {label!r} already registered")
-    _REGISTRY[label] = info
 
 
 def opaque_info(label: str) -> OpaqueInfo:
     try:
-        return _REGISTRY[label]
+        return _OPAQUE[label]
     except KeyError:
         raise RepAlgError(f"unknown opaque atom {label!r}") from None
 
@@ -129,10 +118,7 @@ class RepAtom:
             return RepAtom("char", "", 0, "", c)
         if self.kind == "sym":
             return RepAtom("sym", self.base, self.m, "", c * _om(self.base) ** (-self.m))
-        info = opaque_info(self.label)
-        if info.dual_twist is None:
-            raise DualityUnknownError(f"no duality data for {self.label!r}")
-        adj = standard_group().from_dict(dict(info.dual_twist))
+        adj = standard_group().from_dict(dict(opaque_info(self.label).dual_twist))
         return opaque_atom(self.label, c * adj)
 
     def sort_key(self):
@@ -300,15 +286,12 @@ def _rs_atoms(x: RepAtom, y: RepAtom) -> list[tuple[Entry, int]]:
 
 @dataclass(frozen=True)
 class VirtualRep:
-    """Multiset of entries plus an exponent for the (s-1) bookkeeping symbol."""
+    """Multiset of entries with nonnegative integer multiplicities."""
 
     entries: tuple[tuple[Entry, int], ...]
-    sminus1: int = 0
 
     @staticmethod
-    def build(
-        pairs: Iterable[tuple[Entry, int]], sminus1: int = 0
-    ) -> "VirtualRep":
+    def build(pairs: Iterable[tuple[Entry, int]]) -> "VirtualRep":
         acc: Counter = Counter()
         for key, mult in pairs:
             acc[key] += mult
@@ -321,23 +304,19 @@ class VirtualRep:
                 key=lambda km: km[0].sort_key(),
             )
         )
-        return VirtualRep(items, sminus1)
+        return VirtualRep(items)
 
     @staticmethod
-    def of(*entries: Entry, sminus1: int = 0) -> "VirtualRep":
-        return VirtualRep.build(((e, 1) for e in entries), sminus1)
+    def of(*entries: Entry) -> "VirtualRep":
+        return VirtualRep.build((e, 1) for e in entries)
 
     def __add__(self, other: "VirtualRep") -> "VirtualRep":
-        return VirtualRep.build(
-            list(self.entries) + list(other.entries), self.sminus1 + other.sminus1
-        )
+        return VirtualRep.build(self.entries + other.entries)
 
     def scale(self, n: int) -> "VirtualRep":
         if n < 0:
             raise RepAlgError("negative scale")
-        return VirtualRep.build(
-            ((k, m * n) for k, m in self.entries), self.sminus1 * n
-        )
+        return VirtualRep.build((k, m * n) for k, m in self.entries)
 
     @property
     def degree(self) -> int:
@@ -350,9 +329,7 @@ class VirtualRep:
         return all(isinstance(k, RepAtom) for k, _m in self.entries)
 
     def dual(self) -> "VirtualRep":
-        return VirtualRep.build(
-            ((k.dual(), m) for k, m in self.entries), self.sminus1
-        )
+        return VirtualRep.build((k.dual(), m) for k, m in self.entries)
 
     def map_twists(self, f) -> "VirtualRep":
         def go(key: Entry) -> Entry:
@@ -364,7 +341,7 @@ class VirtualRep:
                 return sym_atom(key.base, key.m, f(key.twist))
             return _pair(key.a, key.b, f(key.twist))
 
-        return VirtualRep.build(((go(k), m) for k, m in self.entries), self.sminus1)
+        return VirtualRep.build((go(k), m) for k, m in self.entries)
 
     def delta(self, other: "VirtualRep") -> dict[Entry, int]:
         """Signed multiset difference self minus other (zeros dropped)."""
@@ -377,8 +354,7 @@ class VirtualRep:
 
     def __repr__(self):
         inner = " + ".join(self.pretty_lines()) or "0"
-        tail = f" | (s-1)^{self.sminus1}" if self.sminus1 else ""
-        return f"<vrep {inner}{tail}>"
+        return f"<vrep {inner}>"
 
 
 def rs_product(A: VirtualRep, B: VirtualRep) -> VirtualRep:
@@ -393,11 +369,7 @@ def rs_product(A: VirtualRep, B: VirtualRep) -> VirtualRep:
         for kb, mb in B.entries:
             for key, mult in _rs_atoms(ka, kb):
                 out.append((key, mult * ma * mb))
-    return VirtualRep.build(out, A.sminus1 + B.sminus1)
-
-
-def contragredient(V: VirtualRep) -> VirtualRep:
-    return V.dual()
+    return VirtualRep.build(out)
 
 
 def _decompose_atom(atom: RepAtom, hyp: Hypotheses) -> list[tuple[RepAtom, int]] | None:
@@ -476,15 +448,13 @@ def decompose_under(V: VirtualRep, hyp: Hypotheses) -> VirtualRep:
         entries = out
         if not changed:
             break
-    return VirtualRep.build(
-        ((_hyp_canon(k, hyp), m) for k, m in entries), V.sminus1
-    )
+    return VirtualRep.build((_hyp_canon(k, hyp), m) for k, m in entries)
 
 
 def atom_equal(x: RepAtom, y: RepAtom, hyp: Hypotheses) -> Tri:
     """Three-valued equality of atoms as automorphic representations.
 
-    Decisions use only declared data: degrees, the relation lattice, the
+    Decisions use only declared data: degrees, the character orders, the
     declared self-twist sets, and (for cross-base adjoints) the chain
     pole => cubic central-character match => common self-twist => adjoint
     multiplicity one, which makes cross-base adjoint atoms unequal whenever

@@ -11,8 +11,8 @@ All inputs of modulus one, so conjugation is exponent inversion.
 
 from __future__ import annotations
 
-from .chargroup import FormalCharacter, STD_GENERATORS
-from .repalg import Entry, RepAtom, RSPair, VirtualRep, opaque_info
+from .chargroup import FormalCharacter, STD_GENERATORS, STD_ORDERS
+from .repalg import Entry, RepAtom, RSPair, VirtualRep
 
 
 class CoefficientError(ValueError):
@@ -24,8 +24,7 @@ VARS = ("a_pi", "b_pi", "a_pi'", "b_pi'") + tuple(
     g for g in STD_GENERATORS if g not in ("om_pi", "om_pi'")
 )
 _IDX = {n: i for i, n in enumerate(VARS)}
-MODS = {"mu_pi": 3, "mu_pi'": 3, "eta_pi": 2, "eta_pi'": 2}
-_MODV = tuple(MODS.get(n, 0) for n in VARS)
+_MODV = tuple(STD_ORDERS.get(n, 0) for n in VARS)
 
 
 def _reduce(key: tuple[int, ...]) -> tuple[int, ...]:
@@ -54,12 +53,6 @@ class LaurentPoly:
     @staticmethod
     def one() -> "LaurentPoly":
         return LaurentPoly({(0,) * len(VARS): 1})
-
-    @staticmethod
-    def var(name: str, e: int = 1) -> "LaurentPoly":
-        key = [0] * len(VARS)
-        key[_IDX[name]] = e
-        return LaurentPoly({tuple(key): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -105,16 +98,6 @@ class LaurentPoly:
         """Complex conjugate under unit-modulus evaluation: invert exponents."""
         r = LaurentPoly()
         r.c = {_reduce(tuple(-e for e in k)): v for k, v in self.c.items()}
-        return r
-
-    def power_substitute(self, ell: int) -> "LaurentPoly":
-        """Replace every variable x by x^ell (prime-power coefficients)."""
-        out: dict[tuple[int, ...], int] = {}
-        for k, v in self.c.items():
-            kk = _reduce(tuple(e * ell for e in k))
-            out[kk] = out.get(kk, 0) + v
-        r = LaurentPoly()
-        r.c = out
         return r
 
     def eval(self, vals: dict[str, complex]) -> complex:
@@ -170,17 +153,14 @@ def char_poly(c: FormalCharacter) -> LaurentPoly:
 
 
 def _sym_poly(base: str, m: int) -> LaurentPoly:
-    a = LaurentPoly.var(f"a_{base}" if base == "pi" else "a_pi'")
-    b = LaurentPoly.var(f"b_{base}" if base == "pi" else "b_pi'")
-    out = LaurentPoly.zero()
+    """Complete homogeneous polynomial: sum of a^(m-i) b^i for i = 0..m."""
+    ia, ib = _IDX[f"a_{base}"], _IDX[f"b_{base}"]
+    terms = {}
     for i in range(m + 1):
-        term = LaurentPoly.one()
-        for _ in range(m - i):
-            term = term * a
-        for _ in range(i):
-            term = term * b
-        out = out + term
-    return out
+        key = [0] * len(VARS)
+        key[ia], key[ib] = m - i, i
+        terms[tuple(key)] = 1
+    return LaurentPoly(terms)
 
 
 def _atom_poly(atom: RepAtom) -> LaurentPoly:
@@ -235,7 +215,7 @@ def satake_point(
     for n, v in vals.items():
         if abs(abs(v) - 1.0) > tol:
             raise CoefficientError(f"{n} is not unit modulus: {v!r}")
-        order = MODS.get(n, 0)
+        order = STD_ORDERS.get(n, 0)
         if order and abs(v**order - 1.0) > tol:
             raise CoefficientError(f"{n} does not have order dividing {order}")
     return vals

@@ -125,7 +125,7 @@ def test_criterion_5_positivity_scan():
         parse_char_spec("kronecker:-4"),
         10**4,
     )
-    res = scan_positivity(points, lmax=4, tol=TOL, threads=1)
+    res = scan_positivity(points, lmax=4, tol=TOL)
     elapsed = time.perf_counter() - t0
     ok = (
         skipped == [2, 11]

@@ -7,7 +7,6 @@ import pytest
 from lfcheck.chargroup import (
     CharacterGroup,
     STD_GENERATORS,
-    hermite_rows,
     standard_group,
 )
 
@@ -93,17 +92,6 @@ def test_unknown_generator_rejected():
 def test_make_length_checked():
     with pytest.raises(ValueError):
         G.make([1, 2])
-
-
-def test_hermite_rows_small_lattice():
-    # relations x^2 = 1 and (xy)^3 = 1 over two generators
-    rows = hermite_rows([[2, 0], [3, 3]], 2)
-    pivots = [next(i for i, v in enumerate(r) if v) for r in rows]
-    assert pivots == sorted(set(pivots))
-    grp = CharacterGroup(("x", "y"), relations=[[2, 0], [3, 3]])
-    # y^3 = (x^2)^3 * (xy)^-3 * ... check a concrete consequence: x^2 = 1
-    assert grp.gen("x", 2) == grp.one()
-    assert grp.gen("x", 3) == grp.gen("x")
 
 
 def test_cross_group_mixing_rejected():

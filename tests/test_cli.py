@@ -101,6 +101,19 @@ def test_scan_malformed_table_exit_two(tmp_path, capsys):
     assert "not prime" in err
 
 
+def test_scan_prime_beyond_exact_range_exit_two(tmp_path, capsys):
+    big = tmp_path / "big.tsv"
+    big.write_text("#weight 2 level 1\n" + "9" * 30 + "\t0\n")
+    code, out, err = run_cli(
+        ["scan", "--form1", str(big), "--form2", "11a",
+         "--char", "trivial", "--xmax", "20"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{big}:2:" in err and "too large" in err
+
+
 def test_unknown_case_exit_two(capsys):
     code, out, err = run_cli(["verify", "case", "7.7"], capsys)
     assert code == 2
@@ -166,15 +179,6 @@ def test_json_erratum_case(capsys):
     statuses = {v["check"]: v["status"] for v in d["sections"][0]["verdicts"]}
     assert statuses["identity"] == "FAIL"
     assert statuses["discrepancy analysis"] == "PASS"
-
-
-def test_threads_env_matches_serial(capsys, monkeypatch):
-    argv = GOLDEN_COMMANDS["scan_small"]
-    monkeypatch.delenv("LCALC_THREADS", raising=False)
-    _code, serial, _ = run_cli(argv, capsys)
-    monkeypatch.setenv("LCALC_THREADS", "3")
-    _code, threaded, _ = run_cli(argv, capsys)
-    assert normalize(serial) == normalize(threaded)
 
 
 def test_console_script_installed():

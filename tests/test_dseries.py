@@ -8,7 +8,6 @@ from lfcheck.dseries import (
     a_D_value,
     aux_factors,
     build_D,
-    resolve_threads,
     scan_positivity,
     sos_value,
     verify_sos,
@@ -81,7 +80,7 @@ def _small_points():
 
 def test_scan_rows_sorted_and_clean():
     points = _small_points()
-    res = scan_positivity(points, lmax=2, tol=1e-9, threads=1)
+    res = scan_positivity(points, lmax=2, tol=1e-9)
     assert res.ok
     assert res.checked == 2 * len(points)
     assert res.rows == sorted(res.rows, key=lambda r: (r[0], r[1]))
@@ -89,27 +88,8 @@ def test_scan_rows_sorted_and_clean():
     assert res.max_abs_delta <= 1e-9
 
 
-def test_scan_parallel_matches_serial():
-    points = _small_points()
-    serial = scan_positivity(points, lmax=2, threads=1)
-    parallel = scan_positivity(points, lmax=2, threads=3)
-    assert serial.rows == parallel.rows
-    assert serial.violations == parallel.violations == []
-
-
 def test_scan_empty_not_ok():
     res = scan_positivity({}, lmax=2)
     assert isinstance(res, ScanResult)
     assert res.checked == 0 and not res.ok
 
-
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("LCALC_THREADS", raising=False)
-    assert resolve_threads(None) == 1
-    assert resolve_threads(5) == 5
-    assert resolve_threads(0) == 1
-    monkeypatch.setenv("LCALC_THREADS", "4")
-    assert resolve_threads(None) == 4
-    assert resolve_threads(2) == 2  # explicit argument wins
-    monkeypatch.setenv("LCALC_THREADS", "junk")
-    assert resolve_threads(None) == 1

@@ -1,13 +1,16 @@
 """Arithmetic inputs: eigenvalue tables, Satake data, character values."""
 
 import random
+import time
 
 import pytest
 
 from lfcheck.ingest import (
     BoundError,
+    MR_LIMIT,
     IngestError,
     builtin_form,
+    is_prime,
     deligne_ok,
     delta_eigenvalues,
     eta24_series,
@@ -175,6 +178,39 @@ def test_loader_error_lines(tmp_path):
         assert frag in str(e.value), text
         if lineno:
             assert f":{lineno}:" in str(e.value), text
+
+
+def test_is_prime_against_sieve_and_pseudoprimes():
+    assert [n for n in range(-3, 20000) if is_prime(n)] == sieve(19999)
+    # strong pseudoprimes to every prime base up to 37 (the last one
+    # defeats the first twelve bases and is caught only by 41)
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+
+
+def test_loader_primality_near_1e18_is_fast(tmp_path):
+    # no factor below 10^9, so trial division against a sieve up to sqrt(p)
+    # would need a table of 10^9 entries
+    composite = 1000000007 * 1000000009
+    prime = 10**18 + 3
+    f = tmp_path / "big.tsv"
+    t0 = time.perf_counter()
+    f.write_text(f"#weight 2 level 1\n{prime}\t0\n")
+    assert load_eigenvalue_file(str(f)).ap == {prime: 0}
+    f.write_text(f"#weight 2 level 1\n{composite}\t0\n")
+    with pytest.raises(IngestError) as e:
+        load_eigenvalue_file(str(f))
+    assert time.perf_counter() - t0 < 1.0
+    assert ":2:" in str(e.value) and "not prime" in str(e.value)
+
+
+def test_loader_rejects_primes_beyond_the_exact_range(tmp_path):
+    f = tmp_path / "huge.tsv"
+    f.write_text(f"#weight 2 level 1\n3\t0\n{MR_LIMIT}\t0\n")
+    with pytest.raises(IngestError) as e:
+        load_eigenvalue_file(str(f))
+    assert not isinstance(e.value, BoundError)
+    assert ":3:" in str(e.value) and "too large" in str(e.value)
 
 
 def test_loader_bound_violation_is_typed(tmp_path):

@@ -14,7 +14,6 @@ from lfcheck.poles import (
     PoleError,
     PoleInterval,
     cuspidality,
-    entirety_check,
     isobaric_pair_pole,
     pole_order,
     self_dual_abelian_entries,
@@ -167,14 +166,6 @@ def test_isobaric_pair_pole_rejects_pairs():
     P = rs_product(VirtualRep.of(ad_atom("pi")), VirtualRep.of(ad_atom("pi'")))
     with pytest.raises(PoleError):
         isobaric_pair_pole(P, P, GEN2)
-
-
-def test_entirety_check_bound():
-    V = VirtualRep.build([(char_atom(G.one()), 6)])
-    ok, iv, _ = entirety_check(V, GEN2, 6)
-    assert ok and iv == PoleInterval(6, 6)
-    ok, _iv, _ = entirety_check(V, GEN2, 5)
-    assert not ok
 
 
 def test_self_dual_abelian_report():

@@ -84,16 +84,24 @@ def test_multiplicativity_seeded():
             assert abs(lhs - rhs) < 1e-9
 
 
-def test_power_substitute_matches_pointwise_powers():
-    rng = random.Random(515)
-    P = coeff_poly(
-        VirtualRep.of(sym_atom("pi", 3, chi)) + VirtualRep.of(char_atom(chi))
-    )
-    for _ in range(20):
-        pt = unitary_point(rng)
-        for ell in (2, 3):
-            pl = {k: v**ell for k, v in pt.items()}
-            assert abs(P.power_substitute(ell).eval(pt) - P.eval(pl)) < 1e-12
+def test_clebsch_gordan_coefficients_multiply_exactly():
+    # coeff(Sym^j (x) Sym^k) = coeff(Sym^j) * coeff(Sym^k) as Laurent
+    # polynomials over one base, untwisted and with twists that touch the
+    # central character and the finite-order generators
+    rng = random.Random(4040)
+    pairs = [(j, k) for j in range(5) for k in range(5)] + [(40, 40), (40, 1)]
+    pairs += [(rng.randrange(41), rng.randrange(41)) for _ in range(8)]
+    for base in ("pi", "pi'"):
+        twists = [
+            (G.one(), G.one()),
+            (chi * G.gen(f"om_{base}", -1), G.gen("mu_pi", 2) * G.gen("eta_pi'")),
+        ]
+        for j, k in pairs:
+            for tj, tk in twists:
+                A = VirtualRep.of(sym_atom(base, j, tj))
+                B = VirtualRep.of(sym_atom(base, k, tk))
+                lhs = coeff_poly(rs_product(A, B))
+                assert lhs == coeff_poly(A) * coeff_poly(B), (base, j, k, tj)
 
 
 def test_conjugation_on_unitary_locus():
