@@ -32,7 +32,13 @@ from .casebook import (
     verify_case,
     verify_plethysm_bridge,
 )
-from .dseries import scan_positivity, verify_sos
+from .dseries import (
+    NONNEGATIVITY,
+    REALNESS,
+    SQUARE_IDENTITY,
+    scan_positivity,
+    verify_sos,
+)
 from .exprlang import ExprError, parse_expr
 from .hypotheses import GL2Type, Hypotheses
 from .ingest import (
@@ -236,35 +242,14 @@ def _cmd_scan(args) -> Report:
         )
     )
 
-    def pick(substr: str) -> list[str]:
-        return [v for v in res.violations if substr in v]
-
-    neg = pick("negative")
-    rep.verdicts.append(
-        Verdict(
-            "nonnegativity",
-            "FAIL" if neg else "PASS",
-            neg[0] if neg else f"min coefficient {res.min_value:.6g}",
-        )
-    )
-    imag = pick("not real")
-    rep.verdicts.append(
-        Verdict(
-            "realness",
-            "FAIL" if imag else "PASS",
-            imag[0]
-            if imag
-            else f"imaginary parts within {args.tol:g} everywhere",
-        )
-    )
-    mism = pick("mismatch")
-    rep.verdicts.append(
-        Verdict(
-            "square identity",
-            "FAIL" if mism else "PASS",
-            mism[0] if mism else f"max |direct - square| = {res.max_abs_delta:.3g}",
-        )
-    )
+    for kind, clean in (
+        (NONNEGATIVITY, f"min coefficient {res.min_value:.6g}"),
+        (REALNESS, f"imaginary parts within {args.tol:g} everywhere"),
+        (SQUARE_IDENTITY, f"max |direct - square| = {res.max_abs_delta:.3g}"),
+    ):
+        hit = next((v for v in res.violations if v.kind == kind), None)
+        status, detail = ("PASS", clean) if hit is None else ("FAIL", str(hit))
+        rep.verdicts.append(Verdict(kind, status, detail))
     return rep
 
 

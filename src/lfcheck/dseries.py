@@ -17,6 +17,7 @@ adjoint coefficient of the second.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .chargroup import standard_group
 from .repalg import VirtualRep, ad_atom, rs_product, sym_atom, char_atom
@@ -170,13 +171,40 @@ def sos_value(point: dict[str, complex]) -> float:
     return abs(2 * xv + xv * zv + zv) ** 2
 
 
+# Violation kinds, each named after the scan verdict it fails
+NONNEGATIVITY = "nonnegativity"
+REALNESS = "realness"
+SQUARE_IDENTITY = "square identity"
+
+
+class Violation(NamedTuple):
+    """A failed check at the point (p, l): `value` is the direct coefficient
+    there and `square` the closed square form |2x + xz + z|^2."""
+
+    kind: str
+    p: int
+    l: int
+    value: complex
+    square: float
+
+    def __str__(self) -> str:
+        head = f"p={self.p} l={self.l}: "
+        if self.kind == REALNESS:
+            return head + f"coefficient not real ({self.value.imag:.3g})"
+        if self.kind == NONNEGATIVITY:
+            return head + f"negative coefficient ({self.value.real:.3g})"
+        return head + (
+            f"direct/square mismatch ({self.value.real:.12g} vs {self.square:.12g})"
+        )
+
+
 @dataclass
 class ScanResult:
     rows: list[tuple[int, int, float, float]] = field(default_factory=list)
     checked: int = 0
     min_value: float = float("inf")
     max_abs_delta: float = 0.0
-    violations: list[str] = field(default_factory=list)
+    violations: list[Violation] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -206,16 +234,12 @@ def scan_positivity(
             res.min_value = min(res.min_value, direct.real)
             res.max_abs_delta = max(res.max_abs_delta, delta)
             if abs(direct.imag) > tol:
-                res.violations.append(
-                    f"p={p} l={ell}: coefficient not real ({direct.imag:.3g})"
-                )
+                kind = REALNESS
             elif direct.real < -tol:
-                res.violations.append(
-                    f"p={p} l={ell}: negative coefficient ({direct.real:.3g})"
-                )
+                kind = NONNEGATIVITY
             elif delta > tol:
-                res.violations.append(
-                    f"p={p} l={ell}: direct/square mismatch "
-                    f"({direct.real:.12g} vs {sos:.12g})"
-                )
+                kind = SQUARE_IDENTITY
+            else:
+                continue
+            res.violations.append(Violation(kind, p, ell, direct, sos))
     return res

@@ -47,6 +47,10 @@ CHAR_NAMES = {
 
 OPAQUE_NAMES = ("nu_pi", "nu_pi'", "ind_pi", "ind_pi'")
 
+# largest m accepted in Sym^m: expanding a same-base Sym^m (x) Sym^m costs
+# about m^2, so without a cap one numeral could make a short expression slow
+SYM_MAX = 64
+
 _TOKEN = re.compile(
     r"""\s*(?:
         (?P<op>\(\+\)|\(x\))
@@ -161,6 +165,8 @@ class _Parser:
             if _ik != "int" or int(iv) < 1:
                 raise ExprError("Sym needs a positive integer power")
             m = int(iv)
+            if m > SYM_MAX:
+                raise ExprError(f"Sym^{m} exceeds the largest power, Sym^{SYM_MAX}")
         else:
             m = 2
         self.expect("punct", "(")

@@ -2,18 +2,19 @@
 forms computed from scratch, a TSV loader for user data, and character
 value tables.
 
-Built-ins: the weight-12 level-1 cusp form via its product expansion
-(computed through the cube of the pentagonal-type theta identity, so the
-built-in and the naive-product oracle in the tests are independent), and
-the weight-2 form of the conductor-11 elliptic curve y^2 + y = x^3 - x^2
-- 10x - 20 via point counts.
+Both built-ins come from eta products.  The weight-12 level-1 form is
+prod (1-q^n)^24, grown on demand as the 8th power of Jacobi's series for
+prod (1-q^n)^3; the weight-2 level-11 form is q prod (1-q^n)^2 (1-q^(11n))^2
+from Euler's pentagonal series.  The tests check each against an independent
+oracle: the naive product, and point counts on y^2 + y = x^3 - x^2 - 10x - 20.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from operator import add, sub
 
 
 class IngestError(ValueError):
@@ -35,6 +36,7 @@ def sieve(n: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
+_FLOAT_MAX = int(sys.float_info.max)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin with the first 13 prime bases is exact below this bound
 MR_LIMIT = 3317044064679887385961981
@@ -64,44 +66,47 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=8)
-def _eta_cube(nmax: int) -> tuple[int, ...]:
-    # prod (1-q^n)^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}
-    c = [0] * (nmax + 1)
-    k = 0
-    while k * (k + 1) // 2 <= nmax:
-        c[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
-        k += 1
-    return tuple(c)
+# prod (1-q^n)^24 through the largest exponent asked for so far
+_ETA24 = [1]
 
 
-@lru_cache(maxsize=8)
+def _grow_eta24(nmax: int) -> list[int]:
+    """_ETA24, first extended through q^nmax.  With g = prod (1-q^n)^3 =
+    sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2} (Jacobi) and f = g^8, the power
+    recurrence n f_n = sum_{j>=1} (9j - n) g_j f_{n-j} divides exactly."""
+    f = _ETA24
+    if len(f) > nmax:
+        return f
+    g = []
+    for k in range(1, (math.isqrt(8 * nmax + 1) + 1) // 2):  # k(k+1)/2 <= nmax
+        j = k * (k + 1) // 2
+        gj = (-1) ** k * (2 * k + 1)
+        g.append((j, gj, 9 * j * gj))
+    for n in range(len(f), nmax + 1):
+        s = 0
+        for j, gj, a in g:
+            if j > n:
+                break
+            s += (a - n * gj) * f[n - j]
+        f.append(s // n)
+    return f
+
+
 def eta24_series(nmax: int) -> tuple[int, ...]:
     """Coefficients of prod_{n>=1} (1-q^n)^24 through q^nmax."""
-    cube = _eta_cube(nmax)
-    sparse = [(i, v) for i, v in enumerate(cube) if v]
-    acc = list(cube)
-    for _ in range(7):
-        out = [0] * (nmax + 1)
-        for i, v in sparse:
-            for j in range(nmax + 1 - i):
-                if acc[j]:
-                    out[i + j] += v * acc[j]
-        acc = out
-    return tuple(acc)
+    return tuple(_grow_eta24(nmax)[: max(nmax + 1, 0)])
 
 
 def tau(n: int) -> int:
     """Ramanujan tau."""
     if n < 1:
         raise IngestError("tau is defined for n >= 1")
-    return eta24_series(n - 1)[n - 1]
+    return _grow_eta24(n - 1)[n - 1]
 
 
 def naive_product_series(nmax: int, power: int = 24) -> list[int]:
     """Oracle: expand prod_{n=1}^{nmax} (1-q^n)^power term by term."""
-    acc = [0] * (nmax + 1)
-    acc[0] = 1
+    acc = [1] + [0] * nmax
     for n in range(1, nmax + 1):
         for _ in range(power):
             for j in range(nmax, n - 1, -1):
@@ -111,40 +116,35 @@ def naive_product_series(nmax: int, power: int = 24) -> list[int]:
 
 def delta_eigenvalues(xmax: int) -> dict[int, int]:
     """a_p of the weight-12 level-1 form for primes p <= xmax."""
-    series = eta24_series(xmax)
+    series = _grow_eta24(xmax)
     return {p: series[p - 1] for p in sieve(xmax)}
 
 
-def _legendre_table(p: int) -> bytearray:
-    sq = bytearray(p)
-    for i in range(1, (p + 1) // 2 + 1):
-        sq[i * i % p] = 1
-    return sq
-
-
-def x0_11_ap(p: int) -> int:
-    """Trace of Frobenius at p for y^2 + y = x^3 - x^2 - 10x - 20."""
-    if p == 2:
-        count = 0
-        for x in range(2):
-            for y in range(2):
-                if (y * y + y - (x**3 - x * x - 10 * x - 20)) % 2 == 0:
-                    count += 1
-        return p + 1 - (count + 1)
-    if p == 11:
-        raise IngestError("p = 11 is the conductor; no good reduction")
-    # complete the square: y^2 + y = c has 1 + legendre(4c + 1) solutions
-    sq = _legendre_table(p)
-    total = 0
-    for x in range(p):
-        c = (4 * (x * x * x - x * x - 10 * x - 20) + 1) % p
-        if c:
-            total += 1 if sq[c] else -1
-    return -total
+def _pentagonal(nmax: int, step: int) -> list[tuple[int, int]]:
+    """Nonzero terms (e, sign) of prod (1 - q^(step n)) through q^nmax (Euler)."""
+    terms = [(0, 1)]
+    k = 1
+    while step * k * (3 * k - 1) // 2 <= nmax:
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if step * e <= nmax:
+                terms.append((step * e, -1 if k % 2 else 1))
+        k += 1
+    return terms
 
 
 def x0_11_eigenvalues(xmax: int) -> dict[int, int]:
-    return {p: x0_11_ap(p) for p in sieve(xmax) if p != 11}
+    """a_p of the level-11 weight-2 form q prod (1-q^n)^2 (1-q^(11n))^2 for
+    primes p <= xmax other than 11; a_p sits at q^(p-1) of the product."""
+    nmax = max(xmax - 1, 0)
+    c = [0] * (nmax + 1)
+    for e, s in _pentagonal(nmax, 1):
+        c[e] = s
+    for step in (1, 11, 11):
+        out = [0] * (nmax + 1)
+        for e, s in _pentagonal(nmax, step):
+            out[e:] = map(add if s > 0 else sub, out[e:], c[: nmax + 1 - e])
+        c = out
+    return {p: c[p - 1] for p in sieve(xmax) if p != 11}
 
 
 def deligne_ok(ap: int, p: int, k: int) -> bool:
@@ -189,7 +189,6 @@ def load_eigenvalue_file(path: str) -> NewformData:
     lines: '<p>\\t<a_p>'.  Validates primality, duplicates, and the exact
     eigenvalue bound."""
     form = None
-    seen = set()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -197,11 +196,7 @@ def load_eigenvalue_file(path: str) -> NewformData:
                 continue
             if form is None:
                 parts = line.split()
-                if (
-                    len(parts) != 4
-                    or parts[0] != "#weight"
-                    or parts[2] != "level"
-                ):
+                if len(parts) != 4 or parts[0] != "#weight" or parts[2] != "level":
                     raise IngestError(
                         f"{path}:{lineno}: expected header "
                         f"'#weight <k> level <N>', got {line!r}"
@@ -234,14 +229,19 @@ def load_eigenvalue_file(path: str) -> NewformData:
                 )
             if not is_prime(p):
                 raise IngestError(f"{path}:{lineno}: {p} is not prime")
-            if p in seen:
+            if p in form.ap:
                 raise IngestError(f"{path}:{lineno}: duplicate prime {p}")
+            # sqrt(p^(k-1)) is taken in floats; bit lengths catch a huge k first
+            w = form.weight - 1
+            if w * (p.bit_length() - 1) >= 1024 or p**w > _FLOAT_MAX:
+                raise IngestError(
+                    f"{path}:{lineno}: p^(k-1) = {p}^{w} is too large for a float"
+                )
             if form.level % p != 0 and not deligne_ok(ap, p, form.weight):
                 raise BoundError(
                     f"{path}:{lineno}: a_p={ap} violates the eigenvalue "
                     f"bound at p={p} for weight {form.weight}"
                 )
-            seen.add(p)
             form.ap[p] = ap
     if form is None:
         raise IngestError(f"{path}: empty file")

@@ -11,7 +11,16 @@ import subprocess
 
 import pytest
 
+from lfcheck import cli
 from lfcheck.cli import main
+from lfcheck.dseries import (
+    NONNEGATIVITY,
+    REALNESS,
+    SQUARE_IDENTITY,
+    ScanResult,
+    Violation,
+)
+from lfcheck.exprlang import SYM_MAX, ExprError, parse_expr
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -112,6 +121,53 @@ def test_scan_prime_beyond_exact_range_exit_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert f"{big}:2:" in err and "too large" in err
+
+
+@pytest.mark.parametrize("weight", [1000, 10**9])
+def test_scan_weight_beyond_float_range_exit_two(tmp_path, capsys, weight):
+    t = tmp_path / "t.tsv"
+    t.write_text(f"#weight {weight} level 2\n3\t0\n")
+    code, out, err = run_cli(
+        ["scan", "--form1", str(t), "--form2", "11a",
+         "--char", "trivial", "--xmax", "4"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{t}:2:" in err and "too large for a float" in err
+
+
+@pytest.mark.parametrize("kind", [NONNEGATIVITY, REALNESS, SQUARE_IDENTITY])
+def test_scan_verdicts_follow_violation_kind(monkeypatch, capsys, kind):
+    # the verdict comes from the record's kind, not from words in its text
+    class Reworded(Violation):
+        def __str__(self):
+            return "p=3 l=1: reworded"
+
+    def scan(points, lmax, tol):
+        res = ScanResult(checked=1, min_value=0.0)
+        res.violations.append(Reworded(kind, 3, 1, 0j, 0.0))
+        return res
+
+    monkeypatch.setattr(cli, "scan_positivity", scan)
+    code, out, _err = run_cli(
+        ["scan", "--form1", "delta", "--form2", "11a",
+         "--char", "trivial", "--xmax", "20"],
+        capsys,
+    )
+    assert code == 1
+    fails = [ln.strip() for ln in out.splitlines() if "[FAIL]" in ln]
+    assert fails == [f"[FAIL] {kind}: p=3 l=1: reworded"]
+
+
+def test_sym_power_cap(capsys):
+    assert parse_expr(f"Sym^{SYM_MAX}(pi) (x) Sym^{SYM_MAX}(pi)").degree == 65**2
+    with pytest.raises(ExprError):
+        parse_expr(f"Sym^{SYM_MAX + 1}(pi)")
+    code, out, err = run_cli(["expand", f"Sym^{SYM_MAX}(pi)"], capsys)
+    assert code == 0 and "degree: 65" in out
+    code, out, err = run_cli(["expand", f"Sym^{SYM_MAX + 1}(pi)"], capsys)
+    assert code == 2 and out == "" and "Sym^65" in err
 
 
 def test_unknown_case_exit_two(capsys):

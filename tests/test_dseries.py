@@ -3,8 +3,13 @@
 import cmath
 import random
 
+from lfcheck import dseries
 from lfcheck.dseries import (
+    NONNEGATIVITY,
+    REALNESS,
+    SQUARE_IDENTITY,
     ScanResult,
+    Violation,
     a_D_value,
     aux_factors,
     build_D,
@@ -93,3 +98,24 @@ def test_scan_empty_not_ok():
     assert isinstance(res, ScanResult)
     assert res.checked == 0 and not res.ok
 
+
+def test_scan_violations_are_records(monkeypatch):
+    # one failing check per (p, l): realness first, then sign, then the gap
+    sq = 1.23456789012345
+    direct = {1: -1 + 1j, 2: -1 + 0j, 3: 2.5 + 0j, 4: sq + 0j}
+    points = {3: (1, 1, 1, 1, 1)}
+    ells = iter(range(1, 5))
+    monkeypatch.setattr(dseries, "a_D_value", lambda pt: direct[next(ells)])
+    monkeypatch.setattr(dseries, "sos_value", lambda pt: sq)
+    res = scan_positivity(points, lmax=4, tol=1e-9)
+    assert res.violations == [
+        Violation(REALNESS, 3, 1, -1 + 1j, sq),
+        Violation(NONNEGATIVITY, 3, 2, -1 + 0j, sq),
+        Violation(SQUARE_IDENTITY, 3, 3, 2.5 + 0j, sq),
+    ]
+    assert [str(v) for v in res.violations] == [
+        "p=3 l=1: coefficient not real (1)",
+        "p=3 l=2: negative coefficient (-1)",
+        "p=3 l=3: direct/square mismatch (2.5 vs 1.23456789012)",
+    ]
+    assert not res.ok

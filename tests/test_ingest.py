@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from lfcheck import ingest
 from lfcheck.ingest import (
     BoundError,
     MR_LIMIT,
@@ -22,8 +23,6 @@ from lfcheck.ingest import (
     satake_from_ap,
     sieve,
     tau,
-    x0_11_ap,
-    x0_11_eigenvalues,
 )
 
 
@@ -66,6 +65,51 @@ def test_tau_multiplicative():
             assert tau(m * n) == tau(m) * tau(n)
 
 
+def test_eta24_prefixes_agree_in_any_call_order(monkeypatch):
+    want = naive_product_series(120)
+    for sizes in ((120, 30), (30, 120)):
+        monkeypatch.setattr(ingest, "_ETA24", [1])
+        got = {n: eta24_series(n) for n in sizes}
+        assert list(got[120]) == want
+        assert list(got[30]) == want[:31]
+
+
+def test_tau_past_the_memo_end_extends_it(monkeypatch):
+    monkeypatch.setattr(ingest, "_ETA24", [1])
+    short = eta24_series(20)
+    want = naive_product_series(90)
+    assert tau(90) == want[89]
+    assert ingest._ETA24 == want[:90]
+    assert eta24_series(20) == short
+
+
+def _legendre_table(p):
+    sq = bytearray(p)
+    for i in range(1, (p + 1) // 2 + 1):
+        sq[i * i % p] = 1
+    return sq
+
+
+def x0_11_ap(p):
+    """Oracle: trace of Frobenius at a prime p != 11 for the curve
+    y^2 + y = x^3 - x^2 - 10x - 20, by counting points."""
+    if p == 2:
+        count = 0
+        for x in range(2):
+            for y in range(2):
+                if (y * y + y - (x**3 - x * x - 10 * x - 20)) % 2 == 0:
+                    count += 1
+        return p + 1 - (count + 1)
+    # complete the square: y^2 + y = c has 1 + legendre(4c + 1) solutions
+    sq = _legendre_table(p)
+    total = 0
+    for x in range(p):
+        c = (4 * (x * x * x - x * x - 10 * x - 20) + 1) % p
+        if c:
+            total += 1 if sq[c] else -1
+    return -total
+
+
 def _count_points_naive(p):
     # affine points of y^2 + y = x^3 - x^2 - 10x - 20 over F_p, plus the
     # point at infinity
@@ -86,15 +130,17 @@ def test_x0_11_against_point_counting():
 
 
 def test_x0_11_known_values_and_hasse():
+    builtin = builtin_form("11a", 23).ap
     for p, ap in AP_11A.items():
+        assert builtin[p] == ap
         assert x0_11_ap(p) == ap
-    for p, ap in x0_11_eigenvalues(500).items():
+    for p, ap in builtin_form("11a", 500).ap.items():
         assert ap * ap <= 4 * p
 
 
-def test_x0_11_conductor_prime_rejected():
-    with pytest.raises(IngestError):
-        x0_11_ap(11)
+def test_builtin_11a_matches_point_counts():
+    want = {p: x0_11_ap(p) for p in sieve(2000) if p != 11}
+    assert builtin_form("11a", 2000).ap == want
 
 
 def test_deligne_exact():
@@ -211,6 +257,23 @@ def test_loader_rejects_primes_beyond_the_exact_range(tmp_path):
         load_eigenvalue_file(str(f))
     assert not isinstance(e.value, BoundError)
     assert ":3:" in str(e.value) and "too large" in str(e.value)
+
+
+def test_loader_rejects_powers_beyond_float_range(tmp_path):
+    # 2^1023 is the largest power of two a float holds; 2^1024, 3^999 and
+    # 3^(10^9 - 1) are not, and the last (about 200 MB as an integer) must be
+    # refused without forming it
+    f = tmp_path / "w.tsv"
+    f.write_text("#weight 1024 level 1\n2\t0\n")
+    assert load_eigenvalue_file(str(f)).ap == {2: 0}
+    for weight, p in ((1025, 2), (1000, 3), (10**9, 3)):
+        f.write_text(f"#weight {weight} level 2\n{p}\t0\n")
+        t0 = time.perf_counter()
+        with pytest.raises(IngestError) as e:
+            load_eigenvalue_file(str(f))
+        assert time.perf_counter() - t0 < 1.0
+        assert not isinstance(e.value, BoundError)
+        assert ":2:" in str(e.value) and "too large for a float" in str(e.value)
 
 
 def test_loader_bound_violation_is_typed(tmp_path):
