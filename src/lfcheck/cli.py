@@ -20,6 +20,7 @@ and chi_ad_selftwist.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -214,7 +215,19 @@ def _resolve_form(src: str, xmax: int):
     return load_eigenvalue_file(src), _file_digest(src)
 
 
+def _check_scan_args(args) -> None:
+    # a NaN or infinite tolerance passes every check and a negative one fails
+    # every point, so none of them gives a verdict worth reporting
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol:g}")
+    if args.lmax < 1:
+        raise UsageError(f"--lmax must be at least 1, got {args.lmax}")
+    if args.xmax < 2:
+        raise UsageError(f"--xmax must be at least 2, got {args.xmax}")
+
+
 def _cmd_scan(args) -> Report:
+    _check_scan_args(args)
     cmd = (
         f"scan --form1 {args.form1} --form2 {args.form2} --char {args.char} "
         f"--xmax {args.xmax} --lmax {args.lmax}"

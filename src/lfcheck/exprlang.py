@@ -51,6 +51,11 @@ OPAQUE_NAMES = ("nu_pi", "nu_pi'", "ind_pi", "ind_pi'")
 # about m^2, so without a cap one numeral could make a short expression slow
 SYM_MAX = 64
 
+# longest numeral accepted: int() refuses strings past the interpreter's digit
+# limit (4300 by default) with a ValueError, and no meaningful power needs
+# more than a few digits, so longer numerals are refused before conversion
+NUMERAL_DIGITS = 18
+
 _TOKEN = re.compile(
     r"""\s*(?:
         (?P<op>\(\+\)|\(x\))
@@ -76,6 +81,10 @@ def _tokenize(src: str) -> list[tuple[str, str]]:
         for kind in ("op", "punct", "int", "name"):
             val = m.group(kind)
             if val is not None:
+                if kind == "int" and len(val.lstrip("-")) > NUMERAL_DIGITS:
+                    raise ExprError(
+                        f"numeral {val[:12]}... has more than {NUMERAL_DIGITS} digits"
+                    )
                 toks.append((kind, val))
                 break
     toks.append(("end", ""))

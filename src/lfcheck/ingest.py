@@ -335,7 +335,9 @@ def parse_char_spec(spec: str) -> CharacterData:
                 v = complex(float(fields[1]), float(fields[2]))
             except ValueError:
                 raise IngestError(f"{spec}:{lineno}: bad number") from None
-            if abs(abs(v) - 1) > 1e-6:
+            # written so that a NaN part fails too: a NaN value would make
+            # every check at its point pass
+            if not abs(abs(v) - 1) <= 1e-6:
                 raise IngestError(
                     f"{spec}:{lineno}: character value not unit modulus"
                 )

@@ -32,9 +32,14 @@ def _reduce(key: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class LaurentPoly:
-    """Integer-coefficient Laurent polynomial over the variable universe."""
+    """Integer-coefficient Laurent polynomial over the variable universe.
 
-    __slots__ = ("c",)
+    `c` maps exponent tuples (in VARS order) to nonzero integer coefficients.
+    Code may rebind `c` but never mutates the dict in place; eval caches a
+    term list built from the dict it last saw.
+    """
+
+    __slots__ = ("c", "_terms", "_terms_of")
 
     def __init__(self, coeffs: dict[tuple[int, ...], int] | None = None):
         c: dict[tuple[int, ...], int] = {}
@@ -45,6 +50,7 @@ class LaurentPoly:
                 if not c[k]:
                     del c[k]
         self.c = c
+        self._terms_of = None
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -100,17 +106,40 @@ class LaurentPoly:
         r.c = {_reduce(tuple(-e for e in k)): v for k, v in self.c.items()}
         return r
 
+    def _term_list(self):
+        """(distinct (var index, exponent) factors, [(coef, factor slots)]),
+        built lazily and rebuilt whenever `c` has been rebound."""
+        if self._terms_of is not self.c:
+            factors: dict[tuple[int, int], int] = {}
+            terms = [
+                (
+                    complex(v),
+                    tuple(
+                        factors.setdefault((i, e), len(factors))
+                        for i, e in enumerate(k)
+                        if e
+                    ),
+                )
+                for k, v in self.c.items()
+            ]
+            self._terms = (tuple(factors), terms)
+            self._terms_of = self.c
+        return self._terms
+
     def eval(self, vals: dict[str, complex]) -> complex:
         missing = [n for n in VARS if n not in vals]
         if missing:
             raise CoefficientError(f"missing evaluation values for {missing}")
+        # Each power is computed once per call; every term still starts from
+        # its coefficient, multiplies its factors in VARS order and is summed
+        # in dict order, so the result is bit-identical to term-by-term
+        # evaluation.
+        factors, terms = self._term_list()
+        powers = [vals[VARS[i]] ** e for i, e in factors]
         total = 0j
-        order = tuple(vals[n] for n in VARS)
-        for k, v in self.c.items():
-            term = complex(v)
-            for x, e in zip(order, k):
-                if e:
-                    term *= x**e
+        for term, slots in terms:
+            for j in slots:
+                term *= powers[j]
             total += term
         return total
 

@@ -133,7 +133,7 @@ def test_criterion_5_positivity_scan():
         and res.checked == 4 * len(points)
         and res.min_value >= -TOL
         and res.max_abs_delta <= TOL
-        and elapsed < 60
+        and elapsed < 20
     )
     _line(5, "positivity scan", ok)
 

@@ -20,7 +20,7 @@ from lfcheck.dseries import (
     ScanResult,
     Violation,
 )
-from lfcheck.exprlang import SYM_MAX, ExprError, parse_expr
+from lfcheck.exprlang import NUMERAL_DIGITS, SYM_MAX, ExprError, parse_expr
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -168,6 +168,54 @@ def test_sym_power_cap(capsys):
     assert code == 0 and "degree: 65" in out
     code, out, err = run_cli(["expand", f"Sym^{SYM_MAX + 1}(pi)"], capsys)
     assert code == 2 and out == "" and "Sym^65" in err
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--tol", "-inf"),
+        ("--tol", "-1"),
+        ("--lmax", "0"),
+        ("--lmax", "-3"),
+        ("--xmax", "-5"),
+        ("--xmax", "1"),
+    ],
+)
+def test_scan_vacuous_arguments_exit_two(tmp_path, capsys, option, value):
+    # checked before ingest: the missing table would otherwise be the error
+    missing = str(tmp_path / "missing.tsv")
+    argv = ["scan", "--form1", missing, "--form2", "11a", "--char", "trivial",
+            "--xmax", "20", f"{option}={value}"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option} must be") and "missing" not in err
+
+
+def test_scan_smallest_valid_arguments(capsys):
+    code, out, _err = run_cli(
+        ["scan", "--form1", "delta", "--form2", "11a", "--char", "trivial",
+         "--xmax", "2", "--lmax", "1", "--tol", "0"],
+        capsys,
+    )
+    assert code in (0, 1) and "1 prime-power points over 1 primes" in out
+
+
+@pytest.mark.parametrize("template", ["Sym^{}(pi)", "chi^{}", "pi tw omega^-{}"])
+def test_long_numeral_is_usage_error(capsys, template):
+    ok = "9" * NUMERAL_DIGITS
+    if template.startswith("Sym"):
+        with pytest.raises(ExprError, match="exceeds the largest power"):
+            parse_expr(template.format(ok))
+    else:
+        parse_expr(template.format(ok))
+    for digits in (NUMERAL_DIGITS + 1, 5000):
+        text = template.format("9" * digits)
+        with pytest.raises(ExprError, match=f"more than {NUMERAL_DIGITS} digits"):
+            parse_expr(text)
+        code, out, err = run_cli(["expand", text], capsys)
+        assert code == 2 and out == "" and "digits" in err
 
 
 def test_unknown_case_exit_two(capsys):

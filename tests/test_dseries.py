@@ -18,7 +18,7 @@ from lfcheck.dseries import (
     verify_sos,
 )
 from lfcheck.ingest import builtin_form, parse_char_spec, prepare_scan_points
-from lfcheck.satake import satake_point
+from lfcheck.satake import VARS, LaurentPoly, satake_point
 
 
 # display-order multiplicities of the fifteen factors
@@ -119,3 +119,22 @@ def test_scan_violations_are_records(monkeypatch):
         "p=3 l=3: direct/square mismatch (2.5 vs 1.23456789012)",
     ]
     assert not res.ok
+
+
+def test_direct_path_evaluates_the_built_polynomial(monkeypatch):
+    # negative control: change one coefficient of build_D's polynomial and the
+    # square-identity check must go red, which it could not if the direct
+    # value came from the closed square form
+    P = dseries._polys()[0]
+    points, _ = prepare_scan_points(
+        builtin_form("delta", 30), builtin_form("11a", 30),
+        parse_char_spec("kronecker:-4"), 30,
+    )
+    assert scan_positivity(points, lmax=2).ok
+    bad = dict(P.c)
+    bad[(0,) * len(VARS)] += 1  # the constant term, so the value stays real
+    monkeypatch.setitem(dseries._CACHE, "P", LaurentPoly(bad))
+    res = scan_positivity(points, lmax=2)
+    assert res.checked > 0 and not res.ok
+    assert {v.kind for v in res.violations} == {SQUARE_IDENTITY}
+    assert len(res.violations) == res.checked

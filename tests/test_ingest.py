@@ -302,9 +302,10 @@ def test_parse_char_spec(tmp_path):
     for bad in ("kronecker:x", "kronecker:0", str(tmp_path / "missing")):
         with pytest.raises(IngestError):
             parse_char_spec(bad)
-    t.write_text("3\t2.0\t0.0\n")
-    with pytest.raises(IngestError):
-        parse_char_spec(str(t))
+    for row in ("3\t2.0\t0.0\n", "3\tnan\t0.0\n", "3\t1.0\tnan\n", "3\tinf\t0\n"):
+        t.write_text(row)
+        with pytest.raises(IngestError, match="unit modulus"):
+            parse_char_spec(str(t))
 
 
 def test_prepare_scan_points():

@@ -15,9 +15,11 @@ from lfcheck.repalg import (
     rs_product,
     sym_atom,
 )
+from lfcheck.dseries import a_D_value, build_D
 from lfcheck.satake import (
     VARS,
     CoefficientError,
+    LaurentPoly,
     coeff_poly,
     satake_point,
 )
@@ -152,3 +154,68 @@ def test_eval_requires_all_variables():
     P = coeff_poly(VirtualRep.of(sym_atom("pi", 1)))
     with pytest.raises(CoefficientError):
         P.eval({"a_pi": 1.0})
+    # also once the term list has been built
+    pt = satake_point(1, 1, 1, 1)
+    assert P.eval(pt) == 2
+    for name in ("a_pi", "chi", "eta_pi'"):
+        with pytest.raises(CoefficientError, match=name):
+            P.eval({k: v for k, v in pt.items() if k != name})
+
+
+def oracle_eval(poly, vals):
+    """Term-by-term evaluation: each term starts from its coefficient and
+    multiplies in x**e for its variables in VARS order; terms are summed in
+    dict order.  LaurentPoly.eval must agree with it bit for bit."""
+    total = 0j
+    order = tuple(vals[n] for n in VARS)
+    for k, v in poly.c.items():
+        term = complex(v)
+        for x, e in zip(order, k):
+            if e:
+                term *= x**e
+        total += term
+    return total
+
+
+def random_poly(rng, n_terms):
+    # exponents up to +-3 in every slot, finite-order generators included
+    # (the constructor reduces those modulo their orders)
+    return LaurentPoly({
+        tuple(rng.randint(-3, 3) if rng.random() < 0.4 else 0 for _ in VARS):
+            rng.randint(-50, 50)
+        for _ in range(n_terms)
+    })
+
+
+def random_unit_point(rng):
+    return {n: cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for n in VARS}
+
+
+def test_eval_matches_term_by_term_oracle_exactly():
+    rng = random.Random(8086)
+    for _ in range(60):
+        P = random_poly(rng, rng.randint(0, 40))
+        for _ in range(5):
+            pt = random_unit_point(rng) if rng.random() < 0.5 else unitary_point(rng)
+            assert P.eval(pt) == oracle_eval(P, pt)
+    D = coeff_poly(build_D())  # the scan's 55-term polynomial
+    assert D.n_terms == 55
+    for _ in range(50):
+        pt = unitary_point(rng)
+        assert D.eval(pt) == oracle_eval(D, pt)
+
+
+def test_eval_follows_rebound_coefficients():
+    rng = random.Random(1999)
+    P, Q = random_poly(rng, 20), random_poly(rng, 20)
+    pt = random_unit_point(rng)
+    before = P.eval(pt)
+    assert before == oracle_eval(P, pt)
+    P.c = Q.c
+    assert P.eval(pt) == oracle_eval(Q, pt) != before
+    P.c = {}
+    assert P.eval(pt) == 0j
+
+
+def test_degree_324_at_the_trivial_point_exactly():
+    assert a_D_value(satake_point(1, 1, 1, 1)) == 324
