@@ -243,9 +243,15 @@ def _cmd_scan(args) -> Report:
     char = parse_char_spec(args.char)
     rep.inputs_digest = digest(cmd, d1, d2, args.char, str(args.tol))
     points, skipped = prepare_scan_points(form1, form2, char, args.xmax)
+    skipped_txt = ",".join(map(str, skipped)) if skipped else "none"
+    if not points:
+        # an empty scan would report PASS on every check of no point
+        raise UsageError(
+            f"--xmax {args.xmax} leaves no unramified prime to scan "
+            f"(ramified skipped: {skipped_txt})"
+        )
     res = scan_positivity(points, args.lmax, args.tol)
 
-    skipped_txt = ",".join(map(str, skipped)) if skipped else "none"
     rep.verdicts.append(
         Verdict(
             "points",

@@ -38,12 +38,29 @@ def sieve(n: int) -> list[int]:
 
 _FLOAT_MAX = int(sys.float_info.max)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Miller-Rabin with the first 13 prime bases is exact below this bound
-MR_LIMIT = 3317044064679887385961981
+# Miller-Rabin with the first k bases is exact below _MR_BOUNDS[k - 1]: the
+# smallest strong pseudoprime to all of them (OEIS A014233)
+_MR_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+MR_LIMIT = _MR_BOUNDS[-1]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < MR_LIMIT."""
+    """Deterministic Miller-Rabin primality test, exact for n < MR_LIMIT.
+    Uses the shortest prefix of the bases that is exact below n."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -53,7 +70,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    k = next((i for i, b in enumerate(_MR_BOUNDS, 1) if n < b), len(_MR_BASES))
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -64,6 +82,20 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _refuse_long_numeral(where: str, what: str, text: str) -> None:
+    """Raise when int(text) failed only because text is a decimal numeral
+    past the interpreter's limit on digits, which int() reports with the
+    same ValueError as a non-numeral."""
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    limit = sys.get_int_max_str_digits()
+    if digits.isdecimal() and 0 < limit < len(digits):
+        raise IngestError(
+            f"{where}: {what} is too long ({len(digits)} digits, limit {limit})"
+        )
 
 
 # prod (1-q^n)^24 through the largest exponent asked for so far
@@ -204,6 +236,8 @@ def load_eigenvalue_file(path: str) -> NewformData:
                 try:
                     k, N = int(parts[1]), int(parts[3])
                 except ValueError:
+                    _refuse_long_numeral(f"{path}:{lineno}", "weight", parts[1])
+                    _refuse_long_numeral(f"{path}:{lineno}", "level", parts[3])
                     raise IngestError(
                         f"{path}:{lineno}: non-integer weight or level"
                     ) from None
@@ -221,6 +255,8 @@ def load_eigenvalue_file(path: str) -> NewformData:
             try:
                 p, ap = int(fields[0]), int(fields[1])
             except ValueError:
+                _refuse_long_numeral(f"{path}:{lineno}", "p", fields[0])
+                _refuse_long_numeral(f"{path}:{lineno}", "a_p", fields[1])
                 raise IngestError(f"{path}:{lineno}: non-integer entry") from None
             if p >= MR_LIMIT:
                 raise IngestError(
@@ -305,9 +341,11 @@ def parse_char_spec(spec: str) -> CharacterData:
     if spec == "trivial":
         return CharacterData(1, "trivial")
     if spec.startswith("kronecker:"):
+        text = spec.split(":", 1)[1]
         try:
-            d = int(spec.split(":", 1)[1])
+            d = int(text)
         except ValueError:
+            _refuse_long_numeral("--char", "discriminant", text)
             raise IngestError(f"bad discriminant in {spec!r}") from None
         if d == 0:
             raise IngestError("kronecker discriminant must be nonzero")
@@ -334,6 +372,7 @@ def parse_char_spec(spec: str) -> CharacterData:
                 p = int(fields[0])
                 v = complex(float(fields[1]), float(fields[2]))
             except ValueError:
+                _refuse_long_numeral(f"{spec}:{lineno}", "p", fields[0])
                 raise IngestError(f"{spec}:{lineno}: bad number") from None
             # written so that a NaN part fails too: a NaN value would make
             # every check at its point pass

@@ -24,6 +24,7 @@ VARS = ("a_pi", "b_pi", "a_pi'", "b_pi'") + tuple(
     g for g in STD_GENERATORS if g not in ("om_pi", "om_pi'")
 )
 _IDX = {n: i for i, n in enumerate(VARS)}
+_VARSET = frozenset(VARS)
 _MODV = tuple(STD_ORDERS.get(n, 0) for n in VARS)
 
 
@@ -36,10 +37,10 @@ class LaurentPoly:
 
     `c` maps exponent tuples (in VARS order) to nonzero integer coefficients.
     Code may rebind `c` but never mutates the dict in place; eval caches a
-    term list built from the dict it last saw.
+    function compiled from the dict it last saw.
     """
 
-    __slots__ = ("c", "_terms", "_terms_of")
+    __slots__ = ("c", "_fn", "_fn_of")
 
     def __init__(self, coeffs: dict[tuple[int, ...], int] | None = None):
         c: dict[tuple[int, ...], int] = {}
@@ -50,7 +51,7 @@ class LaurentPoly:
                 if not c[k]:
                     del c[k]
         self.c = c
-        self._terms_of = None
+        self._fn_of = None
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -106,42 +107,48 @@ class LaurentPoly:
         r.c = {_reduce(tuple(-e for e in k)): v for k, v in self.c.items()}
         return r
 
-    def _term_list(self):
-        """(distinct (var index, exponent) factors, [(coef, factor slots)]),
-        built lazily and rebuilt whenever `c` has been rebound."""
-        if self._terms_of is not self.c:
+    def _evaluator(self):
+        """(function, coefficients) compiled from `c`: built on the first
+        eval and again whenever `c` has been rebound.
+
+        The source names only VARS entries, exponents and indices; the
+        coefficients reach it as the tuple argument `c`.  Each distinct
+        power is computed once, then every term starts from its coefficient,
+        multiplies its factors in VARS order and is added to the sum in dict
+        order: the floating-point operations of term-by-term evaluation, in
+        the same order, so the result is bit-identical to it.  One statement
+        per term keeps long polynomials inside the compiler's nesting limit.
+        """
+        if self._fn_of is not self.c:
             factors: dict[tuple[int, int], int] = {}
-            terms = [
-                (
-                    complex(v),
-                    tuple(
-                        factors.setdefault((i, e), len(factors))
-                        for i, e in enumerate(k)
-                        if e
-                    ),
-                )
-                for k, v in self.c.items()
+            sums = []
+            for i, k in enumerate(self.c):
+                slots = [
+                    factors.setdefault((j, e), len(factors))
+                    for j, e in enumerate(k)
+                    if e
+                ]
+                factor_txt = "".join(f" * w{n}" for n in slots)
+                sums.append(f"    s += c[{i}]{factor_txt}")
+            powers = [
+                f"    w{n} = v[{VARS[j]!r}] ** {e:d}"
+                for (j, e), n in factors.items()
             ]
-            self._terms = (tuple(factors), terms)
-            self._terms_of = self.c
-        return self._terms
+            src = "\n".join(
+                ["def _eval(v, c):", *powers, "    s = 0j", *sums, "    return s\n"]
+            )
+            ns: dict = {}
+            exec(compile(src, "<LaurentPoly.eval>", "exec"), ns)
+            self._fn = (ns["_eval"], tuple(complex(v) for v in self.c.values()))
+            self._fn_of = self.c
+        return self._fn
 
     def eval(self, vals: dict[str, complex]) -> complex:
-        missing = [n for n in VARS if n not in vals]
-        if missing:
+        if not vals.keys() >= _VARSET:
+            missing = [n for n in VARS if n not in vals]
             raise CoefficientError(f"missing evaluation values for {missing}")
-        # Each power is computed once per call; every term still starts from
-        # its coefficient, multiplies its factors in VARS order and is summed
-        # in dict order, so the result is bit-identical to term-by-term
-        # evaluation.
-        factors, terms = self._term_list()
-        powers = [vals[VARS[i]] ** e for i, e in factors]
-        total = 0j
-        for term, slots in terms:
-            for j in slots:
-                term *= powers[j]
-            total += term
-        return total
+        fn, coefs = self._evaluator()
+        return fn(vals, coefs)
 
     @property
     def n_terms(self) -> int:

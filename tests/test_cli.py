@@ -202,6 +202,30 @@ def test_scan_smallest_valid_arguments(capsys):
     assert code in (0, 1) and "1 prime-power points over 1 primes" in out
 
 
+@pytest.mark.parametrize(
+    "form1,char,xmax,skipped",
+    [
+        ("delta", "kronecker:-4", "2", "2"),
+        ("delta", "kronecker:-7", "2", "2"),  # the modulus 4|d| is even
+        ("level6", "trivial", "4", "2,3"),
+    ],
+)
+def test_scan_without_unramified_prime_exit_two(
+    tmp_path, capsys, form1, char, xmax, skipped
+):
+    # no point to check is no verdict, not a failed one
+    if form1 == "level6":
+        form1 = str(tmp_path / "level6.tsv")
+        with open(form1, "w") as fh:
+            fh.write("#weight 2 level 6\n5\t0\n")
+    argv = ["scan", "--form1", form1, "--form2", "11a", "--char", char,
+            "--xmax", xmax]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --xmax {xmax} leaves no unramified prime")
+    assert f"(ramified skipped: {skipped})" in err
+
+
 @pytest.mark.parametrize("template", ["Sym^{}(pi)", "chi^{}", "pi tw omega^-{}"])
 def test_long_numeral_is_usage_error(capsys, template):
     ok = "9" * NUMERAL_DIGITS

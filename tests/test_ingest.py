@@ -205,6 +205,9 @@ def test_load_eigenvalue_file(tmp_path):
     assert f.ap == {2: -24, 3: 252, 5: 4830}
 
 
+LONG = "9" * 5000  # past Python's 4,300-digit limit on int(str)
+
+
 def test_loader_error_lines(tmp_path):
     cases = [
         ("#weights 12 level 1\n2\t-24\n", 1, "header"),
@@ -215,6 +218,13 @@ def test_loader_error_lines(tmp_path):
         ("#weight 12 level 1\n2\t-24\n2\t-24\n", 3, "duplicate"),
         ("", 0, "empty file"),
         ("#weight 12 level 1\n", 0, "no eigenvalue rows"),
+        # int() raises the same ValueError past the interpreter's digit
+        # limit as for a non-numeral; the message must say which it was
+        (f"#weight {LONG} level 1\n2\t-24\n", 1, "weight is too long"),
+        (f"#weight 12 level -{LONG}\n2\t-24\n", 1, "level is too long"),
+        (f"#weight 12 level 1\n3\t{LONG}\n", 2, "a_p is too long"),
+        (f"#weight 12 level 1\n+{LONG}\t0\n", 2, "p is too long"),
+        (f"#weight 12 level 1\n3\t{LONG}x\n", 2, "non-integer entry"),
     ]
     for text, lineno, frag in cases:
         f = tmp_path / "bad.tsv"
@@ -232,6 +242,68 @@ def test_is_prime_against_sieve_and_pseudoprimes():
     # defeats the first twelve bases and is caught only by 41)
     for n in (3215031751, 3825123056546413051, 318665857834031151167461):
         assert not is_prime(n), n
+
+
+def _strong_probable_prime(n, a):
+    """Whether odd n > a passes one Miller-Rabin round to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+FIRST_PRIMES = tuple(sieve(200))
+
+
+def _oracle_prime(n):
+    # the first 13 prime bases are exact below MR_LIMIT; the rest only make
+    # a pseudoprime above it less likely
+    return all(n == q or n % q for q in FIRST_PRIMES) and all(
+        _strong_probable_prime(n, a) for a in FIRST_PRIMES if a < n
+    )
+
+
+def test_is_prime_agrees_with_sieve_below_1e5():
+    assert [n for n in range(100000) if is_prime(n)] == sieve(99999)
+
+
+def test_miller_rabin_bounds_are_the_first_pseudoprimes_of_each_prefix():
+    bounds, bases = ingest._MR_BOUNDS, ingest._MR_BASES
+    assert len(bounds) == len(bases) and bounds[-1] == MR_LIMIT
+    assert list(bounds) == sorted(bounds)
+    assert bases == FIRST_PRIMES[: len(bases)]
+    for k, bound in enumerate(bounds, 1):
+        # composite (some base witnesses it), yet it passes the k bases
+        # that are meant to be exact below it, so a mistyped bound goes red
+        assert not all(_strong_probable_prime(bound, a) for a in FIRST_PRIMES)
+        assert all(_strong_probable_prime(bound, a) for a in bases[:k]), bound
+        if bound < MR_LIMIT:
+            assert not is_prime(bound), bound
+    # and the first bound is the smallest one: no odd composite below 2047
+    # is a strong pseudoprime to base 2
+    odd_composites = set(range(9, 2047, 2)) - set(sieve(2047))
+    assert not any(_strong_probable_prime(n, 2) for n in odd_composites)
+
+
+def test_is_prime_on_each_side_of_every_bound():
+    for bound in sorted(set(ingest._MR_BOUNDS)):
+        below = next(n for n in range(bound - 1, 0, -1) if _oracle_prime(n))
+        above = next(n for n in range(bound + 1, 2 * bound) if _oracle_prime(n))
+        assert is_prime(below), below
+        assert is_prime(above), above
+        for n in range(below + 1, bound):
+            assert not is_prime(n), n
+        if above < MR_LIMIT:
+            for n in range(bound + 1, above):
+                assert not is_prime(n), n
 
 
 def test_loader_primality_near_1e18_is_fast(tmp_path):
@@ -302,6 +374,11 @@ def test_parse_char_spec(tmp_path):
     for bad in ("kronecker:x", "kronecker:0", str(tmp_path / "missing")):
         with pytest.raises(IngestError):
             parse_char_spec(bad)
+    with pytest.raises(IngestError, match="discriminant is too long"):
+        parse_char_spec(f"kronecker:-{LONG}")
+    t.write_text(f"{LONG}\t1.0\t0.0\n")
+    with pytest.raises(IngestError, match="char.tsv:1: p is too long"):
+        parse_char_spec(str(t))
     for row in ("3\t2.0\t0.0\n", "3\tnan\t0.0\n", "3\t1.0\tnan\n", "3\tinf\t0\n"):
         t.write_text(row)
         with pytest.raises(IngestError, match="unit modulus"):

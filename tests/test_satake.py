@@ -219,3 +219,73 @@ def test_eval_follows_rebound_coefficients():
 
 def test_degree_324_at_the_trivial_point_exactly():
     assert a_D_value(satake_point(1, 1, 1, 1)) == 324
+
+
+def same_bits(a, b):
+    # repr tells -0.0 from 0.0, which == does not
+    return type(a) is type(b) is complex and repr(a) == repr(b)
+
+
+def test_eval_of_thousands_of_terms_matches_the_oracle():
+    # one statement per term: a single expression this long would exceed
+    # the compiler's nesting limit
+    rng = random.Random(5000)
+    P = random_poly(rng, 7000)
+    assert P.n_terms >= 5000
+    for _ in range(3):
+        pt = random_unit_point(rng)
+        assert same_bits(P.eval(pt), oracle_eval(P, pt))
+
+
+def test_eval_with_a_coefficient_beyond_float_precision():
+    rng = random.Random(1020)
+    key = tuple(rng.randint(-2, 2) for _ in VARS)
+    P = LaurentPoly({key: 10**20 + 1, (0,) * len(VARS): -3})
+    assert complex(10**20 + 1) == complex(10**20)  # not exact in a float
+    for _ in range(20):
+        pt = random_unit_point(rng)
+        assert same_bits(P.eval(pt), oracle_eval(P, pt))
+
+
+def test_eval_of_constant_and_empty_polynomials():
+    rng = random.Random(77)
+    pt = random_unit_point(rng)
+    for P in (
+        LaurentPoly.one(),
+        LaurentPoly({(0,) * len(VARS): -7}),
+        LaurentPoly.zero(),
+        LaurentPoly({(1,) + (0,) * (len(VARS) - 1): 2, (0,) * len(VARS): 5}),
+    ):
+        assert same_bits(P.eval(pt), oracle_eval(P, pt)), P
+    assert same_bits(LaurentPoly.zero().eval(pt), 0j)
+
+
+def test_evaluator_is_built_once_per_coefficient_dict(monkeypatch):
+    from lfcheck import satake
+
+    sources = []
+
+    def counting_compile(src, *args, **kwargs):
+        sources.append(src)
+        return compile(src, *args, **kwargs)
+
+    monkeypatch.setattr(satake, "compile", counting_compile, raising=False)
+    rng = random.Random(404)
+    P = LaurentPoly({(1, 2) + (0,) * (len(VARS) - 2): 10**20 + 1})
+    assert sources == []  # nothing is built before the first eval
+    pts = [random_unit_point(rng) for _ in range(5)]
+    for pt in pts:
+        assert same_bits(P.eval(pt), oracle_eval(P, pt))
+    assert len(sources) == 1
+    # the source holds names, exponents and indices, never a coefficient
+    assert "100000000000000000001" not in sources[0]
+    assert "1e+20" not in sources[0]
+    Q = random_poly(rng, 30)
+    P.c = Q.c
+    for pt in pts:
+        assert same_bits(P.eval(pt), oracle_eval(Q, pt))
+    assert len(sources) == 2
+    # an equal but distinct dict is a rebinding too
+    P.c = dict(Q.c)
+    P.eval(pts[0])
+    assert len(sources) == 3
