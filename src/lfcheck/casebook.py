@@ -25,9 +25,9 @@ copies of the same pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
+from . import InputError, Record
 from .chargroup import FormalCharacter, standard_group
 from .hypotheses import GL2Type, Hypotheses, classify
 from .repalg import (
@@ -49,7 +49,7 @@ from .dseries import build_D
 from .report import Verdict
 
 
-class CaseError(ValueError):
+class CaseError(InputError):
     pass
 
 
@@ -349,8 +349,7 @@ def _claimed_5_3_3() -> VirtualRep:
     )
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(NamedTuple):
     label: str
     lhs: Callable[[], VirtualRep]
     rhs: Callable[[], VirtualRep]
@@ -358,8 +357,7 @@ class IdentitySpec:
     polycheck: bool = False
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+class CaseSpec(NamedTuple):
     case_id: str
     title: str
     hyp: Hypotheses
@@ -520,12 +518,20 @@ CASES = _build_cases()
 CASE_IDS = tuple(CASES)
 
 
-@dataclass
-class CaseReport:
-    case_id: str
-    title: str
-    hypotheses: str
-    verdicts: list[Verdict] = field(default_factory=list)
+class CaseReport(Record):
+    __slots__ = ("case_id", "title", "hypotheses", "verdicts")
+
+    def __init__(
+        self,
+        case_id: str,
+        title: str,
+        hypotheses: str,
+        verdicts: list[Verdict] | None = None,
+    ):
+        self.case_id = case_id
+        self.title = title
+        self.hypotheses = hypotheses
+        self.verdicts = [] if verdicts is None else verdicts
 
     @property
     def ok(self) -> bool:
@@ -544,8 +550,6 @@ def _hyp_desc(hyp: Hypotheses) -> str:
     bits = [f"pi={hyp.type_pi.name.lower()}", f"pi'={hyp.type_pi2.name.lower()}"]
     if hyp.twist_equiv:
         bits.append("twist-equivalent")
-    if hyp.chi_ad_selftwist:
-        bits.append("chi is an adjoint self-twist")
     return ", ".join(bits)
 
 

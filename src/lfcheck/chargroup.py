@@ -16,8 +16,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class CharacterGroup:
@@ -81,8 +80,7 @@ class CharacterGroup:
         return self.make(vec)
 
 
-@dataclass(frozen=True)
-class FormalCharacter:
+class FormalCharacter(NamedTuple):
     """Canonical coset representative of a character word."""
 
     group: CharacterGroup

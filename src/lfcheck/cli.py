@@ -11,10 +11,16 @@ Subcommands map one-to-one onto the library verifiers:
     poles <expr> --hyp <file>   pole-order ledger under declared shapes
 
 Exit status: 0 when every verdict is PASS, 1 on any verification failure,
-2 on usage errors.  `--json` switches the report to JSON.  Hypothesis
-files are `key = value` lines: type_pi and type_pi' (dihedral,
-tetrahedral, octahedral, or general), plus optional booleans twist_equiv
-and chi_ad_selftwist.
+2 on usage errors (any `lfcheck.InputError`, or an unreadable file).
+`--json` switches the report to JSON.  Hypothesis files are `key = value`
+lines: type_pi and type_pi' (dihedral, tetrahedral, octahedral, or
+general), plus the optional boolean twist_equiv.
+
+Every command runs in a fresh interpreter, so this module imports only
+`report` and `hypotheses` up front; each subcommand loads the modules it
+calls on first use (`_load`).  The names they provide stay attributes of
+this module, resolved on first access through `__getattr__`, so callers
+can read or replace them here before `main` runs.
 """
 
 from __future__ import annotations
@@ -23,40 +29,61 @@ import argparse
 import math
 import sys
 import time
+from importlib import import_module
 
-from . import __version__
-from .casebook import (
-    CASE_IDS,
-    CaseError,
-    CaseReport,
-    run_all,
-    verify_case,
-    verify_plethysm_bridge,
-)
-from .dseries import (
-    NONNEGATIVITY,
-    REALNESS,
-    SQUARE_IDENTITY,
-    scan_positivity,
-    verify_sos,
-)
-from .exprlang import ExprError, parse_expr
+from . import InputError, __version__
 from .hypotheses import GL2Type, Hypotheses
-from .ingest import (
-    BoundError,
-    IngestError,
-    builtin_form,
-    load_eigenvalue_file,
-    parse_char_spec,
-    prepare_scan_points,
-)
-from .poles import PoleError, pole_order, self_dual_abelian_entries
-from .repalg import RepAlgError, decompose_under
 from .report import Report, Section, Verdict, digest, render_json, render_text
-from .satake import CoefficientError, coeff_poly
+
+# The names each subcommand takes from the modules it loads.
+_LAZY = {
+    "casebook": (
+        "CASE_IDS",
+        "CaseReport",
+        "run_all",
+        "verify_case",
+        "verify_plethysm_bridge",
+    ),
+    "dseries": (
+        "NONNEGATIVITY",
+        "REALNESS",
+        "SQUARE_IDENTITY",
+        "scan_positivity",
+        "verify_sos",
+    ),
+    "exprlang": ("parse_expr",),
+    "ingest": (
+        "BoundError",
+        "builtin_form",
+        "load_eigenvalue_file",
+        "parse_char_spec",
+        "prepare_scan_points",
+    ),
+    "poles": ("pole_order", "self_dual_abelian_entries"),
+    "repalg": ("decompose_under",),
+    "satake": ("CoefficientError", "coeff_poly"),
+}
+_OWNER = {name: mod for mod, names in _LAZY.items() for name in names}
 
 
-class UsageError(ValueError):
+def _load(*modules: str) -> None:
+    """Import the named submodules and bind their `_LAZY` names here.  A
+    name bound already (say, a wrapper installed from outside) is kept."""
+    g = globals()
+    for mod in modules:
+        m = import_module(f".{mod}", __package__)
+        for name in _LAZY[mod]:
+            g.setdefault(name, getattr(m, name))
+
+
+def __getattr__(name: str):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_OWNER[name])
+    return globals()[name]
+
+
+class UsageError(InputError):
     pass
 
 
@@ -131,12 +158,11 @@ def parse_hyp_file(path: str) -> Hypotheses:
                 f"{path}: {key} must be one of {', '.join(_TYPES)}; got {val!r}"
             )
         kwargs[dest] = _TYPES[val]
-    for key in ("twist_equiv", "chi_ad_selftwist"):
-        if key in fields:
-            val = fields.pop(key).lower()
-            if val not in _BOOLS:
-                raise UsageError(f"{path}: {key} must be a boolean, got {val!r}")
-            kwargs[key] = _BOOLS[val]
+    if "twist_equiv" in fields:
+        val = fields.pop("twist_equiv").lower()
+        if val not in _BOOLS:
+            raise UsageError(f"{path}: twist_equiv must be a boolean, got {val!r}")
+        kwargs["twist_equiv"] = _BOOLS[val]
     if fields:
         raise UsageError(f"{path}: unknown keys: {', '.join(sorted(fields))}")
     try:
@@ -154,6 +180,7 @@ def _case_section(cr: CaseReport) -> Section:
 
 
 def _cmd_verify(args) -> Report:
+    _load("dseries" if args.what == "sos" else "casebook")
     if args.what == "case":
         if args.case_id is None:
             raise UsageError(
@@ -189,6 +216,7 @@ def _cmd_verify(args) -> Report:
 
 
 def _cmd_expand(args) -> Report:
+    _load("exprlang", "satake")
     V = parse_expr(args.expr)
     rep = Report(f"expand {args.expr!r}", digest("expand", args.expr))
     form = " (+) ".join(
@@ -228,6 +256,7 @@ def _check_scan_args(args) -> None:
 
 def _cmd_scan(args) -> Report:
     _check_scan_args(args)
+    _load("ingest", "dseries")
     cmd = (
         f"scan --form1 {args.form1} --form2 {args.form2} --char {args.char} "
         f"--xmax {args.xmax} --lmax {args.lmax}"
@@ -255,7 +284,7 @@ def _cmd_scan(args) -> Report:
     rep.verdicts.append(
         Verdict(
             "points",
-            "PASS" if res.checked else "FAIL",
+            "PASS" if res.checked == len(points) * args.lmax else "FAIL",
             f"{res.checked} prime-power points over {len(points)} primes "
             f"(ramified skipped: {skipped_txt})",
         )
@@ -273,6 +302,7 @@ def _cmd_scan(args) -> Report:
 
 
 def _cmd_poles(args) -> Report:
+    _load("exprlang", "repalg", "poles")
     hyp = parse_hyp_file(args.hyp)
     V = parse_expr(args.expr)
     dec = decompose_under(V, hyp)
@@ -309,15 +339,7 @@ def main(argv: list[str] | None = None) -> int:
             rep = _cmd_scan(args)
         else:
             rep = _cmd_poles(args)
-    except (
-        UsageError,
-        CaseError,
-        ExprError,
-        IngestError,
-        PoleError,
-        RepAlgError,
-        OSError,
-    ) as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     rep.elapsed_s = time.perf_counter() - start

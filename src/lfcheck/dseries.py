@@ -16,9 +16,9 @@ adjoint coefficient of the second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from . import Record
 from .chargroup import standard_group
 from .repalg import VirtualRep, ad_atom, rs_product, sym_atom, char_atom
 from .satake import LaurentPoly, coeff_poly, satake_point
@@ -198,13 +198,22 @@ class Violation(NamedTuple):
         )
 
 
-@dataclass
-class ScanResult:
-    rows: list[tuple[int, int, float, float]] = field(default_factory=list)
-    checked: int = 0
-    min_value: float = float("inf")
-    max_abs_delta: float = 0.0
-    violations: list[Violation] = field(default_factory=list)
+class ScanResult(Record):
+    __slots__ = ("rows", "checked", "min_value", "max_abs_delta", "violations")
+
+    def __init__(
+        self,
+        rows: list[tuple[int, int, float, float]] | None = None,
+        checked: int = 0,
+        min_value: float = float("inf"),
+        max_abs_delta: float = 0.0,
+        violations: list[Violation] | None = None,
+    ):
+        self.rows = [] if rows is None else rows
+        self.checked = checked
+        self.min_value = min_value
+        self.max_abs_delta = max_abs_delta
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 
+from . import InputError
 from .chargroup import FormalCharacter, standard_group
 from .repalg import (
     VirtualRep,
@@ -29,7 +30,7 @@ from .repalg import (
 )
 
 
-class ExprError(ValueError):
+class ExprError(InputError):
     pass
 
 
@@ -225,11 +226,3 @@ def parse_expr(src: str) -> VirtualRep:
         raise ExprError(f"trailing input at {p.peek()[1]!r}")
     return out
 
-
-def parse_char(src: str) -> FormalCharacter:
-    """Parse a bare character product (for twist arguments)."""
-    p = _Parser(src)
-    c = p.charprod()
-    if p.peek() != ("end", ""):
-        raise ExprError(f"trailing input at {p.peek()[1]!r}")
-    return c

@@ -9,7 +9,7 @@ accordingly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chargroup import FormalCharacter, standard_group
 
@@ -32,23 +32,13 @@ class GL2Type(enum.Enum):
 BASES = ("pi", "pi'")
 
 
-@dataclass(frozen=True)
-class Hypotheses:
-    type_pi: GL2Type
-    type_pi2: GL2Type
-    twist_equiv: bool = False
-    chi_ad_selftwist: bool = False
+class Hypotheses(namedtuple("Hypotheses", "type_pi type_pi2 twist_equiv")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.twist_equiv and self.type_pi != self.type_pi2:
+    def __new__(cls, type_pi: GL2Type, type_pi2: GL2Type, twist_equiv: bool = False):
+        if twist_equiv and type_pi != type_pi2:
             raise ValueError("twist-equivalent forms must share a type")
-        if self.chi_ad_selftwist:
-            # a nontrivial cubic self-twist of Ad forces the Sym^3-degenerate
-            # shape, and the flag is only meaningful on the common-base cases
-            if not (self.twist_equiv and self.type_pi == GL2Type.TETRAHEDRAL):
-                raise ValueError(
-                    "chi_ad_selftwist requires twist-equivalent tetrahedral forms"
-                )
+        return super().__new__(cls, type_pi, type_pi2, twist_equiv)
 
     def type_of(self, base: str) -> GL2Type:
         if base == "pi":
@@ -103,8 +93,7 @@ def ad_selftwists(base: str, hyp: Hypotheses) -> tuple[FormalCharacter, ...]:
     """Declared self-twist group of the adjoint of the given base.
 
     Trivial unless the Sym^3-degenerate shape is declared, in which case it
-    is {1, mu, mu^2}; the chi_ad_selftwist flag is handled upstream by
-    substituting chi for mu, so it never enlarges this set.
+    is {1, mu, mu^2}.
     """
     G = standard_group()
     if hyp.type_of(base) is GL2Type.TETRAHEDRAL:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from operator import add, sub
 
+from . import InputError, Record
 
-class IngestError(ValueError):
+
+class IngestError(InputError):
     pass
 
 
@@ -136,16 +137,6 @@ def tau(n: int) -> int:
     return _grow_eta24(n - 1)[n - 1]
 
 
-def naive_product_series(nmax: int, power: int = 24) -> list[int]:
-    """Oracle: expand prod_{n=1}^{nmax} (1-q^n)^power term by term."""
-    acc = [1] + [0] * nmax
-    for n in range(1, nmax + 1):
-        for _ in range(power):
-            for j in range(nmax, n - 1, -1):
-                acc[j] -= acc[j - n]
-    return acc
-
-
 def delta_eigenvalues(xmax: int) -> dict[int, int]:
     """a_p of the weight-12 level-1 form for primes p <= xmax."""
     series = _grow_eta24(xmax)
@@ -195,12 +186,20 @@ def satake_from_ap(ap: int, p: int, k: int) -> tuple[complex, complex]:
     return alpha, alpha.conjugate()
 
 
-@dataclass
-class NewformData:
-    weight: int
-    level: int
-    ap: dict[int, int] = field(default_factory=dict)
-    source: str = ""
+class NewformData(Record):
+    __slots__ = ("weight", "level", "ap", "source")
+
+    def __init__(
+        self,
+        weight: int,
+        level: int,
+        ap: dict[int, int] | None = None,
+        source: str = "",
+    ):
+        self.weight = weight
+        self.level = level
+        self.ap = {} if ap is None else ap
+        self.source = source
 
     def satake(self, p: int) -> tuple[complex, complex]:
         if p not in self.ap:
@@ -319,11 +318,15 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-@dataclass
-class CharacterData:
-    modulus: int
-    spec: str
-    _table: dict[int, complex] | None = None
+class CharacterData(Record):
+    __slots__ = ("modulus", "spec", "_table")
+
+    def __init__(
+        self, modulus: int, spec: str, _table: dict[int, complex] | None = None
+    ):
+        self.modulus = modulus
+        self.spec = spec
+        self._table = _table
 
     def value(self, p: int) -> complex:
         if self._table is not None:

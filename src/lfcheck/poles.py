@@ -13,8 +13,9 @@ bounds [lo, hi] on the total order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
+from . import InputError
 from .hypotheses import GL2Type, Hypotheses, Tri, is_trivial
 from .repalg import (
     Entry,
@@ -26,7 +27,7 @@ from .repalg import (
 )
 
 
-class PoleError(ValueError):
+class PoleError(InputError):
     pass
 
 
@@ -34,14 +35,13 @@ class NonCuspidalError(PoleError):
     """Raised for factors the declared hypotheses decompose further."""
 
 
-@dataclass(frozen=True)
-class PoleInterval:
-    lo: int
-    hi: int
+class PoleInterval(namedtuple("PoleInterval", "lo hi")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.lo <= self.hi):
-            raise PoleError(f"bad pole interval [{self.lo}, {self.hi}]")
+    def __new__(cls, lo: int, hi: int):
+        if not (0 <= lo <= hi):
+            raise PoleError(f"bad pole interval [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
     def __add__(self, other: "PoleInterval") -> "PoleInterval":
         return PoleInterval(self.lo + other.lo, self.hi + other.hi)

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
+from . import InputError
 from .chargroup import FormalCharacter, standard_group
 from .hypotheses import GL2Type, Hypotheses, Tri, ad_selftwists, is_trivial, member_of
 
 
-class RepAlgError(ValueError):
+class RepAlgError(InputError):
     pass
 
 
@@ -33,8 +33,7 @@ class PairOperandError(RepAlgError):
     """Raised when a Rankin-Selberg product is asked of a non-isobaric value."""
 
 
-@dataclass(frozen=True)
-class OpaqueInfo:
+class OpaqueInfo(NamedTuple):
     degree: int
     # the extra twist (as generator exponents) picked up under
     # contragredient; () means self-dual
@@ -85,8 +84,7 @@ def _canon_twist(
     return min((twist * s for s in subgroup), key=lambda c: c.sort_key())
 
 
-@dataclass(frozen=True)
-class RepAtom:
+class RepAtom(NamedTuple):
     kind: str  # "char" | "sym" | "op"
     base: str  # "" for char atoms
     m: int     # symmetric power; 0 except for kind == "sym"
@@ -170,8 +168,7 @@ def ad_atom(base: str, twist: FormalCharacter | None = None) -> RepAtom:
     return sym_atom(base, 2, t * _om(base).inv())
 
 
-@dataclass(frozen=True)
-class RSPair:
+class RSPair(NamedTuple):
     """Formal Rankin-Selberg pair: two twist-free cores, one pooled twist.
 
     Unramified coefficients only see the product of the two member
@@ -284,8 +281,7 @@ def _rs_atoms(x: RepAtom, y: RepAtom) -> list[tuple[Entry, int]]:
     return [(_pair(x.core(), y.core(), x.twist * y.twist), 1)]
 
 
-@dataclass(frozen=True)
-class VirtualRep:
+class VirtualRep(NamedTuple):
     """Multiset of entries with nonnegative integer multiplicities."""
 
     entries: tuple[tuple[Entry, int], ...]

@@ -11,31 +11,47 @@ file line).
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from . import Record
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     name: str
     status: str  # PASS | FAIL | UNKNOWN
     detail: str = ""
 
 
-@dataclass
-class Section:
-    heading: str
-    subheading: str = ""
-    verdicts: list[Verdict] = field(default_factory=list)
+class Section(Record):
+    __slots__ = ("heading", "subheading", "verdicts")
+
+    def __init__(
+        self,
+        heading: str,
+        subheading: str = "",
+        verdicts: list[Verdict] | None = None,
+    ):
+        self.heading = heading
+        self.subheading = subheading
+        self.verdicts = [] if verdicts is None else verdicts
 
 
-@dataclass
-class Report:
-    command: str
-    inputs_digest: str
-    verdicts: list[Verdict] = field(default_factory=list)
-    sections: list[Section] = field(default_factory=list)
-    elapsed_s: float = 0.0
+class Report(Record):
+    __slots__ = ("command", "inputs_digest", "verdicts", "sections", "elapsed_s")
+
+    def __init__(
+        self,
+        command: str,
+        inputs_digest: str,
+        verdicts: list[Verdict] | None = None,
+        sections: list[Section] | None = None,
+        elapsed_s: float = 0.0,
+    ):
+        self.command = command
+        self.inputs_digest = inputs_digest
+        self.verdicts = [] if verdicts is None else verdicts
+        self.sections = [] if sections is None else sections
+        self.elapsed_s = elapsed_s
 
     def all_verdicts(self) -> list[Verdict]:
         out = list(self.verdicts)
@@ -91,6 +107,8 @@ def render_text(rep: Report) -> str:
 
 
 def render_json(rep: Report) -> str:
+    import json  # only --json pays for loading it
+
     def vd(v: Verdict) -> dict:
         return {"check": v.name, "status": v.status, "details": v.detail}
 

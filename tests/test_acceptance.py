@@ -25,7 +25,6 @@ from lfcheck.dseries import a_D_value, scan_positivity, verify_sos
 from lfcheck.ingest import (
     builtin_form,
     eta24_series,
-    naive_product_series,
     parse_char_spec,
     prepare_scan_points,
     sieve,
@@ -40,6 +39,7 @@ from lfcheck.repalg import (
     sym_atom,
 )
 from lfcheck.satake import coeff_poly, satake_point
+from test_ingest import naive_product_series
 
 TOL = 1e-9
 

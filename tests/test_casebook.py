@@ -161,16 +161,11 @@ def test_bridge():
 def test_hypothesis_validation():
     with pytest.raises(ValueError):
         Hypotheses(GL2Type.TETRAHEDRAL, GL2Type.OCTAHEDRAL, twist_equiv=True)
-    with pytest.raises(ValueError):
+    # there is no chi_ad_selftwist field
+    with pytest.raises(TypeError):
         Hypotheses(
             GL2Type.TETRAHEDRAL,
             GL2Type.TETRAHEDRAL,
-            chi_ad_selftwist=True,
-        )
-    with pytest.raises(ValueError):
-        Hypotheses(
-            GL2Type.GENERAL,
-            GL2Type.GENERAL,
             twist_equiv=True,
             chi_ad_selftwist=True,
         )

@@ -145,7 +145,7 @@ def test_scan_verdicts_follow_violation_kind(monkeypatch, capsys, kind):
             return "p=3 l=1: reworded"
 
     def scan(points, lmax, tol):
-        res = ScanResult(checked=1, min_value=0.0)
+        res = ScanResult(checked=len(points) * lmax, min_value=0.0)
         res.violations.append(Reworded(kind, 3, 1, 0j, 0.0))
         return res
 
@@ -158,6 +158,24 @@ def test_scan_verdicts_follow_violation_kind(monkeypatch, capsys, kind):
     assert code == 1
     fails = [ln.strip() for ln in out.splitlines() if "[FAIL]" in ln]
     assert fails == [f"[FAIL] {kind}: p=3 l=1: reworded"]
+
+
+def test_scan_points_verdict_counts_every_point(monkeypatch, capsys):
+    real = cli.scan_positivity
+
+    def short_scan(points, lmax, tol):
+        res = real(points, lmax, tol)
+        res.checked -= 1
+        return res
+
+    monkeypatch.setattr(cli, "scan_positivity", short_scan)
+    code, out, _err = run_cli(GOLDEN_COMMANDS["scan_small"], capsys)
+    assert code == 1
+    fails = [ln.strip() for ln in out.splitlines() if "[FAIL]" in ln]
+    assert fails == [
+        "[FAIL] points: 29 prime-power points over 15 primes "
+        "(ramified skipped: 2,11)"
+    ]
 
 
 def test_sym_power_cap(capsys):
@@ -275,6 +293,11 @@ def test_usage_errors(tmp_path, capsys):
         ),
         ("type_pi = general\ntype_pi = general\n", "duplicate"),
         ("just words\n", "expected 'key = value'"),
+        (
+            "type_pi = tetrahedral\ntype_pi' = tetrahedral\ntwist_equiv = yes\n"
+            "chi_ad_selftwist = yes\n",
+            "unknown keys: chi_ad_selftwist",
+        ),
     ],
 )
 def test_bad_hyp_files(tmp_path, capsys, body, frag):

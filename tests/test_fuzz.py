@@ -86,9 +86,8 @@ def rand_expr(rng):
 
 def rand_hyp(rng):
     lines = [f"type_pi = {rng.choice(SHAPES)}", f"type_pi' = {rng.choice(SHAPES)}"]
-    for key in ("twist_equiv", "chi_ad_selftwist"):
-        if rng.random() < 0.3:
-            lines.append(f"{key} = {rng.choice(BOOLS)}")
+    if rng.random() < 0.3:
+        lines.append(f"twist_equiv = {rng.choice(BOOLS)}")
     rng.shuffle(lines)
     return _mutate(rng, "\n".join(lines) + "\n")
 

@@ -17,7 +17,6 @@ from lfcheck.ingest import (
     eta24_series,
     kronecker,
     load_eigenvalue_file,
-    naive_product_series,
     parse_char_spec,
     prepare_scan_points,
     satake_from_ap,
@@ -81,6 +80,16 @@ def test_tau_past_the_memo_end_extends_it(monkeypatch):
     assert tau(90) == want[89]
     assert ingest._ETA24 == want[:90]
     assert eta24_series(20) == short
+
+
+def naive_product_series(nmax: int, power: int = 24) -> list[int]:
+    """Oracle: expand prod_{n=1}^{nmax} (1-q^n)^power term by term."""
+    acc = [1] + [0] * nmax
+    for n in range(1, nmax + 1):
+        for _ in range(power):
+            for j in range(nmax, n - 1, -1):
+                acc[j] -= acc[j - n]
+    return acc
 
 
 def _legendre_table(p):
