@@ -109,9 +109,6 @@ class FormalCharacter(NamedTuple):
             (g, e) for g, e in zip(self.group.generators, self.exps) if e
         )
 
-    def exponent_of(self, name: str) -> int:
-        return self.exps[self.group.index(name)]
-
     def substitute(self, mapping: Mapping[str, "FormalCharacter"]) -> "FormalCharacter":
         """Apply the homomorphism sending each named generator elsewhere."""
         out = self.group.one()

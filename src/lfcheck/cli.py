@@ -298,6 +298,8 @@ def _cmd_scan(args) -> Report:
         hit = next((v for v in res.violations if v.kind == kind), None)
         status, detail = ("PASS", clean) if hit is None else ("FAIL", str(hit))
         rep.verdicts.append(Verdict(kind, status, detail))
+    rep.facts["min_at"] = res.min_at
+    rep.facts["max_delta_at"] = res.max_delta_at
     return rep
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import Record
 from .chargroup import standard_group
 from .repalg import VirtualRep, ad_atom, rs_product, sym_atom, char_atom
-from .satake import LaurentPoly, coeff_poly, satake_point
+from .satake import LaurentPoly, _compile, coeff_poly, satake_point
 
 
 def _om2bar(base: str):
@@ -164,11 +164,30 @@ def a_D_value(point: dict[str, complex]) -> complex:
     return P.eval(point)
 
 
-def sos_value(point: dict[str, complex]) -> float:
-    _P, x, z = _polys()
-    xv = x.eval(point)
-    zv = z.eval(point)
-    return abs(2 * xv + xv * zv + zv) ** 2
+# the compiled scan loop and the coefficient dicts it was built from
+_KERNEL: list = [None, (None, None, None)]
+
+
+def _scan_kernel():
+    """(generator function, coefficients) for the current (P, x, z), compiled
+    by `_compile` and rebuilt whenever one of their dicts is rebound.
+
+    fn(bases, lmax, *coefficients) yields (p, l, direct, square) for each
+    (p, base) of `bases` and l = 1..lmax: P at the point base ** l, and the
+    closed square |2x + xz + z|^2 there.  Only the variables the three
+    polynomials use are read, and their powers are shared among them.
+    """
+    polys = _polys()
+    if any(q.c is not c for q, c in zip(polys, _KERNEL[1])):
+        _KERNEL[0] = _compile(
+            "bases, lmax",
+            ["for p, base in bases:", "for l in range(1, lmax + 1):"],
+            polys,
+            "base[{name!r}] ** l",
+            "yield p, l, s0, abs(2 * s1 + s1 * s2 + s2) ** 2",
+        )
+        _KERNEL[1] = tuple(q.c for q in polys)
+    return _KERNEL[0]
 
 
 # Violation kinds, each named after the scan verdict it fails
@@ -199,20 +218,33 @@ class Violation(NamedTuple):
 
 
 class ScanResult(Record):
-    __slots__ = ("rows", "checked", "min_value", "max_abs_delta", "violations")
+    """Scan totals: `min_at` is the first (p, l) with the smallest direct
+    coefficient and `max_delta_at` the first with the largest gap between
+    it and the closed square; both None when nothing was checked."""
+
+    __slots__ = (
+        "checked",
+        "min_value",
+        "min_at",
+        "max_abs_delta",
+        "max_delta_at",
+        "violations",
+    )
 
     def __init__(
         self,
-        rows: list[tuple[int, int, float, float]] | None = None,
         checked: int = 0,
         min_value: float = float("inf"),
+        min_at: tuple[int, int] | None = None,
         max_abs_delta: float = 0.0,
+        max_delta_at: tuple[int, int] | None = None,
         violations: list[Violation] | None = None,
     ):
-        self.rows = [] if rows is None else rows
         self.checked = checked
         self.min_value = min_value
+        self.min_at = min_at
         self.max_abs_delta = max_abs_delta
+        self.max_delta_at = max_delta_at
         self.violations = [] if violations is None else violations
 
     @property
@@ -231,24 +263,25 @@ def scan_positivity(
     points maps p to (alpha1, beta1, alpha2, beta2, chi(p)).
     """
     res = ScanResult()
-    for p, (a1, b1, a2, b2, cv) in sorted(points.items()):
-        base = satake_point(a1, b1, a2, b2, {"chi": cv}, tol=1e-6)
-        for ell in range(1, lmax + 1):
-            pt = {k: v**ell for k, v in base.items()}
-            direct = a_D_value(pt)
-            sos = sos_value(pt)
-            delta = abs(direct.real - sos)
-            res.rows.append((p, ell, direct.real, delta))
-            res.checked += 1
-            res.min_value = min(res.min_value, direct.real)
-            res.max_abs_delta = max(res.max_abs_delta, delta)
-            if abs(direct.imag) > tol:
-                kind = REALNESS
-            elif direct.real < -tol:
-                kind = NONNEGATIVITY
-            elif delta > tol:
-                kind = SQUARE_IDENTITY
-            else:
-                continue
-            res.violations.append(Violation(kind, p, ell, direct, sos))
+    bases = (
+        (p, satake_point(a1, b1, a2, b2, {"chi": cv}, tol=1e-6))
+        for p, (a1, b1, a2, b2, cv) in sorted(points.items())
+    )
+    fn, coefs = _scan_kernel()
+    for p, ell, direct, sos in fn(bases, lmax, *coefs):
+        delta = abs(direct.real - sos)
+        res.checked += 1
+        if res.min_at is None or direct.real < res.min_value:
+            res.min_value, res.min_at = direct.real, (p, ell)
+        if res.max_delta_at is None or delta > res.max_abs_delta:
+            res.max_abs_delta, res.max_delta_at = delta, (p, ell)
+        if abs(direct.imag) > tol:
+            kind = REALNESS
+        elif direct.real < -tol:
+            kind = NONNEGATIVITY
+        elif delta > tol:
+            kind = SQUARE_IDENTITY
+        else:
+            continue
+        res.violations.append(Violation(kind, p, ell, direct, sos))
     return res

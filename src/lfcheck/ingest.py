@@ -160,9 +160,13 @@ def x0_11_eigenvalues(xmax: int) -> dict[int, int]:
     primes p <= xmax other than 11; a_p sits at q^(p-1) of the product."""
     nmax = max(xmax - 1, 0)
     c = [0] * (nmax + 1)
-    for e, s in _pentagonal(nmax, 1):
-        c[e] = s
-    for step in (1, 11, 11):
+    euler = _pentagonal(nmax, 1)  # ascending exponents
+    for e1, s1 in euler:
+        for e2, s2 in euler:
+            if e1 + e2 > nmax:
+                break
+            c[e1 + e2] += s1 * s2
+    for step in (11, 11):
         out = [0] * (nmax + 1)
         for e, s in _pentagonal(nmax, step):
             out[e:] = map(add if s > 0 else sub, out[e:], c[: nmax + 1 - e])

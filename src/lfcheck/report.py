@@ -10,8 +10,12 @@ file line).
 
 from __future__ import annotations
 
-import hashlib
 from typing import NamedTuple
+
+try:  # the built-in module spares loading OpenSSL on every command
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from . import Record
 
@@ -37,7 +41,16 @@ class Section(Record):
 
 
 class Report(Record):
-    __slots__ = ("command", "inputs_digest", "verdicts", "sections", "elapsed_s")
+    """`facts` holds named values that only the JSON form reports."""
+
+    __slots__ = (
+        "command",
+        "inputs_digest",
+        "verdicts",
+        "sections",
+        "elapsed_s",
+        "facts",
+    )
 
     def __init__(
         self,
@@ -46,12 +59,14 @@ class Report(Record):
         verdicts: list[Verdict] | None = None,
         sections: list[Section] | None = None,
         elapsed_s: float = 0.0,
+        facts: dict | None = None,
     ):
         self.command = command
         self.inputs_digest = inputs_digest
         self.verdicts = [] if verdicts is None else verdicts
         self.sections = [] if sections is None else sections
         self.elapsed_s = elapsed_s
+        self.facts = {} if facts is None else facts
 
     def all_verdicts(self) -> list[Verdict]:
         out = list(self.verdicts)
@@ -74,7 +89,7 @@ class Report(Record):
 
 
 def digest(*parts: str) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     for part in parts:
         h.update(part.encode())
         h.update(b"\x00")
@@ -127,4 +142,6 @@ def render_json(rep: Report) -> str:
         "elapsed_s": round(rep.elapsed_s, 6),
         "result": rep.result,
     }
+    if rep.facts:
+        doc["facts"] = rep.facts
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -32,6 +32,72 @@ def _reduce(key: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(e % m if m else e for e, m in zip(key, _MODV))
 
 
+def _compile(params: str, loops: list[str], polys, read: str, result: str):
+    """(function, coefficients): the straight-line evaluation of `polys`.
+
+    The function takes `params` and then one tuple c<k> per polynomial
+    (`coefficients[k]`).  Inside the `loops`, each nested in the one before,
+    it sets s<k> to the value of polys[k] at one point and runs the
+    statement `result`.  Variable j of VARS is `read` formatted with its
+    name, bound once to u<j>.  The source names only variables, exponents
+    and indices, never a coefficient.
+
+    Each distinct power u ** e is computed once and shared by every
+    polynomial.  Every term starts from its coefficient, multiplies its
+    factors in VARS order and is added to its sum in dict order; a product
+    of a coefficient value and leading factors that two or more terms start
+    with is computed once.  These are the floating-point operations of
+    term-by-term evaluation on the same inputs, so every value is
+    bit-identical to it.  One statement per term keeps long polynomials
+    inside the compiler's nesting limit.
+    """
+    powers: dict[tuple[int, int], int] = {}  # (j, e) -> n of w<n>
+    coefs = tuple(tuple(complex(v) for v in q.c.values()) for q in polys)
+    terms = []  # (k, i, coefficient value, power numbers in VARS order)
+    uses: dict[tuple, int] = {}  # (value, leading powers) -> terms sharing it
+    for k, q in enumerate(polys):
+        for i, key in enumerate(q.c):
+            ws = tuple(
+                powers.setdefault((j, e), len(powers))
+                for j, e in enumerate(key)
+                if e
+            )
+            cv = coefs[k][i]
+            terms.append((k, i, cv, ws))
+            for n in range(1, len(ws) + 1):
+                uses[cv, ws[:n]] = uses.get((cv, ws[:n]), 0) + 1
+    lines = [
+        f"u{j} = {read.format(name=VARS[j])}"
+        for j in sorted({j for j, _e in powers})
+    ]
+    lines += [f"w{n} = u{j} ** {e:d}" for (j, e), n in powers.items()]
+    temps: dict[tuple, str] = {}  # shared prefix -> its t<n>
+    sums: list[list[str]] = [[] for _ in polys]
+    for k, i, cv, ws in terms:
+        head, n = f"c{k}[{i}]", 0
+        while n < len(ws) and uses[cv, ws[: n + 1]] > 1:
+            n += 1
+            if (cv, ws[:n]) not in temps:
+                temps[cv, ws[:n]] = f"t{len(temps)}"
+                lines.append(f"{temps[cv, ws[:n]]} = {head} * w{ws[n - 1]}")
+            head = temps[cv, ws[:n]]
+        sums[k].append(f"s{k} += {head}" + "".join(f" * w{w}" for w in ws[n:]))
+    for k, body in enumerate(sums):
+        lines += [f"s{k} = 0j", *body]
+    coef_params = "".join(f", c{k}" for k in range(len(polys)))
+    indent = "    " * (len(loops) + 1)
+    src = "".join(
+        [
+            f"def _f({params}{coef_params}):\n",
+            *(f"{'    ' * d}{loop}\n" for d, loop in enumerate(loops, 1)),
+            *(f"{indent}{line}\n" for line in [*lines, result]),
+        ]
+    )
+    ns: dict = {}
+    exec(compile(src, "<straight-line evaluation>", "exec"), ns)
+    return ns["_f"], coefs
+
+
 class LaurentPoly:
     """Integer-coefficient Laurent polynomial over the variable universe.
 
@@ -108,38 +174,11 @@ class LaurentPoly:
         return r
 
     def _evaluator(self):
-        """(function, coefficients) compiled from `c`: built on the first
-        eval and again whenever `c` has been rebound.
-
-        The source names only VARS entries, exponents and indices; the
-        coefficients reach it as the tuple argument `c`.  Each distinct
-        power is computed once, then every term starts from its coefficient,
-        multiplies its factors in VARS order and is added to the sum in dict
-        order: the floating-point operations of term-by-term evaluation, in
-        the same order, so the result is bit-identical to it.  One statement
-        per term keeps long polynomials inside the compiler's nesting limit.
-        """
+        """(function, coefficients) compiled from `c` by `_compile`:
+        built on the first eval and again whenever `c` has been rebound."""
         if self._fn_of is not self.c:
-            factors: dict[tuple[int, int], int] = {}
-            sums = []
-            for i, k in enumerate(self.c):
-                slots = [
-                    factors.setdefault((j, e), len(factors))
-                    for j, e in enumerate(k)
-                    if e
-                ]
-                factor_txt = "".join(f" * w{n}" for n in slots)
-                sums.append(f"    s += c[{i}]{factor_txt}")
-            powers = [
-                f"    w{n} = v[{VARS[j]!r}] ** {e:d}"
-                for (j, e), n in factors.items()
-            ]
-            src = "\n".join(
-                ["def _eval(v, c):", *powers, "    s = 0j", *sums, "    return s\n"]
-            )
-            ns: dict = {}
-            exec(compile(src, "<LaurentPoly.eval>", "exec"), ns)
-            self._fn = (ns["_eval"], tuple(complex(v) for v in self.c.values()))
+            fn, coefs = _compile("v", [], [self], "v[{name!r}]", "return s0")
+            self._fn = (fn, coefs[0])
             self._fn_of = self.c
         return self._fn
 

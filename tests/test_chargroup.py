@@ -14,6 +14,10 @@ from lfcheck.chargroup import (
 G = standard_group()
 
 
+def exponent_of(c, name):
+    return c.exps[c.group.index(name)]
+
+
 def test_generator_roster():
     assert G.generators == STD_GENERATORS
     assert len(STD_GENERATORS) == 9
@@ -58,9 +62,9 @@ def test_conjugation_is_inversion():
 
 def test_exponent_access():
     c = G.gen("chi") * G.gen("om_pi'", -1)
-    assert c.exponent_of("chi") == 1
-    assert c.exponent_of("om_pi'") == -1
-    assert c.exponent_of("eta_pi") == 0
+    assert exponent_of(c, "chi") == 1
+    assert exponent_of(c, "om_pi'") == -1
+    assert exponent_of(c, "eta_pi") == 0
     assert dict(c.support()) == {"chi": 1, "om_pi'": -1}
 
 

@@ -322,6 +322,18 @@ def test_json_mode(capsys):
     assert sorted(sec["verdicts"][0]) == ["check", "details", "status"]
 
 
+def test_json_scan_names_its_extreme_points(capsys):
+    # only --json carries the facts; the text form is the scan_small golden
+    code, out, _ = run_cli(["--json", *GOLDEN_COMMANDS["scan_small"]], capsys)
+    assert code == 0
+    d = json.loads(out)
+    assert d["facts"] == {"min_at": [29, 2], "max_delta_at": [5, 2]}
+    assert sorted(d) == [
+        "command", "elapsed_s", "facts", "inputs_digest", "result", "sections",
+        "verdicts",
+    ]
+
+
 def test_json_erratum_case(capsys):
     code, out, _ = run_cli(["--json", "verify", "case", "4.4.3"], capsys)
     assert code == 1

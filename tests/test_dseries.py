@@ -1,6 +1,7 @@
 """Auxiliary degree-324 product: assembly, square identity, scanning."""
 
 import cmath
+import math
 import random
 
 from lfcheck import dseries
@@ -14,15 +15,70 @@ from lfcheck.dseries import (
     aux_factors,
     build_D,
     scan_positivity,
-    sos_value,
     verify_sos,
 )
-from lfcheck.ingest import builtin_form, parse_char_spec, prepare_scan_points
+from lfcheck.ingest import (
+    builtin_form,
+    load_eigenvalue_file,
+    parse_char_spec,
+    prepare_scan_points,
+    sieve,
+)
 from lfcheck.satake import VARS, LaurentPoly, satake_point
+from test_satake import oracle_eval
 
 
 # display-order multiplicities of the fifteen factors
 PROFILE = (6, 4, 4, 7, 2, 2, 2, 5, 2, 3, 3, 1, 2, 2, 1)
+
+
+def sos_value(point):
+    """The closed square |2x + xz + z|^2 at one point, with x and z
+    evaluated term by term: the per-point reference for the scan."""
+    _P, x, z = dseries._polys()
+    xv = oracle_eval(x, point)
+    zv = oracle_eval(z, point)
+    return abs(2 * xv + xv * zv + zv) ** 2
+
+
+def reference_rows(points, lmax):
+    """(p, l, direct, square) at every scan point, one point at a time:
+    the direct value term by term and, checked equal to it, a_D_value."""
+    P = dseries._polys()[0]
+    out = []
+    for p, (a1, b1, a2, b2, cv) in sorted(points.items()):
+        base = satake_point(a1, b1, a2, b2, {"chi": cv}, tol=1e-6)
+        for ell in range(1, lmax + 1):
+            pt = {k: v**ell for k, v in base.items()}
+            direct = oracle_eval(P, pt)
+            assert repr(a_D_value(pt)) == repr(direct)
+            out.append((p, ell, direct, sos_value(pt)))
+    return out
+
+
+def scanned_rows(monkeypatch, points, lmax):
+    """Run the scan and return its result with what its compiled loop
+    yielded."""
+    rows = []
+    kernel = dseries._scan_kernel
+
+    def spy():
+        fn, coefs = kernel()
+
+        def tee(*args):
+            for row in fn(*args):
+                rows.append(row)
+                yield row
+
+        return tee, coefs
+
+    monkeypatch.setattr(dseries, "_scan_kernel", spy)
+    return scan_positivity(points, lmax), rows
+
+
+def assert_bit_equal(rows, ref):
+    # repr tells -0.0 from 0.0, which == does not
+    assert [tuple(map(repr, r)) for r in rows] == [tuple(map(repr, r)) for r in ref]
 
 
 def test_factor_roster():
@@ -83,14 +139,65 @@ def _small_points():
     return points
 
 
-def test_scan_rows_sorted_and_clean():
+def test_scan_rows_sorted_and_clean(monkeypatch):
     points = _small_points()
-    res = scan_positivity(points, lmax=2, tol=1e-9)
+    res, rows = scanned_rows(monkeypatch, points, 2)
     assert res.ok
-    assert res.checked == 2 * len(points)
-    assert res.rows == sorted(res.rows, key=lambda r: (r[0], r[1]))
+    assert res.checked == len(rows) == 2 * len(points)
+    assert [r[:2] for r in rows] == sorted(r[:2] for r in rows)
     assert res.min_value >= -1e-9
     assert res.max_abs_delta <= 1e-9
+    # the extremes name the first (p, l) where each is reached
+    ref = reference_rows(points, 2)
+    values = [r[2].real for r in ref]
+    deltas = [abs(r[2].real - r[3]) for r in ref]
+    lo = min(range(len(ref)), key=values.__getitem__)
+    hi = max(range(len(ref)), key=deltas.__getitem__)
+    assert (res.min_value, res.min_at) == (values[lo], ref[lo][:2])
+    assert (res.max_abs_delta, res.max_delta_at) == (deltas[hi], ref[hi][:2])
+    assert res.min_at != res.max_delta_at  # so a swap of the two would show
+
+
+def test_kernel_is_bit_equal_on_the_acceptance_scan(monkeypatch):
+    points, _ = prepare_scan_points(
+        builtin_form("delta", 10**4), builtin_form("11a", 10**4),
+        parse_char_spec("kronecker:-4"), 10**4,
+    )
+    res, rows = scanned_rows(monkeypatch, points, 4)
+    assert res.ok and len(rows) == 4908
+    assert res.min_at == (3079, 4)
+    assert_bit_equal(rows, reference_rows(points, 4))
+
+
+def test_kernel_is_bit_equal_on_seeded_tables(monkeypatch, tmp_path):
+    # a_p anywhere up to the exact bound, and on it now and then, with a
+    # character of 12th roots of unity, so the values are complex
+    rng = random.Random(12012)
+    primes = sieve(3000)
+    paths = []
+    for k, level in ((12, 1), (2, 11)):
+        path = tmp_path / f"w{k}.tsv"
+        rows = [f"#weight {k} level {level}"]
+        for p in primes:
+            b = math.isqrt(4 * p ** (k - 1))
+            ap = rng.choice((-b, b)) if rng.random() < 0.05 else rng.randint(-b, b)
+            rows.append(f"{p}\t{ap}")
+        path.write_text("\n".join(rows) + "\n")
+        paths.append(str(path))
+    chi = tmp_path / "chi.tsv"
+    with open(chi, "w") as fh:
+        for p in primes:
+            a = 2 * math.pi * rng.randrange(12) / 12
+            fh.write(f"{p}\t{math.cos(a)!r}\t{math.sin(a)!r}\n")
+    points, skipped = prepare_scan_points(
+        load_eigenvalue_file(paths[0]), load_eigenvalue_file(paths[1]),
+        parse_char_spec(str(chi)), 3000,
+    )
+    assert skipped == [11]
+    _res, rows = scanned_rows(monkeypatch, points, 8)
+    assert len(rows) == 8 * len(points)
+    assert any(abs(r[2].imag) > 0 for r in rows)
+    assert_bit_equal(rows, reference_rows(points, 8))
 
 
 def test_scan_empty_not_ok():
@@ -104,9 +211,16 @@ def test_scan_violations_are_records(monkeypatch):
     sq = 1.23456789012345
     direct = {1: -1 + 1j, 2: -1 + 0j, 3: 2.5 + 0j, 4: sq + 0j}
     points = {3: (1, 1, 1, 1, 1)}
-    ells = iter(range(1, 5))
-    monkeypatch.setattr(dseries, "a_D_value", lambda pt: direct[next(ells)])
-    monkeypatch.setattr(dseries, "sos_value", lambda pt: sq)
+
+    def fake_kernel():
+        def scan(bases, lmax, *coefs):
+            for p, _base in bases:
+                for ell in range(1, lmax + 1):
+                    yield p, ell, direct[ell], sq
+
+        return scan, ()
+
+    monkeypatch.setattr(dseries, "_scan_kernel", fake_kernel)
     res = scan_positivity(points, lmax=4, tol=1e-9)
     assert res.violations == [
         Violation(REALNESS, 3, 1, -1 + 1j, sq),
@@ -119,6 +233,8 @@ def test_scan_violations_are_records(monkeypatch):
         "p=3 l=3: direct/square mismatch (2.5 vs 1.23456789012)",
     ]
     assert not res.ok
+    # l = 1 and 2 tie on both extremes; the first is named
+    assert (res.min_at, res.max_delta_at) == ((3, 1), (3, 1))
 
 
 def test_direct_path_evaluates_the_built_polynomial(monkeypatch):

@@ -6,6 +6,7 @@ the console entry point (`from lfcheck.cli import main`) in a child process
 and read `sys.modules` once `main` has returned.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -58,6 +59,8 @@ def test_subcommand_loads_only_its_modules(name):
     assert not loaded & absent
     assert "dataclasses" not in loaded
     assert "json" not in loaded
+    if importlib.util.find_spec("_sha256") is not None:
+        assert "_hashlib" not in loaded  # OpenSSL, for one digest
 
 
 def test_json_output_loads_json():
