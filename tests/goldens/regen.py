@@ -4,8 +4,9 @@ Run from the repository root:
 
     python3 tests/goldens/regen.py
 
-Timing lines are stripped and the fixtures directory is replaced by the
-placeholder FIXTURES so the files are stable across machines.
+The commands and the normalization (timing lines stripped, the fixtures
+directory replaced by the placeholder FIXTURES) come from tests/test_cli.py,
+so a new golden is one entry in its GOLDEN_COMMANDS.
 """
 
 import contextlib
@@ -14,34 +15,13 @@ import os
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-FIXTURES = os.path.join(os.path.dirname(HERE), "fixtures")
+TESTS = os.path.dirname(HERE)
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(HERE)), "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(TESTS), "src"))
+sys.path.insert(0, TESTS)
 
 from lfcheck.cli import main  # noqa: E402
-
-COMMANDS = {
-    "verify_sos": ["verify", "sos"],
-    "case_4_1": ["verify", "case", "4.1"],
-    "case_4_4_3": ["verify", "case", "4.4.3"],
-    "bridge": ["verify", "bridge"],
-    "expand": ["expand", "Ad(pi) (x) Ad(pi) tw chi"],
-    "scan_small": [
-        "scan", "--form1", "delta", "--form2", "11a",
-        "--char", "kronecker:-4", "--xmax", "60", "--lmax", "2",
-    ],
-    "poles": [
-        "poles", "Sym^4(pi) tw omega^-2 (x) Ad(pi')",
-        "--hyp", os.path.join(FIXTURES, "octa_octa.hyp"),
-    ],
-}
-
-
-def normalize(text: str) -> str:
-    lines = [
-        ln for ln in text.splitlines() if not ln.startswith("elapsed:")
-    ]
-    return ("\n".join(lines)).replace(FIXTURES, "FIXTURES") + "\n"
+from test_cli import GOLDEN_COMMANDS, normalize  # noqa: E402
 
 
 def run(argv):
@@ -52,7 +32,7 @@ def run(argv):
 
 
 if __name__ == "__main__":
-    for name, argv in COMMANDS.items():
+    for name, argv in GOLDEN_COMMANDS.items():
         code, out = run(argv)
         path = os.path.join(HERE, f"{name}.txt")
         with open(path, "w") as fh:

@@ -31,6 +31,8 @@ GOLDEN_COMMANDS = {
     "verify_sos": ["verify", "sos"],
     "case_4_1": ["verify", "case", "4.1"],
     "case_4_4_3": ["verify", "case", "4.4.3"],
+    "case_4_2_tamper_5": ["verify", "case", "4.2", "--tamper", "5"],
+    "verify_all": ["verify", "all"],
     "bridge": ["verify", "bridge"],
     "expand": ["expand", "Ad(pi) (x) Ad(pi) tw chi"],
     "scan_small": [
