@@ -6,6 +6,11 @@ factorization of the auxiliary degree-324 product after subtracting the
 two removed adjoint-pair powers; the rest cover dihedral and
 twist-equivalent shapes with their own smaller displays.
 
+Every display is text: one row per factor, `<multiplicity>  <expression>`,
+in the notation `expand` and `poles` read (`exprlang`), and a side is the
+sum of its rows.  The six auxiliary displays keep `build_D()` as their
+left side, and each appends the two removed pair powers with its own ell.
+
 Each case produces verdicts:
   classification  the declared shapes land on this case id
   degree          both sides of the display have equal total degree
@@ -25,22 +30,20 @@ copies of the same pair.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from collections import Counter
+from typing import NamedTuple
 
 from . import InputError, Record
-from .chargroup import FormalCharacter, standard_group
+from .chargroup import standard_group
+from .exprlang import parse_expr
 from .hypotheses import GL2Type, Hypotheses, classify
 from .repalg import (
     Entry,
     RepAtom,
     RSPair,
     VirtualRep,
-    ad_atom,
-    char_atom,
     decompose_under,
-    opaque_atom,
     plethysm_sym2,
-    rs_product,
     sym_atom,
 )
 from .satake import CoefficientError, coeff_poly
@@ -53,307 +56,228 @@ class CaseError(InputError):
     pass
 
 
-def _G():
-    return standard_group()
+def _signed(rows: str) -> dict[Entry, int]:
+    """Sum the rows `<multiplicity>  <expression>` of a display, blank lines
+    skipped, into a map from entry to nonzero signed multiplicity."""
+    acc: Counter = Counter()
+    for row in rows.splitlines():
+        if row.strip():
+            m, expr = row.split(None, 1)
+            for key, n in parse_expr(expr).entries:
+                acc[key] += int(m) * n
+    return {key: m for key, m in acc.items() if m}
 
 
-def _gens():
-    G = _G()
-    return {
-        "chi": G.gen("chi"),
-        "om": G.gen("om_pi"),
-        "om2": G.gen("om_pi'"),
-        "mu": G.gen("mu_pi"),
-        "mu2": G.gen("mu_pi'"),
-        "eta": G.gen("eta_pi"),
-        "eta2": G.gen("eta_pi'"),
-        "xiF2": G.gen("xiF_pi'"),
-        "one": G.one(),
-    }
+def _rows(rows: str) -> VirtualRep:
+    """A display's side: the sum of its rows."""
+    return VirtualRep.build(_signed(rows).items())
 
 
-def _A(tw: FormalCharacter | None = None) -> VirtualRep:
-    return VirtualRep.of(ad_atom("pi", tw))
+# The displays as printed, one factor per row in print order.  The first
+# six are the auxiliary right sides before the two removed pair powers,
+# which _aux_case appends with the case's ell.
 
+_CLAIMED_4_1 = """
+    6  1
+    1  mu*mu'
+    1  mu^-1*mu'^-1
+    1  mu*mu'^-1
+    1  mu^-1*mu'
+   12  Ad(pi)
+    4  Ad(pi')
+    4  Ad(pi) tw mu'
+    4  Ad(pi) tw mu'^-1
+    5  mu
+    5  mu^-1
+    2  Ad(pi') tw mu
+    2  Ad(pi') tw mu^-1
+    2  Ad(pi') tw chi
+    2  Ad(pi') tw chi^-1
+    2  mu'
+    2  mu'^-1
+    2  Ad(pi') tw chi*mu
+    2  Ad(pi') tw chi^-1*mu
+    2  Ad(pi') tw chi*mu^-1
+    2  Ad(pi') tw chi^-1*mu^-1
+    8  Ad(pi) (x) Ad(pi')
+"""
 
-def _A2(tw: FormalCharacter | None = None) -> VirtualRep:
-    return VirtualRep.of(ad_atom("pi'", tw))
+_CLAIMED_4_2 = """
+    6  1
+   12  Ad(pi)
+    2  Ad(pi')
+    2  nu_pi'
+    4  Ad(pi) (x) nu_pi'
+    2  Ad(pi') tw eta'
+    4  Ad(pi) (x) Ad(pi') tw eta'
+    5  mu
+    5  mu^-1
+    1  nu_pi' tw mu
+    1  nu_pi' tw mu^-1
+    1  Ad(pi') tw mu
+    1  Ad(pi') tw mu^-1
+    1  Ad(pi') tw mu*eta'
+    1  Ad(pi') tw mu^-1*eta'
+    4  Ad(pi) (x) Ad(pi')
+    2  Ad(pi') tw chi
+    2  Ad(pi') tw chi^-1
+    2  Ad(pi') tw chi*mu
+    2  Ad(pi') tw chi^-1*mu
+    2  Ad(pi') tw chi*mu^-1
+    2  Ad(pi') tw chi^-1*mu^-1
+"""
 
+_CLAIMED_4_3 = """
+    6  1
+    1  nu_pi (x) nu_pi'
+    7  Ad(pi)
+    2  Ad(pi')
+    1  nu_pi (x) Ad(pi')
+    5  Ad(pi) tw eta
+    3  Ad(pi) (x) nu_pi'
+    2  nu_pi'
+    5  nu_pi
+    1  Ad(pi) (x) nu_pi' tw eta
+    2  Ad(pi') tw eta'
+    1  Ad(pi') (x) nu_pi tw eta'
+    1  Ad(pi) (x) Ad(pi') tw eta
+    2  Ad(pi') tw chi
+    2  Ad(pi') tw chi^-1
+    2  Ad(pi') (x) nu_pi tw chi
+    3  Ad(pi) (x) Ad(pi') tw eta'
+    2  Ad(pi') (x) nu_pi tw chi^-1
+    1  Ad(pi) (x) Ad(pi') tw eta*eta'
+    3  Ad(pi) (x) Ad(pi')
+    2  Ad(pi) (x) Ad(pi') tw chi*eta
+    2  Ad(pi) (x) Ad(pi') tw chi^-1*eta
+"""
 
-def _S4(base: str, extra: FormalCharacter | None = None) -> VirtualRep:
-    g = _gens()
-    om = g["om"] if base == "pi" else g["om2"]
-    t = om ** (-2) if extra is None else extra * om ** (-2)
-    return VirtualRep.of(sym_atom(base, 4, t))
+_CLAIMED_4_4_1 = """
+    6  1
+    7  Ad(pi)
+    4  Ad(pi')
+    2  mu'
+    2  mu'^-1
+    3  Ad(pi) tw mu'
+    3  Ad(pi) tw mu'^-1
+    5  Sym^4(pi) tw omega^-2
+    1  Sym^4(pi) tw mu'*omega^-2
+    1  Sym^4(pi) tw mu'^-1*omega^-2
+    2  Ad(pi') tw chi
+    2  Sym^4(pi) tw omega^-2 (x) Ad(pi') tw chi
+    2  Sym^4(pi) tw omega^-2 (x) Ad(pi') tw chi^-1
+    2  Ad(pi') tw chi^-1
+    2  Sym^4(pi) tw omega^-2 (x) Ad(pi')
+    6  Ad(pi) (x) Ad(pi')
+"""
 
+_CLAIMED_4_4_2 = """
+    6  1
+    5  Sym^4(pi) tw omega^-2
+    2  Ad(pi') tw eta'
+    3  Ad(pi) (x) nu_pi'
+    2  Ad(pi')
+    2  nu_pi'
+    7  Ad(pi)
+    3  Ad(pi) (x) Ad(pi') tw eta'
+    1  Sym^4(pi) tw omega^-2 (x) Ad(pi') tw eta'
+    1  Sym^4(pi) tw omega^-2 (x) nu_pi'
+    1  Sym^4(pi) tw omega^-2 (x) Ad(pi')
+    3  Ad(pi) (x) Ad(pi')
+    2  Ad(pi') tw chi
+    2  Sym^4(pi) tw omega^-2 (x) Ad(pi') tw chi
+    2  Ad(pi') tw chi^-1
+    2  Sym^4(pi) tw omega^-2 (x) Ad(pi') tw chi^-1
+"""
 
-def _nu(base: str, tw: FormalCharacter | None = None) -> VirtualRep:
-    return VirtualRep.of(opaque_atom("nu_pi" if base == "pi" else "nu_pi'", tw))
+# the last row is the slip: its exponent 4 belongs on the chi and chi^-1
+# twists of the same pair, 2 each (_SLIP_4_4_3 is claimed minus required)
+_CLAIMED_4_4_3 = """
+    6  1
+    1  Sym^4(pi) tw omega^-2 (x) Sym^4(pi') tw omega'^-2
+    2  Ad(pi') tw chi
+    2  Ad(pi') tw chi^-1
+    5  Sym^4(pi) tw omega^-2
+    7  Ad(pi)
+    2  Ad(pi')
+    3  Ad(pi) (x) Ad(pi')
+    3  Ad(pi) (x) Sym^4(pi') tw omega'^-2
+    2  Sym^4(pi') tw omega'^-2
+    1  Ad(pi') (x) Sym^4(pi) tw omega^-2
+    4  Ad(pi') (x) Sym^4(pi) tw omega^-2
+"""
 
+_SLIP_4_4_3 = """
+    4  Ad(pi') (x) Sym^4(pi) tw omega^-2
+   -2  Ad(pi') (x) Sym^4(pi) tw chi*omega^-2
+   -2  Ad(pi') (x) Sym^4(pi) tw chi^-1*omega^-2
+"""
 
-def _ch(c: FormalCharacter) -> VirtualRep:
-    return VirtualRep.of(char_atom(c))
+# A x A'chi, the factor of the headline L-function, and its twist-equivalent
+# form A x A chi; the self-twist rows put mu where chi was
+_FACTOR = "1  Ad(pi) (x) Ad(pi') tw chi"
+_SELFPAIR = "1  Ad(pi) (x) Ad(pi) tw chi"
+_SELFPAIR_MU = "1  Ad(pi) (x) Ad(pi) tw mu"
 
+_CLAIMED_5_2 = """
+    1  ind_pi' (x) Ad(pi) tw chi*omega'^-1
+    1  Ad(pi) tw chi*omega'^-1*xiF'
+"""
 
-def _sum(parts: list[tuple[VirtualRep, int]]) -> VirtualRep:
-    total = VirtualRep.build([])
-    for V, mult in parts:
-        total = total + V.scale(mult)
-    return total
+_HEAD_5_3 = """
+    1  chi
+    1  Ad(pi) tw chi
+    1  Sym^4(pi) tw chi*omega^-2
+"""
 
+_SPLIT_5_3_1 = """
+    1  chi
+    1  Ad(pi) tw chi
+    1  Ad(pi) tw chi
+    1  chi*mu^-1
+    1  chi*mu
+"""
 
-def _lhs_pairs(ell: int) -> VirtualRep:
-    g = _gens()
-    return _sum(
-        [
-            (rs_product(_A(), _A2(g["chi"])), ell),
-            (rs_product(_A(), _A2(g["chi"].inv())), ell),
-        ]
-    )
+_HEAD_5_3_MU = """
+    1  1
+    1  Ad(pi)
+    1  Sym^4(pi) tw omega^-2
+"""
 
+_SPLIT_5_3_1_MU = """
+    1  1
+    1  Ad(pi)
+    1  Ad(pi)
+    1  mu
+    1  mu^-1
+"""
 
-# claimed displays, transcribed factor by factor in print order
+_SPLIT_5_3_2 = """
+    1  chi
+    1  Ad(pi) tw chi
+    1  nu_pi tw chi
+    1  Ad(pi) tw eta*chi
+"""
 
+_PI1 = "1 (+) Ad(pi) (+) Sym^4(pi) tw chi*omega^-2"
 
-def _claimed_4_1() -> VirtualRep:
-    g = _gens()
-    chi, mu, mu2 = g["chi"], g["mu"], g["mu2"]
-    head = [
-        (_ch(g["one"]), 6),
-        (_ch(mu * mu2), 1),
-        (_ch((mu * mu2).inv()), 1),
-        (_ch(mu * mu2.inv()), 1),
-        (_ch(mu.inv() * mu2), 1),
-    ]
-    body = [
-        (_A(), 12),
-        (_A2(), 4),
-        (_A(mu2), 4),
-        (_A(mu2.inv()), 4),
-        (_ch(mu), 5),
-        (_ch(mu.inv()), 5),
-        (_A2(mu), 2),
-        (_A2(mu.inv()), 2),
-        (_A2(chi), 2),
-        (_A2(chi.inv()), 2),
-        (_ch(mu2), 2),
-        (_ch(mu2.inv()), 2),
-        (_A2(chi * mu), 2),
-        (_A2(chi.inv() * mu), 2),
-        (_A2(chi * mu.inv()), 2),
-        (_A2(chi.inv() * mu.inv()), 2),
-        (rs_product(_A(), _A2()), 8),
-    ]
-    return _sum(head + body)
-
-
-def _claimed_4_2() -> VirtualRep:
-    g = _gens()
-    chi, mu, eta2 = g["chi"], g["mu"], g["eta2"]
-    return _sum(
-        [
-            (_ch(g["one"]), 6),
-            (_A(), 12),
-            (_A2(), 2),
-            (_nu("pi'"), 2),
-            (rs_product(_A(), _nu("pi'")), 4),
-            (_A2(eta2), 2),
-            (rs_product(_A(), _A2(eta2)), 4),
-            (_ch(mu), 5),
-            (_ch(mu.inv()), 5),
-            (_nu("pi'", mu), 1),
-            (_nu("pi'", mu.inv()), 1),
-            (_A2(mu), 1),
-            (_A2(mu.inv()), 1),
-            (_A2(mu * eta2), 1),
-            (_A2(mu.inv() * eta2), 1),
-            (rs_product(_A(), _A2()), 4),
-            (_A2(chi), 2),
-            (_A2(chi.inv()), 2),
-            (_A2(chi * mu), 2),
-            (_A2(chi.inv() * mu), 2),
-            (_A2(chi * mu.inv()), 2),
-            (_A2(chi.inv() * mu.inv()), 2),
-        ]
-    )
-
-
-def _claimed_4_3() -> VirtualRep:
-    g = _gens()
-    chi, eta, eta2 = g["chi"], g["eta"], g["eta2"]
-    return _sum(
-        [
-            (_ch(g["one"]), 6),
-            (rs_product(_nu("pi"), _nu("pi'")), 1),
-            (_A(), 7),
-            (_A2(), 2),
-            (rs_product(_nu("pi"), _A2()), 1),
-            (_A(eta), 5),
-            (rs_product(_A(), _nu("pi'")), 3),
-            (_nu("pi'"), 2),
-            (_nu("pi"), 5),
-            (rs_product(_A(), _nu("pi'", eta)), 1),
-            (_A2(eta2), 2),
-            (rs_product(_A2(), _nu("pi", eta2)), 1),
-            (rs_product(_A(), _A2(eta)), 1),
-            (_A2(chi), 2),
-            (_A2(chi.inv()), 2),
-            (rs_product(_A2(), _nu("pi", chi)), 2),
-            (rs_product(_A(), _A2(eta2)), 3),
-            (rs_product(_A2(), _nu("pi", chi.inv())), 2),
-            (rs_product(_A(), _A2(eta * eta2)), 1),
-            (rs_product(_A(), _A2()), 3),
-            (rs_product(_A(), _A2(chi * eta)), 2),
-            (rs_product(_A(), _A2(chi.inv() * eta)), 2),
-        ]
-    )
-
-
-def _claimed_4_4_1() -> VirtualRep:
-    g = _gens()
-    chi, mu2 = g["chi"], g["mu2"]
-    return _sum(
-        [
-            (_ch(g["one"]), 6),
-            (_A(), 7),
-            (_A2(), 4),
-            (_ch(mu2), 2),
-            (_ch(mu2.inv()), 2),
-            (_A(mu2), 3),
-            (_A(mu2.inv()), 3),
-            (_S4("pi"), 5),
-            (_S4("pi", mu2), 1),
-            (_S4("pi", mu2.inv()), 1),
-            (_A2(chi), 2),
-            (rs_product(_S4("pi"), _A2(chi)), 2),
-            (rs_product(_S4("pi"), _A2(chi.inv())), 2),
-            (_A2(chi.inv()), 2),
-            (rs_product(_S4("pi"), _A2()), 2),
-            (rs_product(_A(), _A2()), 6),
-        ]
-    )
-
-
-def _claimed_4_4_2() -> VirtualRep:
-    g = _gens()
-    chi, eta2 = g["chi"], g["eta2"]
-    return _sum(
-        [
-            (_ch(g["one"]), 6),
-            (_S4("pi"), 5),
-            (_A2(eta2), 2),
-            (rs_product(_A(), _nu("pi'")), 3),
-            (_A2(), 2),
-            (_nu("pi'"), 2),
-            (_A(), 7),
-            (rs_product(_A(), _A2(eta2)), 3),
-            (rs_product(_S4("pi"), _A2(eta2)), 1),
-            (rs_product(_S4("pi"), _nu("pi'")), 1),
-            (rs_product(_S4("pi"), _A2()), 1),
-            (rs_product(_A(), _A2()), 3),
-            (_A2(chi), 2),
-            (rs_product(_S4("pi"), _A2(chi)), 2),
-            (_A2(chi.inv()), 2),
-            (rs_product(_S4("pi"), _A2(chi.inv())), 2),
-        ]
-    )
-
-
-def _claimed_4_4_3() -> VirtualRep:
-    g = _gens()
-    chi = g["chi"]
-    return _sum(
-        [
-            (_ch(g["one"]), 6),
-            (rs_product(_S4("pi"), _S4("pi'")), 1),
-            (_A2(chi), 2),
-            (_A2(chi.inv()), 2),
-            (_S4("pi"), 5),
-            (_A(), 7),
-            (_A2(), 2),
-            (rs_product(_A(), _A2()), 3),
-            (rs_product(_A(), _S4("pi'")), 3),
-            (_S4("pi'"), 2),
-            (rs_product(_A2(), _S4("pi")), 1),
-            (rs_product(_A2(), _S4("pi")), 4),
-        ]
-    )
-
-
-def _delta_4_4_3() -> dict[Entry, int]:
-    g = _gens()
-    chi = g["chi"]
-    plain = rs_product(_A2(), _S4("pi")).entries[0][0]
-    tchi = rs_product(_A2(), _S4("pi", chi)).entries[0][0]
-    tchibar = rs_product(_A2(), _S4("pi", chi.inv())).entries[0][0]
-    return {plain: 4, tchi: -2, tchibar: -2}
-
-
-def _lhs_factor_case() -> VirtualRep:
-    g = _gens()
-    return rs_product(_A(), _A2(g["chi"]))
-
-
-def _claimed_5_2() -> VirtualRep:
-    g = _gens()
-    t = g["chi"] * g["om2"].inv()
-    return rs_product(
-        VirtualRep.of(opaque_atom("ind_pi'")), _A(t)
-    ) + _A(t * g["xiF2"])
-
-
-def _lhs_selfpair() -> VirtualRep:
-    g = _gens()
-    return rs_product(_A(), VirtualRep.of(ad_atom("pi", g["chi"])))
-
-
-def _subst_chi_mu(V: VirtualRep) -> VirtualRep:
-    g = _gens()
-    return V.map_twists(lambda c: c.substitute({"chi": g["mu"]}))
-
-
-def _head_5_3(chi: FormalCharacter | None = None) -> VirtualRep:
-    g = _gens()
-    c = g["chi"] if chi is None else chi
-    return _ch(c) + _A(c) + _S4("pi", c)
-
-
-def _Pi1() -> VirtualRep:
-    g = _gens()
-    return _ch(g["one"]) + _A() + _S4("pi", g["chi"])
-
-
-def _lhs_5_3_3() -> VirtualRep:
-    Pi1 = _Pi1()
-    return rs_product(Pi1, Pi1.dual())
-
-
-def _claimed_5_3_3() -> VirtualRep:
-    g = _gens()
-    chi, om = g["chi"], g["om"]
-    S4dual_pair = rs_product(
-        VirtualRep.of(sym_atom("pi", 4)),
-        VirtualRep.of(sym_atom("pi", 4, om ** (-4))),
-    )
-    return _sum(
-        [
-            (_ch(g["one"]), 1),
-            (rs_product(_A(), _A()), 1),
-            (S4dual_pair, 1),
-            (_A(), 2),
-            (rs_product(_A(), _S4("pi", chi)), 1),
-            (rs_product(_A(), _S4("pi", chi.inv())), 1),
-            (_S4("pi", chi), 1),
-            (_S4("pi", chi.inv()), 1),
-        ]
-    )
+_CLAIMED_5_3_3 = """
+    1  1
+    1  Ad(pi) (x) Ad(pi)
+    1  Sym^4(pi) (x) Sym^4(pi) tw omega^-4
+    2  Ad(pi)
+    1  Ad(pi) (x) Sym^4(pi) tw chi*omega^-2
+    1  Ad(pi) (x) Sym^4(pi) tw chi^-1*omega^-2
+    1  Sym^4(pi) tw chi*omega^-2
+    1  Sym^4(pi) tw chi^-1*omega^-2
+"""
 
 
 class IdentitySpec(NamedTuple):
     label: str
-    lhs: Callable[[], VirtualRep]
-    rhs: Callable[[], VirtualRep]
-    known_delta: Callable[[], dict[Entry, int]] | None = None
+    lhs: str | None  # display rows; None is the auxiliary product build_D()
+    rhs: str
+    known_delta: str | None = None  # signed rows, claimed minus required
     polycheck: bool = False
 
 
@@ -366,26 +290,22 @@ class CaseSpec(NamedTuple):
     k: int | None = None
     expected_pole: tuple[int, int] | None = None
     structural: bool = False
-    # isobaric operands for the pair-multiplicity pole rule; used instead
-    # of per-factor pole bookkeeping when the multiplied-out product would
-    # contain symmetric powers of undeclared cuspidality
-    pair_pole: Callable[[], tuple[VirtualRep, VirtualRep]] | None = None
+    # isobaric operands (expressions) for the pair-multiplicity pole rule;
+    # used instead of per-factor pole bookkeeping when the multiplied-out
+    # product would contain symmetric powers of undeclared cuspidality
+    pair_pole: tuple[str, str] | None = None
 
 
 def _aux_case(case_id, title, t1, t2, ell, k, pole, claimed, known_delta=None):
-    hyp = Hypotheses(t1, t2)
+    pairs = f"""
+    {ell}  Ad(pi) (x) Ad(pi') tw chi
+    {ell}  Ad(pi) (x) Ad(pi') tw chi^-1
+"""
     return CaseSpec(
         case_id,
         title,
-        hyp,
-        (
-            IdentitySpec(
-                "display",
-                lambda: build_D(),
-                lambda: claimed() + _lhs_pairs(ell),
-                known_delta,
-            ),
-        ),
+        Hypotheses(t1, t2),
+        (IdentitySpec("display", None, claimed + pairs, known_delta),),
         ell=ell,
         k=k,
         expected_pole=pole,
@@ -401,32 +321,30 @@ T, O, D, GEN = (
 
 
 def _build_cases() -> dict[str, CaseSpec]:
-    g = _gens()
-    chi, mu = g["chi"], g["mu"]
     cases = [
         _aux_case(
             "4.1", "both bases cubic-self-twist type", T, T, 6, 10, (6, 10),
-            _claimed_4_1,
+            _CLAIMED_4_1,
         ),
         _aux_case(
             "4.2", "cubic-self-twist with quadratic-self-twist", T, O, 6, 6,
-            (6, 6), _claimed_4_2,
+            (6, 6), _CLAIMED_4_2,
         ),
         _aux_case(
             "4.3", "both bases quadratic-self-twist type", O, O, 4, 7, (6, 7),
-            _claimed_4_3,
+            _CLAIMED_4_3,
         ),
         _aux_case(
             "4.4.1", "generic base with cubic-self-twist base", GEN, T, 4, 6,
-            (6, 6), _claimed_4_4_1,
+            (6, 6), _CLAIMED_4_4_1,
         ),
         _aux_case(
             "4.4.2", "generic base with quadratic-self-twist base", GEN, O, 4,
-            6, (6, 6), _claimed_4_4_2,
+            6, (6, 6), _CLAIMED_4_4_2,
         ),
         _aux_case(
             "4.4.3", "both bases generic", GEN, GEN, 4, 7, (6, 7),
-            _claimed_4_4_3, _delta_4_4_3,
+            _CLAIMED_4_4_3, _SLIP_4_4_3,
         ),
         CaseSpec(
             "5.1",
@@ -440,11 +358,7 @@ def _build_cases() -> dict[str, CaseSpec]:
             "5.2",
             "non-dihedral base against dihedral base",
             Hypotheses(GEN, D),
-            (
-                IdentitySpec(
-                    "factorization", _lhs_factor_case, _claimed_5_2
-                ),
-            ),
+            (IdentitySpec("factorization", _FACTOR, _CLAIMED_5_2),),
             expected_pole=(0, 0),
         ),
         CaseSpec(
@@ -453,28 +367,11 @@ def _build_cases() -> dict[str, CaseSpec]:
             Hypotheses(T, T, twist_equiv=True),
             (
                 IdentitySpec(
-                    "generic head", _lhs_selfpair, lambda: _head_5_3(),
-                    polycheck=True,
+                    "generic head", _SELFPAIR, _HEAD_5_3, polycheck=True
                 ),
-                IdentitySpec(
-                    "generic split",
-                    _lhs_selfpair,
-                    lambda: _ch(chi)
-                    + _A(chi)
-                    + (_A(chi) + _ch(chi * mu.inv()) + _ch(chi * mu)),
-                ),
-                IdentitySpec(
-                    "self-twist head",
-                    lambda: _subst_chi_mu(_lhs_selfpair()),
-                    lambda: _ch(g["one"]) + _A() + _S4("pi"),
-                ),
-                IdentitySpec(
-                    "self-twist split",
-                    lambda: _subst_chi_mu(_lhs_selfpair()),
-                    lambda: _ch(g["one"])
-                    + _A()
-                    + (_A() + _ch(mu) + _ch(mu.inv())),
-                ),
+                IdentitySpec("generic split", _SELFPAIR, _SPLIT_5_3_1),
+                IdentitySpec("self-twist head", _SELFPAIR_MU, _HEAD_5_3_MU),
+                IdentitySpec("self-twist split", _SELFPAIR_MU, _SPLIT_5_3_1_MU),
             ),
             expected_pole=(0, 3),
         ),
@@ -483,16 +380,8 @@ def _build_cases() -> dict[str, CaseSpec]:
             "twist-equivalent, quadratic-self-twist type",
             Hypotheses(O, O, twist_equiv=True),
             (
-                IdentitySpec(
-                    "head", _lhs_selfpair, lambda: _head_5_3(), polycheck=True
-                ),
-                IdentitySpec(
-                    "split",
-                    _lhs_selfpair,
-                    lambda: _ch(chi)
-                    + _A(chi)
-                    + (_nu("pi", chi) + _A(g["eta"] * chi)),
-                ),
+                IdentitySpec("head", _SELFPAIR, _HEAD_5_3, polycheck=True),
+                IdentitySpec("split", _SELFPAIR, _SPLIT_5_3_2),
             ),
             expected_pole=(0, 1),
         ),
@@ -502,13 +391,16 @@ def _build_cases() -> dict[str, CaseSpec]:
             Hypotheses(GEN, GEN, twist_equiv=True),
             (
                 IdentitySpec(
-                    "self-product", _lhs_5_3_3, _claimed_5_3_3, polycheck=True
+                    "self-product",
+                    f"1  ({_PI1}) (x) ({_PI1})~",
+                    _CLAIMED_5_3_3,
+                    polycheck=True,
                 ),
             ),
             ell=2,
             k=3,
             expected_pole=(3, 3),
-            pair_pole=lambda: (_Pi1(), _Pi1().dual()),
+            pair_pole=(_PI1, f"({_PI1})~"),
         ),
     ]
     return {c.case_id: c for c in cases}
@@ -584,8 +476,8 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
 
     pole_target = None
     for i, ident in enumerate(spec.identities):
-        lhs = ident.lhs()
-        rhs = ident.rhs()
+        lhs = build_D() if ident.lhs is None else _rows(ident.lhs)
+        rhs = _rows(ident.rhs)
         if tamper is not None and i == 0:
             rhs = _tampered(rhs, tamper)
         tag = f" ({ident.label})" if len(spec.identities) > 1 else ""
@@ -613,7 +505,7 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
             )
         )
         if ident.known_delta is not None and tamper is None:
-            known = ident.known_delta()
+            known = _signed(ident.known_delta)
             degshift = sum(m * k.degree for k, m in delta.items())
             ok = delta == known and degshift == 0
             rep.verdicts.append(
@@ -644,7 +536,7 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
                 pass
 
     if spec.structural:
-        dl = decompose_under(_lhs_factor_case(), spec.hyp)
+        dl = decompose_under(_rows(_FACTOR), spec.hyp)
         pole_target = dl
         bad = []
         for key, _m in dl.entries:
@@ -668,7 +560,7 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
         pole_target is not None or spec.pair_pole is not None
     ):
         if spec.pair_pole is not None:
-            left, right = spec.pair_pole()
+            left, right = map(parse_expr, spec.pair_pole)
             iv, reasons = isobaric_pair_pole(left, right, spec.hyp)
         else:
             iv, reasons = pole_order(pole_target, spec.hyp)
@@ -709,15 +601,13 @@ def verify_plethysm_bridge() -> CaseReport:
     the adjoint against the normalized fourth power and removing the
     denominator leaves exactly the symmetric square of the third power,
     both as multisets and as coefficient polynomials."""
-    g = _gens()
-    chi, om = g["chi"], g["om"]
     rep = CaseReport(
         "bridge",
         "symmetric-square-of-cube ratio identity",
         _hyp_desc(Hypotheses(GEN, GEN, twist_equiv=True)),
     )
-    numer = rs_product(_A(), _S4("pi", chi))
-    denom = _S4("pi", chi)
+    numer = parse_expr("Ad(pi) (x) Sym^4(pi) tw chi*omega^-2")
+    denom = parse_expr("Sym^4(pi) tw chi*omega^-2")
     ratio = numer.delta(denom)
 
     tags = plethysm_sym2(3)
@@ -729,11 +619,10 @@ def verify_plethysm_bridge() -> CaseReport:
         )
     )
 
-    pleth = _sum(
-        [
-            (VirtualRep.of(sym_atom("pi", d, chi * om ** (r - 3))), 1)
-            for d, r in tags
-        ]
+    G = standard_group()
+    chi, om = G.gen("chi"), G.gen("om_pi")
+    pleth = VirtualRep.build(
+        (sym_atom("pi", d, chi * om ** (r - 3)), 1) for d, r in tags
     )
     ok = ratio == dict(pleth.counter())
     rep.verdicts.append(

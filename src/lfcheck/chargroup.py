@@ -109,14 +109,6 @@ class FormalCharacter(NamedTuple):
             (g, e) for g, e in zip(self.group.generators, self.exps) if e
         )
 
-    def substitute(self, mapping: Mapping[str, "FormalCharacter"]) -> "FormalCharacter":
-        """Apply the homomorphism sending each named generator elsewhere."""
-        out = self.group.one()
-        for g, e in zip(self.group.generators, self.exps):
-            target = mapping.get(g)
-            out = out * (target ** e if target is not None else self.group.gen(g, e))
-        return out
-
     def sort_key(self) -> tuple[int, ...]:
         return self.exps
 

@@ -49,10 +49,6 @@ class PoleInterval(namedtuple("PoleInterval", "lo hi")):
     def scale(self, n: int) -> "PoleInterval":
         return PoleInterval(self.lo * n, self.hi * n)
 
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
 

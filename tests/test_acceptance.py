@@ -15,6 +15,7 @@ import time
 
 from lfcheck.casebook import (
     CASES,
+    _signed,
     run_all,
     verify_case,
     verify_plethysm_bridge,
@@ -98,7 +99,7 @@ def test_criterion_3_case_sweep():
             )
             ok = ok and ident.known_delta is not None
             if ident.known_delta is not None:
-                delta = ident.known_delta()
+                delta = _signed(ident.known_delta)
                 ok = ok and max(abs(m) for m in delta.values()) <= 4
                 ok = ok and sum(m * key.degree for key, m in delta.items()) == 0
             fix = names.get("discrepancy analysis")

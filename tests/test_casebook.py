@@ -6,7 +6,7 @@ from lfcheck.casebook import (
     CASE_IDS,
     CASES,
     CaseError,
-    _delta_4_4_3,
+    _signed,
     run_all,
     verify_case,
     verify_plethysm_bridge,
@@ -114,7 +114,7 @@ def test_known_erratum_shape():
 
 
 def test_recorded_slip_is_degree_neutral():
-    delta = _delta_4_4_3()
+    delta = _signed(CASES["4.4.3"].identities[0].known_delta)
     assert sorted(delta.values()) == [-2, -2, 4]
     assert sum(m * key.degree for key, m in delta.items()) == 0
     for key in delta:

@@ -68,16 +68,6 @@ def test_exponent_access():
     assert dict(c.support()) == {"chi": 1, "om_pi'": -1}
 
 
-def test_substitute_homomorphism():
-    mu = G.gen("mu_pi")
-    c = G.gen("chi") * G.gen("om_pi", -1)
-    out = c.substitute({"chi": mu})
-    assert out == mu * G.gen("om_pi", -1)
-    # substitution respects products
-    d = G.gen("chi", 2)
-    assert (c * d).substitute({"chi": mu}) == out * d.substitute({"chi": mu})
-
-
 def test_pretty_and_sort_are_stable():
     c = G.gen("chi") * G.gen("om_pi", -2)
     assert c.pretty() == "chi*om_pi^-2"

@@ -37,8 +37,6 @@ GEN2 = Hypotheses(GL2Type.GENERAL, GL2Type.GENERAL)
 def test_interval_arithmetic():
     assert PoleInterval(1, 2) + PoleInterval(0, 3) == PoleInterval(1, 5)
     assert PoleInterval(1, 2).scale(3) == PoleInterval(3, 6)
-    assert PoleInterval(2, 2).exact
-    assert not MAYBE.exact
     assert str(PoleInterval(0, 1)) == "[0, 1]"
 
 
