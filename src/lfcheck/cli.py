@@ -243,15 +243,27 @@ def _resolve_form(src: str, xmax: int):
     return load_eigenvalue_file(src), _file_digest(src)
 
 
+# largest --xmax and --lmax accepted: the sieve and the built-in tables take
+# memory linear in xmax and built-in Delta time faster than linear (about
+# 5 s at 10^5, minutes at the cap), and a scan checks primes(xmax) * lmax
+# points, so without caps one numeral could exhaust memory or run for days
+SCAN_XMAX = 10**6
+SCAN_LMAX = 64
+
+
 def _check_scan_args(args) -> None:
     # a NaN or infinite tolerance passes every check and a negative one fails
     # every point, so none of them gives a verdict worth reporting
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"--tol must be a finite number >= 0, got {args.tol:g}")
-    if args.lmax < 1:
-        raise UsageError(f"--lmax must be at least 1, got {args.lmax}")
-    if args.xmax < 2:
-        raise UsageError(f"--xmax must be at least 2, got {args.xmax}")
+    if not 1 <= args.lmax <= SCAN_LMAX:
+        raise UsageError(
+            f"--lmax must be between 1 and {SCAN_LMAX}, got {args.lmax}"
+        )
+    if not 2 <= args.xmax <= SCAN_XMAX:
+        raise UsageError(
+            f"--xmax must be between 2 and {SCAN_XMAX}, got {args.xmax}"
+        )
 
 
 def _cmd_scan(args) -> Report:

@@ -4,6 +4,7 @@ Golden transcripts live in tests/goldens/; regenerate with
 python3 tests/goldens/regen.py after an intentional output change.
 """
 
+import argparse
 import json
 import os
 import shutil
@@ -201,6 +202,12 @@ def test_sym_power_cap(capsys):
         ("--lmax", "-3"),
         ("--xmax", "-5"),
         ("--xmax", "1"),
+        # above the caps: with built-in forms these would exhaust memory or
+        # run for hours, so they too are refused before anything is allocated
+        ("--lmax", str(cli.SCAN_LMAX + 1)),
+        ("--lmax", str(10**8)),
+        ("--xmax", str(cli.SCAN_XMAX + 1)),
+        ("--xmax", str(10**18)),
     ],
 )
 def test_scan_vacuous_arguments_exit_two(tmp_path, capsys, option, value):
@@ -211,6 +218,14 @@ def test_scan_vacuous_arguments_exit_two(tmp_path, capsys, option, value):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {option} must be") and "missing" not in err
+
+
+def test_scan_caps_are_inclusive():
+    # a scan at the caps runs for minutes, so only the check is run here
+    assert (cli.SCAN_XMAX, cli.SCAN_LMAX) == (10**6, 64)  # as documented
+    cli._check_scan_args(
+        argparse.Namespace(tol=1e-9, xmax=cli.SCAN_XMAX, lmax=cli.SCAN_LMAX)
+    )
 
 
 def test_scan_smallest_valid_arguments(capsys):
