@@ -21,7 +21,13 @@ from typing import NamedTuple
 from . import Record
 from .chargroup import standard_group
 from .repalg import VirtualRep, ad_atom, rs_product, sym_atom, char_atom
-from .satake import LaurentPoly, _compile, coeff_poly, satake_point
+from .satake import (
+    CoefficientError,
+    LaurentPoly,
+    _compile,
+    coeff_poly,
+    satake_point,
+)
 
 
 def _om2bar(base: str):
@@ -252,6 +258,21 @@ class ScanResult(Record):
         return self.checked > 0 and not self.violations
 
 
+# the variables of a prepared point, in its order; P, x and z read no other
+_POINT_VARS = ("a_pi", "b_pi", "a_pi'", "b_pi'", "chi")
+
+
+def _bases(points):
+    """(p, base) in p order, where base maps each of the point's five
+    variables to its value, checked to be of unit modulus."""
+    for p, vals in sorted(points.items()):
+        base = dict(zip(_POINT_VARS, map(complex, vals)))
+        for name, v in base.items():
+            if abs(abs(v) - 1.0) > 1e-6:
+                raise CoefficientError(f"{name} is not unit modulus: {v!r}")
+        yield p, base
+
+
 def scan_positivity(
     points: dict[int, tuple[complex, complex, complex, complex, complex]],
     lmax: int = 3,
@@ -263,12 +284,8 @@ def scan_positivity(
     points maps p to (alpha1, beta1, alpha2, beta2, chi(p)).
     """
     res = ScanResult()
-    bases = (
-        (p, satake_point(a1, b1, a2, b2, {"chi": cv}, tol=1e-6))
-        for p, (a1, b1, a2, b2, cv) in sorted(points.items())
-    )
     fn, coefs = _scan_kernel()
-    for p, ell, direct, sos in fn(bases, lmax, *coefs):
+    for p, ell, direct, sos in fn(_bases(points), lmax, *coefs):
         delta = abs(direct.real - sos)
         res.checked += 1
         if res.min_at is None or direct.real < res.min_value:

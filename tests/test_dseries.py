@@ -4,6 +4,8 @@ import cmath
 import math
 import random
 
+import pytest
+
 from lfcheck import dseries
 from lfcheck.dseries import (
     NONNEGATIVITY,
@@ -24,7 +26,7 @@ from lfcheck.ingest import (
     prepare_scan_points,
     sieve,
 )
-from lfcheck.satake import VARS, LaurentPoly, satake_point
+from lfcheck.satake import VARS, CoefficientError, LaurentPoly, satake_point
 from test_satake import oracle_eval
 
 
@@ -198,6 +200,20 @@ def test_kernel_is_bit_equal_on_seeded_tables(monkeypatch, tmp_path):
     assert len(rows) == 8 * len(points)
     assert any(abs(r[2].imag) > 0 for r in rows)
     assert_bit_equal(rows, reference_rows(points, 8))
+
+
+def test_scan_refuses_a_point_off_the_unit_circle():
+    # each of the five values a point holds is checked, to within 1e-6
+    unit = cmath.exp(0.7j)
+    good = (unit, unit.conjugate(), 1j, -1j, -1.0)
+    near = 1 + 5e-7
+    assert scan_positivity({3: good, 5: (near, 1, 1, 1, 1)}, lmax=1).ok
+    names = ("a_pi", "b_pi", "a_pi'", "b_pi'", "chi")
+    for i, name in enumerate(names):
+        bad = list(good)
+        bad[i] *= 1 + 2e-6
+        with pytest.raises(CoefficientError, match=f"^{name} is not unit"):
+            scan_positivity({3: good, 7: tuple(bad)}, lmax=1)
 
 
 def test_scan_empty_not_ok():
