@@ -15,6 +15,24 @@ class InputError(ValueError):
     """Malformed or out-of-range input; the command line exits 2 on it."""
 
 
+def _split_lines(text: str) -> list[str]:
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file, without their ends, split where
+    text mode splits (at \\n, \\r\\n or \\r).  Bytes that are not UTF-8
+    raise an InputError naming the file and the line they are on."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = len(_split_lines(data[: e.start].decode("utf-8")))
+        raise InputError(f"{path}:{line}: not UTF-8 text") from None
+    return _split_lines(text)
+
+
 class Record:
     """Base of the mutable result records: each subclass lists its fields
     in `__slots__` and sets them in `__init__`."""
@@ -27,7 +45,7 @@ class Record:
 
 
 _EXPORTS = {
-    "chargroup": ("CharacterGroup", "FormalCharacter", "standard_group"),
+    "chargroup": ("FormalCharacter",),
     "hypotheses": ("GL2Type", "Hypotheses", "Tri", "classify"),
     "repalg": (
         "RepAtom",

@@ -34,7 +34,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import InputError, Record
-from .chargroup import standard_group
+from .chargroup import gen
 from .exprlang import parse_expr
 from .hypotheses import GL2Type, Hypotheses, classify
 from .repalg import (
@@ -619,8 +619,7 @@ def verify_plethysm_bridge() -> CaseReport:
         )
     )
 
-    G = standard_group()
-    chi, om = G.gen("chi"), G.gen("om_pi")
+    chi, om = gen("chi"), gen("om_pi")
     pleth = VirtualRep.build(
         (sym_atom("pi", d, chi * om ** (r - 3)), 1) for d, r in tags
     )

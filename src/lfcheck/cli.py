@@ -31,7 +31,7 @@ import sys
 import time
 from importlib import import_module
 
-from . import InputError, __version__
+from . import InputError, __version__, read_lines
 from .hypotheses import GL2Type, Hypotheses
 from .report import Report, Section, Verdict, digest, render_json, render_text
 
@@ -136,17 +136,16 @@ _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0"
 
 def parse_hyp_file(path: str) -> Hypotheses:
     fields: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key in fields:
-                raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
-            fields[key] = val
+    for lineno, raw in enumerate(read_lines(path), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in fields:
+            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
+        fields[key] = val
     for req in ("type_pi", "type_pi'"):
         if req not in fields:
             raise UsageError(f"{path}: missing required key {req!r}")

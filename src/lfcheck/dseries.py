@@ -19,26 +19,18 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import Record
-from .chargroup import standard_group
+from .chargroup import ONE, gen
 from .repalg import VirtualRep, ad_atom, rs_product, sym_atom, char_atom
-from .satake import (
-    CoefficientError,
-    LaurentPoly,
-    _compile,
-    coeff_poly,
-    satake_point,
-)
+from .satake import VARS, CoefficientError, LaurentPoly, coeff_poly, satake_point
 
 
 def _om2bar(base: str):
-    G = standard_group()
-    return G.gen("om_pi" if base == "pi" else "om_pi'") ** (-2)
+    return gen("om_pi" if base == "pi" else "om_pi'") ** (-2)
 
 
 def aux_factors() -> list[tuple[str, VirtualRep, int]]:
     """The fifteen factors in display order as (label, value, multiplicity)."""
-    G = standard_group()
-    chi = G.gen("chi")
+    chi = gen("chi")
     A = VirtualRep.of(ad_atom("pi"))
     A2 = VirtualRep.of(ad_atom("pi'"))
     A2chi = VirtualRep.of(ad_atom("pi'", chi))
@@ -47,7 +39,7 @@ def aux_factors() -> list[tuple[str, VirtualRep, int]]:
     S42 = VirtualRep.of(sym_atom("pi'", 4, _om2bar("pi'")))
     S4chi = VirtualRep.of(sym_atom("pi", 4, chi * _om2bar("pi")))
     S4chibar = VirtualRep.of(sym_atom("pi", 4, chi.inv() * _om2bar("pi")))
-    one = VirtualRep.of(char_atom(G.one()))
+    one = VirtualRep.of(char_atom(ONE))
     out = [
         ("zeta", one, 6),
         ("A x A'(chi)", rs_product(A, A2chi), 4),
@@ -83,10 +75,9 @@ _CACHE: dict[str, LaurentPoly] = {}
 def _polys() -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     """(full coefficient polynomial, x, z), cached."""
     if "P" not in _CACHE:
-        G = standard_group()
         _CACHE["P"] = coeff_poly(build_D())
         _CACHE["x"] = coeff_poly(VirtualRep.of(ad_atom("pi")))
-        _CACHE["z"] = coeff_poly(VirtualRep.of(ad_atom("pi'", G.gen("chi"))))
+        _CACHE["z"] = coeff_poly(VirtualRep.of(ad_atom("pi'", gen("chi"))))
     return _CACHE["P"], _CACHE["x"], _CACHE["z"]
 
 
@@ -170,28 +161,84 @@ def a_D_value(point: dict[str, complex]) -> complex:
     return P.eval(point)
 
 
+def _compile(polys):
+    """(generator function, coefficients): the scan loop over `polys`,
+    which are P, x and z.
+
+    fn(bases, lmax, c0, c1, c2), where c<k> is `coefficients[k]`, the
+    values of polys[k] in dict order, yields (p, l, direct, square) for
+    each (p, base) of `bases` and l = 1..lmax: P at the point base ** l,
+    and the closed square |2x + xz + z|^2 there.  Variable j of VARS is
+    read as base[<name>] ** l and bound once to u<j>, and only if some
+    polynomial uses it.  The source names only variables, exponents and
+    indices, never a coefficient.
+
+    Each distinct power u ** e is computed once and shared by every
+    polynomial.  Every term starts from its coefficient, multiplies its
+    factors in VARS order and is added to its sum in dict order; a product
+    of a coefficient value and leading factors that two or more terms start
+    with is computed once.  These are the floating-point operations of
+    term-by-term evaluation on the same inputs, so every value is
+    bit-identical to it.  One statement per term keeps long polynomials
+    inside the compiler's nesting limit.
+    """
+    powers: dict[tuple[int, int], int] = {}  # (j, e) -> n of w<n>
+    coefs = tuple(tuple(complex(v) for v in q.c.values()) for q in polys)
+    terms = []  # (k, i, coefficient value, power numbers in VARS order)
+    uses: dict[tuple, int] = {}  # (value, leading powers) -> terms sharing it
+    for k, q in enumerate(polys):
+        for i, key in enumerate(q.c):
+            ws = tuple(
+                powers.setdefault((j, e), len(powers))
+                for j, e in enumerate(key)
+                if e
+            )
+            cv = coefs[k][i]
+            terms.append((k, i, cv, ws))
+            for n in range(1, len(ws) + 1):
+                uses[cv, ws[:n]] = uses.get((cv, ws[:n]), 0) + 1
+    lines = [
+        f"u{j} = base[{VARS[j]!r}] ** l"
+        for j in sorted({j for j, _e in powers})
+    ]
+    lines += [f"w{n} = u{j} ** {e:d}" for (j, e), n in powers.items()]
+    temps: dict[tuple, str] = {}  # shared prefix -> its t<n>
+    sums: list[list[str]] = [[] for _ in polys]
+    for k, i, cv, ws in terms:
+        head, n = f"c{k}[{i}]", 0
+        while n < len(ws) and uses[cv, ws[: n + 1]] > 1:
+            n += 1
+            if (cv, ws[:n]) not in temps:
+                temps[cv, ws[:n]] = f"t{len(temps)}"
+                lines.append(f"{temps[cv, ws[:n]]} = {head} * w{ws[n - 1]}")
+            head = temps[cv, ws[:n]]
+        sums[k].append(f"s{k} += {head}" + "".join(f" * w{w}" for w in ws[n:]))
+    for k, body in enumerate(sums):
+        lines += [f"s{k} = 0j", *body]
+    lines.append("yield p, l, s0, abs(2 * s1 + s1 * s2 + s2) ** 2")
+    src = "".join(
+        [
+            "def _f(bases, lmax, c0, c1, c2):\n",
+            "    for p, base in bases:\n",
+            "        for l in range(1, lmax + 1):\n",
+            *(f"            {line}\n" for line in lines),
+        ]
+    )
+    ns: dict = {}
+    exec(compile(src, "<scan loop>", "exec"), ns)
+    return ns["_f"], coefs
+
+
 # the compiled scan loop and the coefficient dicts it was built from
 _KERNEL: list = [None, (None, None, None)]
 
 
 def _scan_kernel():
-    """(generator function, coefficients) for the current (P, x, z), compiled
-    by `_compile` and rebuilt whenever one of their dicts is rebound.
-
-    fn(bases, lmax, *coefficients) yields (p, l, direct, square) for each
-    (p, base) of `bases` and l = 1..lmax: P at the point base ** l, and the
-    closed square |2x + xz + z|^2 there.  Only the variables the three
-    polynomials use are read, and their powers are shared among them.
-    """
+    """(generator function, coefficients) for the current (P, x, z), built
+    by `_compile` and rebuilt whenever one of their dicts is rebound."""
     polys = _polys()
     if any(q.c is not c for q, c in zip(polys, _KERNEL[1])):
-        _KERNEL[0] = _compile(
-            "bases, lmax",
-            ["for p, base in bases:", "for l in range(1, lmax + 1):"],
-            polys,
-            "base[{name!r}] ** l",
-            "yield p, l, s0, abs(2 * s1 + s1 * s2 + s2) ** 2",
-        )
+        _KERNEL[0] = _compile(polys)
         _KERNEL[1] = tuple(q.c for q in polys)
     return _KERNEL[0]
 

@@ -6,8 +6,9 @@ Grammar (tightest first):
     (+)       isobaric sum
     atoms     pi, pi', Sym^m(pi), Ad(pi), nu_pi, ind_pi (and primed forms),
               character products like chi, omega^-2, chi*mu', 1
-Parentheses group.  Character names: chi, omega, omega', mu, mu', eta,
-eta', xiF, xiF'; powers with ^, products with *.
+Parentheses group, nested at most NEST_MAX deep.  Character names: chi,
+omega, omega', mu, mu', eta, eta', xiF, xiF'; powers with ^, products
+with *.
 
 >>> parse_expr("Ad(pi) (x) Ad(pi) tw chi").degree
 9
@@ -20,9 +21,10 @@ from __future__ import annotations
 import re
 
 from . import InputError
-from .chargroup import FormalCharacter, standard_group
+from .chargroup import ONE, STD_GENERATORS, FormalCharacter, gen
 from .repalg import (
     VirtualRep,
+    ad_atom,
     char_atom,
     opaque_atom,
     rs_product,
@@ -56,6 +58,11 @@ SYM_MAX = 64
 # limit (4300 by default) with a ValueError, and no meaningful power needs
 # more than a few digits, so longer numerals are refused before conversion
 NUMERAL_DIGITS = 18
+
+# deepest parenthesis nesting accepted: the parser recurses through four
+# calls per level, so a few hundred levels would exhaust the interpreter's
+# recursion limit; the casebook's display rows nest at most two levels
+NEST_MAX = 32
 
 _TOKEN = re.compile(
     r"""\s*(?:
@@ -96,6 +103,7 @@ class _Parser:
     def __init__(self, src: str):
         self.toks = _tokenize(src)
         self.i = 0
+        self.depth = 0  # parentheses open around the current position
 
     def peek(self) -> tuple[str, str]:
         return self.toks[self.i]
@@ -147,12 +155,18 @@ class _Parser:
         k, v = self.peek()
         if (k, v) == ("punct", "("):
             self.next()
+            if self.depth == NEST_MAX:
+                raise ExprError(
+                    f"parentheses nest deeper than the largest depth, {NEST_MAX}"
+                )
+            self.depth += 1
             inner = self.expr()
             self.expect("punct", ")")
+            self.depth -= 1
             return inner
         if k == "int" and v == "1":
             self.next()
-            return VirtualRep.of(char_atom(standard_group().one()))
+            return VirtualRep.of(char_atom(ONE))
         if k != "name":
             raise ExprError(f"expected an atom, got {v or 'end of input'!r}")
         if v in ("Sym", "Ad"):
@@ -185,8 +199,7 @@ class _Parser:
             raise ExprError(f"lift base must be pi or pi', got {base!r}")
         self.expect("punct", ")")
         if head == "Ad":
-            om = standard_group().gen("om_pi" if base == "pi" else "om_pi'")
-            return VirtualRep.of(sym_atom(base, 2, om.inv()))
+            return VirtualRep.of(ad_atom(base))
         return VirtualRep.of(sym_atom(base, m))
 
     # charprod := charfac { "*" charfac }
@@ -200,13 +213,13 @@ class _Parser:
     def charfac(self) -> FormalCharacter:
         k, v = self.next()
         if k == "int" and v == "1":
-            base = standard_group().one()
+            base = ONE
         elif k == "name" and v in ("one", "zeta"):
-            base = standard_group().one()
+            base = ONE
         elif k == "name" and v in CHAR_NAMES:
-            base = standard_group().gen(CHAR_NAMES[v])
-        elif k == "name" and v in standard_group().generators:
-            base = standard_group().gen(v)
+            base = gen(CHAR_NAMES[v])
+        elif k == "name" and v in STD_GENERATORS:
+            base = gen(v)
         else:
             raise ExprError(f"expected a character name, got {v!r}")
         if self.peek() == ("punct", "^"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .chargroup import FormalCharacter, standard_group
+from .chargroup import ONE, STD_ORDERS, FormalCharacter, gen
 
 
 class Tri(enum.Enum):
@@ -83,7 +83,7 @@ def is_trivial(c: FormalCharacter, hyp: Hypotheses) -> Tri:
         return Tri.YES
     if len(supp) == 1:
         g, _e = supp[0]
-        n = c.group.orders.get(g)
+        n = STD_ORDERS.get(g)
         if n in _PRIME_ORDERS and g in nontrivial_gens(hyp):
             return Tri.NO
     return Tri.UNKNOWN
@@ -95,11 +95,10 @@ def ad_selftwists(base: str, hyp: Hypotheses) -> tuple[FormalCharacter, ...]:
     Trivial unless the Sym^3-degenerate shape is declared, in which case it
     is {1, mu, mu^2}.
     """
-    G = standard_group()
     if hyp.type_of(base) is GL2Type.TETRAHEDRAL:
-        mu = G.gen(f"mu_pi{_primed(base)}")
-        return (G.one(), mu, mu * mu)
-    return (G.one(),)
+        mu = gen(f"mu_pi{_primed(base)}")
+        return (ONE, mu, mu * mu)
+    return (ONE,)
 
 
 def member_of(

@@ -15,7 +15,7 @@ import math
 import sys
 from operator import add, sub
 
-from . import InputError, Record
+from . import InputError, Record, read_lines
 
 
 class IngestError(InputError):
@@ -125,18 +125,6 @@ def _grow_eta24(nmax: int) -> list[int]:
     return f
 
 
-def eta24_series(nmax: int) -> tuple[int, ...]:
-    """Coefficients of prod_{n>=1} (1-q^n)^24 through q^nmax."""
-    return tuple(_grow_eta24(nmax)[: max(nmax + 1, 0)])
-
-
-def tau(n: int) -> int:
-    """Ramanujan tau."""
-    if n < 1:
-        raise IngestError("tau is defined for n >= 1")
-    return _grow_eta24(n - 1)[n - 1]
-
-
 def delta_eigenvalues(xmax: int) -> dict[int, int]:
     """a_p of the weight-12 level-1 form for primes p <= xmax."""
     series = _grow_eta24(xmax)
@@ -224,64 +212,63 @@ def load_eigenvalue_file(path: str) -> NewformData:
     lines: '<p>\\t<a_p>'.  Validates primality, duplicates, and the exact
     eigenvalue bound."""
     form = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if form is None:
-                parts = line.split()
-                if len(parts) != 4 or parts[0] != "#weight" or parts[2] != "level":
-                    raise IngestError(
-                        f"{path}:{lineno}: expected header "
-                        f"'#weight <k> level <N>', got {line!r}"
-                    )
-                try:
-                    k, N = int(parts[1]), int(parts[3])
-                except ValueError:
-                    _refuse_long_numeral(f"{path}:{lineno}", "weight", parts[1])
-                    _refuse_long_numeral(f"{path}:{lineno}", "level", parts[3])
-                    raise IngestError(
-                        f"{path}:{lineno}: non-integer weight or level"
-                    ) from None
-                if k < 1 or N < 1:
-                    raise IngestError(f"{path}:{lineno}: weight and level must be >= 1")
-                form = NewformData(k, N, {}, path)
-                continue
-            if line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
+    for lineno, raw in enumerate(read_lines(path), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if form is None:
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "#weight" or parts[2] != "level":
                 raise IngestError(
-                    f"{path}:{lineno}: expected '<p>\\t<a_p>', got {line!r}"
+                    f"{path}:{lineno}: expected header "
+                    f"'#weight <k> level <N>', got {line!r}"
                 )
             try:
-                p, ap = int(fields[0]), int(fields[1])
+                k, N = int(parts[1]), int(parts[3])
             except ValueError:
-                _refuse_long_numeral(f"{path}:{lineno}", "p", fields[0])
-                _refuse_long_numeral(f"{path}:{lineno}", "a_p", fields[1])
-                raise IngestError(f"{path}:{lineno}: non-integer entry") from None
-            if p >= MR_LIMIT:
+                _refuse_long_numeral(f"{path}:{lineno}", "weight", parts[1])
+                _refuse_long_numeral(f"{path}:{lineno}", "level", parts[3])
                 raise IngestError(
-                    f"{path}:{lineno}: {p} is too large to certify as prime "
-                    f"(limit {MR_LIMIT})"
-                )
-            if not is_prime(p):
-                raise IngestError(f"{path}:{lineno}: {p} is not prime")
-            if p in form.ap:
-                raise IngestError(f"{path}:{lineno}: duplicate prime {p}")
-            # sqrt(p^(k-1)) is taken in floats; bit lengths catch a huge k first
-            w = form.weight - 1
-            if w * (p.bit_length() - 1) >= 1024 or p**w > _FLOAT_MAX:
-                raise IngestError(
-                    f"{path}:{lineno}: p^(k-1) = {p}^{w} is too large for a float"
-                )
-            if form.level % p != 0 and not deligne_ok(ap, p, form.weight):
-                raise BoundError(
-                    f"{path}:{lineno}: a_p={ap} violates the eigenvalue "
-                    f"bound at p={p} for weight {form.weight}"
-                )
-            form.ap[p] = ap
+                    f"{path}:{lineno}: non-integer weight or level"
+                ) from None
+            if k < 1 or N < 1:
+                raise IngestError(f"{path}:{lineno}: weight and level must be >= 1")
+            form = NewformData(k, N, {}, path)
+            continue
+        if line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise IngestError(
+                f"{path}:{lineno}: expected '<p>\\t<a_p>', got {line!r}"
+            )
+        try:
+            p, ap = int(fields[0]), int(fields[1])
+        except ValueError:
+            _refuse_long_numeral(f"{path}:{lineno}", "p", fields[0])
+            _refuse_long_numeral(f"{path}:{lineno}", "a_p", fields[1])
+            raise IngestError(f"{path}:{lineno}: non-integer entry") from None
+        if p >= MR_LIMIT:
+            raise IngestError(
+                f"{path}:{lineno}: {p} is too large to certify as prime "
+                f"(limit {MR_LIMIT})"
+            )
+        if not is_prime(p):
+            raise IngestError(f"{path}:{lineno}: {p} is not prime")
+        if p in form.ap:
+            raise IngestError(f"{path}:{lineno}: duplicate prime {p}")
+        # sqrt(p^(k-1)) is taken in floats; bit lengths catch a huge k first
+        w = form.weight - 1
+        if w * (p.bit_length() - 1) >= 1024 or p**w > _FLOAT_MAX:
+            raise IngestError(
+                f"{path}:{lineno}: p^(k-1) = {p}^{w} is too large for a float"
+            )
+        if form.level % p != 0 and not deligne_ok(ap, p, form.weight):
+            raise BoundError(
+                f"{path}:{lineno}: a_p={ap} violates the eigenvalue "
+                f"bound at p={p} for weight {form.weight}"
+            )
+        form.ap[p] = ap
     if form is None:
         raise IngestError(f"{path}: empty file")
     if not form.ap:
@@ -359,35 +346,34 @@ def parse_char_spec(spec: str) -> CharacterData:
         return CharacterData(abs(4 * d), spec)
     table: dict[int, complex] = {}
     try:
-        fh = open(spec)
+        lines = read_lines(spec)
     except OSError:
         raise IngestError(
             f"character spec {spec!r} is neither 'trivial', 'kronecker:<d>', "
             "nor a readable file"
         ) from None
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise IngestError(
-                    f"{spec}:{lineno}: expected '<p>\\t<re>\\t<im>'"
-                )
-            try:
-                p = int(fields[0])
-                v = complex(float(fields[1]), float(fields[2]))
-            except ValueError:
-                _refuse_long_numeral(f"{spec}:{lineno}", "p", fields[0])
-                raise IngestError(f"{spec}:{lineno}: bad number") from None
-            # written so that a NaN part fails too: a NaN value would make
-            # every check at its point pass
-            if not abs(abs(v) - 1) <= 1e-6:
-                raise IngestError(
-                    f"{spec}:{lineno}: character value not unit modulus"
-                )
-            table[p] = v
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise IngestError(
+                f"{spec}:{lineno}: expected '<p>\\t<re>\\t<im>'"
+            )
+        try:
+            p = int(fields[0])
+            v = complex(float(fields[1]), float(fields[2]))
+        except ValueError:
+            _refuse_long_numeral(f"{spec}:{lineno}", "p", fields[0])
+            raise IngestError(f"{spec}:{lineno}: bad number") from None
+        # written so that a NaN part fails too: a NaN value would make
+        # every check at its point pass
+        if not abs(abs(v) - 1) <= 1e-6:
+            raise IngestError(
+                f"{spec}:{lineno}: character value not unit modulus"
+            )
+        table[p] = v
     if not table:
         raise IngestError(f"{spec}: no character rows")
     return CharacterData(1, spec, table)

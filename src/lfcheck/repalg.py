@@ -21,7 +21,7 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Union
 
 from . import InputError
-from .chargroup import FormalCharacter, standard_group
+from .chargroup import ONE, STD_ORDERS, FormalCharacter, gen
 from .hypotheses import GL2Type, Hypotheses, Tri, ad_selftwists, is_trivial, member_of
 
 
@@ -35,9 +35,8 @@ class PairOperandError(RepAlgError):
 
 class OpaqueInfo(NamedTuple):
     degree: int
-    # the extra twist (as generator exponents) picked up under
-    # contragredient; () means self-dual
-    dual_twist: tuple[tuple[str, int], ...]
+    # the extra twist picked up under contragredient; ONE means self-dual
+    dual_twist: FormalCharacter
     selftwist_gens: tuple[str, ...] = ()
 
 
@@ -45,10 +44,10 @@ class OpaqueInfo(NamedTuple):
 # central character eta and eta itself a self-twist.  ind is the induced
 # square in the dihedral shape; Ind(theta)~ = Ind(theta) (x) conj(theta|_F).
 _OPAQUE: dict[str, OpaqueInfo] = {
-    "nu_pi": OpaqueInfo(2, (), ("eta_pi",)),
-    "nu_pi'": OpaqueInfo(2, (), ("eta_pi'",)),
-    "ind_pi": OpaqueInfo(2, (("xiF_pi", -2),)),
-    "ind_pi'": OpaqueInfo(2, (("xiF_pi'", -2),)),
+    "nu_pi": OpaqueInfo(2, ONE, ("eta_pi",)),
+    "nu_pi'": OpaqueInfo(2, ONE, ("eta_pi'",)),
+    "ind_pi": OpaqueInfo(2, gen("xiF_pi", -2)),
+    "ind_pi'": OpaqueInfo(2, gen("xiF_pi'", -2)),
 }
 
 
@@ -60,22 +59,21 @@ def opaque_info(label: str) -> OpaqueInfo:
 
 
 def _om(base: str) -> FormalCharacter:
-    return standard_group().gen("om_pi" if base == "pi" else "om_pi'")
+    return gen("om_pi" if base == "pi" else "om_pi'")
 
 
 def _subgroup(gen_names: Iterable[str]) -> tuple[FormalCharacter, ...]:
     """All elements of the finite subgroup generated by the named generators."""
-    G = standard_group()
-    gens = [(G.gen(n), G.orders.get(n, 0)) for n in gen_names]
+    gens = [(gen(n), STD_ORDERS.get(n, 0)) for n in gen_names]
     if any(order == 0 for _g, order in gens):
         raise RepAlgError("self-twist generator without declared finite order")
     out = []
     for exps in itertools.product(*(range(order) for _g, order in gens)):
-        c = G.one()
+        c = ONE
         for (g, _o), e in zip(gens, exps):
             c = c * g**e
         out.append(c)
-    return tuple(out) if out else (G.one(),)
+    return tuple(out) if out else (ONE,)
 
 
 def _canon_twist(
@@ -107,7 +105,7 @@ class RepAtom(NamedTuple):
         return RepAtom(self.kind, self.base, self.m, self.label, self.twist * c)
 
     def core(self) -> "RepAtom":
-        return RepAtom(self.kind, self.base, self.m, self.label, self.twist.group.one())
+        return RepAtom(self.kind, self.base, self.m, self.label, ONE)
 
     def dual(self) -> "RepAtom":
         """Contragredient; inverts the twist and the structural determinant."""
@@ -116,8 +114,7 @@ class RepAtom(NamedTuple):
             return RepAtom("char", "", 0, "", c)
         if self.kind == "sym":
             return RepAtom("sym", self.base, self.m, "", c * _om(self.base) ** (-self.m))
-        adj = standard_group().from_dict(dict(opaque_info(self.label).dual_twist))
-        return opaque_atom(self.label, c * adj)
+        return opaque_atom(self.label, c * opaque_info(self.label).dual_twist)
 
     def sort_key(self):
         return (0, self.kind, self.base, self.m, self.label, self.twist.exps)
@@ -148,7 +145,7 @@ def sym_atom(base: str, m: int, twist: FormalCharacter | None = None) -> RepAtom
         raise RepAlgError(f"unknown base {base!r}")
     if m < 0:
         raise RepAlgError("negative symmetric power")
-    t = twist if twist is not None else standard_group().one()
+    t = twist if twist is not None else ONE
     if m == 0:
         return char_atom(t)
     return RepAtom("sym", base, m, "", t)
@@ -156,7 +153,7 @@ def sym_atom(base: str, m: int, twist: FormalCharacter | None = None) -> RepAtom
 
 def opaque_atom(label: str, twist: FormalCharacter | None = None) -> RepAtom:
     info = opaque_info(label)
-    t = twist if twist is not None else standard_group().one()
+    t = twist if twist is not None else ONE
     if info.selftwist_gens:
         t = _canon_twist(t, _subgroup(info.selftwist_gens))
     return RepAtom("op", "", 0, label, t)
@@ -164,7 +161,7 @@ def opaque_atom(label: str, twist: FormalCharacter | None = None) -> RepAtom:
 
 def ad_atom(base: str, twist: FormalCharacter | None = None) -> RepAtom:
     """The adjoint: Sym^2 (x) conj(central character)."""
-    t = twist if twist is not None else standard_group().one()
+    t = twist if twist is not None else ONE
     return sym_atom(base, 2, t * _om(base).inv())
 
 
@@ -197,8 +194,8 @@ class RSPair(NamedTuple):
             if core.kind == "sym" and core.m == 2:
                 return f"Ad({core.base})", _om(core.base).inv()
             if core.kind == "sym":
-                return f"Sym^{core.m}({core.base})", core.twist.group.one()
-            return core.label, core.twist.group.one()
+                return f"Sym^{core.m}({core.base})", ONE
+            return core.label, ONE
 
         na, ca = dress(self.a)
         nb, cb = dress(self.b)
@@ -371,7 +368,6 @@ def rs_product(A: VirtualRep, B: VirtualRep) -> VirtualRep:
 def _decompose_atom(atom: RepAtom, hyp: Hypotheses) -> list[tuple[RepAtom, int]] | None:
     if atom.kind != "sym":
         return None
-    G = standard_group()
     t = hyp.type_of(atom.base)
     s = "" if atom.base == "pi" else "'"
     om = _om(atom.base)
@@ -379,17 +375,17 @@ def _decompose_atom(atom: RepAtom, hyp: Hypotheses) -> list[tuple[RepAtom, int]]
     if atom.m == 2 and t is GL2Type.DIHEDRAL:
         return [
             (opaque_atom(f"ind_pi{s}", c), 1),
-            (char_atom(G.gen(f"xiF_pi{s}") * c), 1),
+            (char_atom(gen(f"xiF_pi{s}") * c), 1),
         ]
     if atom.m == 4 and t is GL2Type.TETRAHEDRAL:
-        mu = G.gen(f"mu_pi{s}")
+        mu = gen(f"mu_pi{s}")
         return [
             (sym_atom(atom.base, 2, c * om), 1),
             (char_atom(mu * c * om**2), 1),
             (char_atom(mu * mu * c * om**2), 1),
         ]
     if atom.m == 4 and t is GL2Type.OCTAHEDRAL:
-        eta = G.gen(f"eta_pi{s}")
+        eta = gen(f"eta_pi{s}")
         return [
             (opaque_atom(f"nu_pi{s}", c * om**2), 1),
             (sym_atom(atom.base, 2, eta * c * om), 1),
@@ -415,7 +411,7 @@ def _hyp_canon(key: Entry, hyp: Hypotheses) -> Entry:
     def sub_of(core: RepAtom) -> tuple[FormalCharacter, ...]:
         if core.kind == "sym" and core.m == 2:
             return ad_selftwists(core.base, hyp)
-        return (standard_group().one(),)
+        return (ONE,)
 
     if isinstance(key, RepAtom):
         if key.kind == "sym" and key.m == 2:
@@ -468,9 +464,7 @@ def atom_equal(x: RepAtom, y: RepAtom, hyp: Hypotheses) -> Tri:
         if x.label != y.label:
             return Tri.UNKNOWN
         info = opaque_info(x.label)
-        sub = _subgroup(info.selftwist_gens) if info.selftwist_gens else (
-            standard_group().one(),
-        )
+        sub = _subgroup(info.selftwist_gens) if info.selftwist_gens else (ONE,)
         return member_of(y.twist * x.twist.inv(), sub, hyp)
     # symmetric-power atoms of equal degree
     if x.m != y.m:

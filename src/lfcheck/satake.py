@@ -32,81 +32,15 @@ def _reduce(key: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(e % m if m else e for e, m in zip(key, _MODV))
 
 
-def _compile(params: str, loops: list[str], polys, read: str, result: str):
-    """(function, coefficients): the straight-line evaluation of `polys`.
-
-    The function takes `params` and then one tuple c<k> per polynomial
-    (`coefficients[k]`).  Inside the `loops`, each nested in the one before,
-    it sets s<k> to the value of polys[k] at one point and runs the
-    statement `result`.  Variable j of VARS is `read` formatted with its
-    name, bound once to u<j>.  The source names only variables, exponents
-    and indices, never a coefficient.
-
-    Each distinct power u ** e is computed once and shared by every
-    polynomial.  Every term starts from its coefficient, multiplies its
-    factors in VARS order and is added to its sum in dict order; a product
-    of a coefficient value and leading factors that two or more terms start
-    with is computed once.  These are the floating-point operations of
-    term-by-term evaluation on the same inputs, so every value is
-    bit-identical to it.  One statement per term keeps long polynomials
-    inside the compiler's nesting limit.
-    """
-    powers: dict[tuple[int, int], int] = {}  # (j, e) -> n of w<n>
-    coefs = tuple(tuple(complex(v) for v in q.c.values()) for q in polys)
-    terms = []  # (k, i, coefficient value, power numbers in VARS order)
-    uses: dict[tuple, int] = {}  # (value, leading powers) -> terms sharing it
-    for k, q in enumerate(polys):
-        for i, key in enumerate(q.c):
-            ws = tuple(
-                powers.setdefault((j, e), len(powers))
-                for j, e in enumerate(key)
-                if e
-            )
-            cv = coefs[k][i]
-            terms.append((k, i, cv, ws))
-            for n in range(1, len(ws) + 1):
-                uses[cv, ws[:n]] = uses.get((cv, ws[:n]), 0) + 1
-    lines = [
-        f"u{j} = {read.format(name=VARS[j])}"
-        for j in sorted({j for j, _e in powers})
-    ]
-    lines += [f"w{n} = u{j} ** {e:d}" for (j, e), n in powers.items()]
-    temps: dict[tuple, str] = {}  # shared prefix -> its t<n>
-    sums: list[list[str]] = [[] for _ in polys]
-    for k, i, cv, ws in terms:
-        head, n = f"c{k}[{i}]", 0
-        while n < len(ws) and uses[cv, ws[: n + 1]] > 1:
-            n += 1
-            if (cv, ws[:n]) not in temps:
-                temps[cv, ws[:n]] = f"t{len(temps)}"
-                lines.append(f"{temps[cv, ws[:n]]} = {head} * w{ws[n - 1]}")
-            head = temps[cv, ws[:n]]
-        sums[k].append(f"s{k} += {head}" + "".join(f" * w{w}" for w in ws[n:]))
-    for k, body in enumerate(sums):
-        lines += [f"s{k} = 0j", *body]
-    coef_params = "".join(f", c{k}" for k in range(len(polys)))
-    indent = "    " * (len(loops) + 1)
-    src = "".join(
-        [
-            f"def _f({params}{coef_params}):\n",
-            *(f"{'    ' * d}{loop}\n" for d, loop in enumerate(loops, 1)),
-            *(f"{indent}{line}\n" for line in [*lines, result]),
-        ]
-    )
-    ns: dict = {}
-    exec(compile(src, "<straight-line evaluation>", "exec"), ns)
-    return ns["_f"], coefs
-
-
 class LaurentPoly:
     """Integer-coefficient Laurent polynomial over the variable universe.
 
     `c` maps exponent tuples (in VARS order) to nonzero integer coefficients.
-    Code may rebind `c` but never mutates the dict in place; eval caches a
-    function compiled from the dict it last saw.
+    Code may rebind `c` but never mutates the dict in place; the scan's
+    compiled loop is keyed on the dicts it was built from.
     """
 
-    __slots__ = ("c", "_fn", "_fn_of")
+    __slots__ = ("c",)
 
     def __init__(self, coeffs: dict[tuple[int, ...], int] | None = None):
         c: dict[tuple[int, ...], int] = {}
@@ -117,7 +51,6 @@ class LaurentPoly:
                 if not c[k]:
                     del c[k]
         self.c = c
-        self._fn_of = None
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -173,21 +106,22 @@ class LaurentPoly:
         r.c = {_reduce(tuple(-e for e in k)): v for k, v in self.c.items()}
         return r
 
-    def _evaluator(self):
-        """(function, coefficients) compiled from `c` by `_compile`:
-        built on the first eval and again whenever `c` has been rebound."""
-        if self._fn_of is not self.c:
-            fn, coefs = _compile("v", [], [self], "v[{name!r}]", "return s0")
-            self._fn = (fn, coefs[0])
-            self._fn_of = self.c
-        return self._fn
-
     def eval(self, vals: dict[str, complex]) -> complex:
+        """The value at one point, term by term: each term starts from its
+        coefficient and multiplies in v ** e for its variables in VARS
+        order, and the terms are summed in dict order."""
         if not vals.keys() >= _VARSET:
             missing = [n for n in VARS if n not in vals]
             raise CoefficientError(f"missing evaluation values for {missing}")
-        fn, coefs = self._evaluator()
-        return fn(vals, coefs)
+        point = tuple(vals[n] for n in VARS)
+        s = 0j
+        for key, v in self.c.items():
+            term = complex(v)
+            for x, e in zip(point, key):
+                if e:
+                    term *= x**e
+            s += term
+        return s
 
     @property
     def n_terms(self) -> int:

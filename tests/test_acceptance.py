@@ -20,16 +20,14 @@ from lfcheck.casebook import (
     verify_case,
     verify_plethysm_bridge,
 )
-from lfcheck.chargroup import standard_group
+from lfcheck import chargroup as G
 from lfcheck.cli import main
 from lfcheck.dseries import a_D_value, scan_positivity, verify_sos
 from lfcheck.ingest import (
     builtin_form,
-    eta24_series,
     parse_char_spec,
     prepare_scan_points,
     sieve,
-    tau,
 )
 from lfcheck.repalg import (
     VirtualRep,
@@ -40,7 +38,7 @@ from lfcheck.repalg import (
     sym_atom,
 )
 from lfcheck.satake import coeff_poly, satake_point
-from test_ingest import naive_product_series
+from test_ingest import eta24_series, naive_product_series, tau
 
 TOL = 1e-9
 
@@ -139,18 +137,18 @@ def test_criterion_5_positivity_scan():
     _line(5, "positivity scan", ok)
 
 
-def _random_char(G, rng, base):
+def _random_char(rng, base):
     names = ["chi", f"om_{base}", f"mu_{base}", f"eta_{base}"]
     return G.from_dict(
         {rng.choice(names): rng.randrange(-2, 3) for _ in range(rng.randrange(0, 3))}
     )
 
 
-def _random_isobaric(G, rng):
+def _random_isobaric(rng):
     entries = []
     for _ in range(rng.randrange(1, 4)):
         base = rng.choice(["pi", "pi'"])
-        tw = _random_char(G, rng, base)
+        tw = _random_char(rng, base)
         kind = rng.randrange(3)
         if kind == 0:
             atom = char_atom(tw)
@@ -178,7 +176,6 @@ def _random_point(rng):
 
 
 def test_criterion_6_coefficient_laws():
-    G = standard_group()
     ok = True
 
     # tensor degree conservation across the small range
@@ -192,8 +189,8 @@ def test_criterion_6_coefficient_laws():
     hits = 0
     while hits < 100:
         j, k = rng.randrange(1, 4), rng.randrange(1, 4)
-        A = VirtualRep.of(sym_atom("pi", j, _random_char(G, rng, "pi")))
-        B = VirtualRep.of(sym_atom("pi", k, _random_char(G, rng, "pi")))
+        A = VirtualRep.of(sym_atom("pi", j, _random_char(rng, "pi")))
+        B = VirtualRep.of(sym_atom("pi", k, _random_char(rng, "pi")))
         prod = coeff_poly(rs_product(A, B))
         pa, pb = coeff_poly(A), coeff_poly(B)
         pt = _random_point(rng)
@@ -206,7 +203,7 @@ def test_criterion_6_coefficient_laws():
 
     # positivity of the pairing against the dual, fifty random reps
     for _ in range(50):
-        Pi = _random_isobaric(G, rng)
+        Pi = _random_isobaric(rng)
         pt = _random_point(rng)
         v = coeff_poly(rs_product(Pi, Pi.dual())).eval(pt)
         a = coeff_poly(Pi).eval(pt)
@@ -216,7 +213,7 @@ def test_criterion_6_coefficient_laws():
 
     # duality acts as conjugation on the unitary locus
     for _ in range(25):
-        Pi = _random_isobaric(G, rng)
+        Pi = _random_isobaric(rng)
         pt = _random_point(rng)
         lhs = coeff_poly(Pi.dual()).eval(pt)
         rhs = coeff_poly(Pi).eval(pt).conjugate()

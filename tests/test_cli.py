@@ -21,7 +21,13 @@ from lfcheck.dseries import (
     ScanResult,
     Violation,
 )
-from lfcheck.exprlang import NUMERAL_DIGITS, SYM_MAX, ExprError, parse_expr
+from lfcheck.exprlang import (
+    NEST_MAX,
+    NUMERAL_DIGITS,
+    SYM_MAX,
+    ExprError,
+    parse_expr,
+)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -189,6 +195,55 @@ def test_sym_power_cap(capsys):
     assert code == 0 and "degree: 65" in out
     code, out, err = run_cli(["expand", f"Sym^{SYM_MAX + 1}(pi)"], capsys)
     assert code == 2 and out == "" and "Sym^65" in err
+
+
+@pytest.mark.parametrize("cmd", [["expand"], ["poles", "--hyp", HYP]])
+def test_nesting_cap(capsys, cmd):
+    def nested(depth):
+        return "(" * depth + "pi" + ")" * depth
+
+    assert parse_expr(nested(NEST_MAX)).degree == 2
+    code, out, err = run_cli([cmd[0], nested(NEST_MAX), *cmd[1:]], capsys)
+    assert code == 0 and err == ""
+    # 250 levels used to exhaust the recursion limit
+    for depth in (NEST_MAX + 1, 250):
+        with pytest.raises(ExprError, match="nest deeper"):
+            parse_expr(nested(depth))
+        code, out, err = run_cli([cmd[0], nested(depth), *cmd[1:]], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: parentheses nest deeper than the largest depth, {NEST_MAX}\n"
+
+
+NOT_UTF8 = os.path.join(FIXTURES, "not_utf8.txt")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poles", "pi", "--hyp", NOT_UTF8],
+        ["scan", "--form1", NOT_UTF8, "--form2", "11a", "--char", "trivial",
+         "--xmax", "50"],
+        ["scan", "--form1", "delta", "--form2", "11a", "--char", NOT_UTF8,
+         "--xmax", "50"],
+    ],
+    ids=["hyp", "eigenvalue table", "character table"],
+)
+def test_file_not_utf8_exit_two(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {NOT_UTF8}:1: not UTF-8 text\n"
+
+
+def test_undecodable_byte_is_named_by_line(tmp_path, capsys):
+    # lines end at \n, \r\n or \r, as in text mode
+    f = tmp_path / "late.tsv"
+    f.write_bytes(b"#weight 12 level 1\r\n2\t-24\r3\t252\n5\t48\xe930\n")
+    code, out, err = run_cli(
+        ["scan", "--form1", str(f), "--form2", "11a", "--char", "trivial",
+         "--xmax", "50"],
+        capsys,
+    )
+    assert code == 2 and err == f"error: {f}:4: not UTF-8 text\n"
 
 
 @pytest.mark.parametrize(

@@ -202,6 +202,29 @@ def test_kernel_is_bit_equal_on_seeded_tables(monkeypatch, tmp_path):
     assert_bit_equal(rows, reference_rows(points, 8))
 
 
+def test_kernel_is_built_once_and_holds_no_coefficient(monkeypatch):
+    # the coefficients are arguments of the compiled loop, never part of
+    # its source, so one beyond float precision reaches every term as the
+    # same float term-by-term evaluation uses
+    sources = []
+
+    def counting_compile(src, *args, **kwargs):
+        sources.append(src)
+        return compile(src, *args, **kwargs)
+
+    monkeypatch.setattr(dseries, "compile", counting_compile, raising=False)
+    P = dseries._polys()[0]
+    big = {**P.c, next(iter(P.c)): 10**20 + 1}
+    monkeypatch.setitem(dseries._CACHE, "P", LaurentPoly(big))
+    points = _small_points()
+    for _ in range(2):
+        _res, rows = scanned_rows(monkeypatch, points, 2)
+        assert_bit_equal(rows, reference_rows(points, 2))
+    assert len(sources) == 1
+    assert "100000000000000000001" not in sources[0]
+    assert "1e+20" not in sources[0]
+
+
 def test_scan_refuses_a_point_off_the_unit_circle():
     # each of the five values a point holds is checked, to within 1e-6
     unit = cmath.exp(0.7j)

@@ -7,6 +7,7 @@ SystemExit(2), which counts as exit status 2 like any other usage error.
 """
 
 import math
+import os
 import random
 import time
 
@@ -169,6 +170,7 @@ def test_fuzz_scan_tables(tmp_path, capsys):
 
 
 LONG = "9" * 5000
+NOT_UTF8 = os.path.join(os.path.dirname(__file__), "fixtures", "not_utf8.txt")
 
 FIXED = [
     ["expand", f"Sym^{LONG}(pi)"],
@@ -180,6 +182,10 @@ FIXED = [
     scan_argv("delta", "11a", "trivial", lmax="0"),
     scan_argv("delta", "11a", "trivial", xmax="-5"),
     scan_argv("delta", "11a", f"kronecker:{LONG}"),
+    ["expand", "(" * 250 + "pi" + ")" * 250],
+    ["poles", "pi", "--hyp", NOT_UTF8],
+    scan_argv(NOT_UTF8, "11a", "trivial"),
+    scan_argv("delta", "11a", NOT_UTF8),
 ]
 
 

@@ -14,15 +14,24 @@ from lfcheck.ingest import (
     is_prime,
     deligne_ok,
     delta_eigenvalues,
-    eta24_series,
     kronecker,
     load_eigenvalue_file,
     parse_char_spec,
     prepare_scan_points,
     satake_from_ap,
     sieve,
-    tau,
 )
+
+
+def eta24_series(nmax):
+    """Coefficients of prod_{n>=1} (1-q^n)^24 through q^nmax, read from the
+    series that built-in Delta ingest grows."""
+    return tuple(ingest._grow_eta24(nmax)[: nmax + 1])
+
+
+def tau(n):
+    """Ramanujan tau, n >= 1, from the same series."""
+    return ingest._grow_eta24(n - 1)[n - 1]
 
 
 # classical table, Ramanujan 1916

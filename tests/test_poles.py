@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lfcheck.chargroup import standard_group
+from lfcheck import chargroup as G
 from lfcheck.hypotheses import GL2Type, Hypotheses, Tri
 from lfcheck.poles import (
     MAYBE,
@@ -29,7 +29,6 @@ from lfcheck.repalg import (
 )
 
 
-G = standard_group()
 chi = G.gen("chi")
 GEN2 = Hypotheses(GL2Type.GENERAL, GL2Type.GENERAL)
 
@@ -48,7 +47,7 @@ def test_bad_interval_rejected():
 
 
 def test_zeta_powers():
-    V = VirtualRep.build([(char_atom(G.one()), 6)])
+    V = VirtualRep.build([(char_atom(G.ONE), 6)])
     iv, reasons = pole_order(V, GEN2)
     assert iv == PoleInterval(6, 6)
     assert len(reasons) == 1 and "zeta" in reasons[0]
@@ -111,7 +110,7 @@ def test_cross_base_adjoint_pairs_entire_seeded():
     # under twist-inequivalence no character twist can make the two
     # adjoints dual, so every such pair is entire: 200 random twists
     rng = random.Random(60902)
-    names = list(G.generators)
+    names = list(G.STD_GENERATORS)
     A = VirtualRep.of(ad_atom("pi"))
     for _ in range(200):
         xi = G.from_dict(
@@ -133,7 +132,7 @@ def test_sym4_cross_base_pair_undecided():
 def test_monotone_in_entries():
     rng = random.Random(1105)
     parts = [
-        (char_atom(G.one()), 2),
+        (char_atom(G.ONE), 2),
         (char_atom(G.gen("mu_pi") * G.gen("eta_pi")), 1),
         (ad_atom("pi"), 3),
     ]
@@ -150,7 +149,7 @@ def test_monotone_in_entries():
 def test_isobaric_pair_pole_diagonal():
     # three pairwise non-isomorphic self-dual constituents: order three
     Pi = (
-        VirtualRep.of(char_atom(G.one()))
+        VirtualRep.of(char_atom(G.ONE))
         + VirtualRep.of(ad_atom("pi"))
         + VirtualRep.of(sym_atom("pi", 4, chi * G.gen("om_pi", -2)))
     )
@@ -171,7 +170,7 @@ def test_self_dual_abelian_report():
     V = (
         VirtualRep.of(char_atom(G.gen("eta_pi")))
         + VirtualRep.of(char_atom(chi))
-        + VirtualRep.of(char_atom(G.one()))
+        + VirtualRep.of(char_atom(G.ONE))
     )
     names = " ".join(self_dual_abelian_entries(V, hyp))
     assert "eta_pi" in names

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from lfcheck.chargroup import standard_group
+from lfcheck import chargroup as G
 from lfcheck.hypotheses import GL2Type, Hypotheses, Tri
 from lfcheck.repalg import (
     PairOperandError,
@@ -29,7 +29,6 @@ from lfcheck.repalg import (
 )
 
 
-G = standard_group()
 chi = G.gen("chi")
 mu = G.gen("mu_pi")
 om = G.gen("om_pi")
@@ -101,7 +100,7 @@ def test_adjoint_square_rewrite():
     A = VirtualRep.of(ad_atom("pi"))
     prod = rs_product(A, A)
     want = (
-        VirtualRep.of(char_atom(G.one()))
+        VirtualRep.of(char_atom(G.ONE))
         + A
         + VirtualRep.of(sym_atom("pi", 4, om ** (-2)))
     )
@@ -145,7 +144,7 @@ def test_duality_involution_seeded():
         for _k in range(rng.randrange(1, 4)):
             base = rng.choice(["pi", "pi'"])
             m = rng.randrange(1, 5)
-            tw = G.gen(rng.choice(list(G.generators)), rng.randrange(-2, 3))
+            tw = G.gen(rng.choice(list(G.STD_GENERATORS)), rng.randrange(-2, 3))
             parts.append((sym_atom(base, m, tw), rng.randrange(1, 3)))
         V = VirtualRep.build(parts)
         assert V.dual().dual() == V

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from lfcheck.chargroup import standard_group
-from lfcheck.ingest import satake_from_ap, tau
+from lfcheck import chargroup as G
+from lfcheck.ingest import satake_from_ap
 from lfcheck.repalg import (
     VirtualRep,
     ad_atom,
@@ -24,9 +24,9 @@ from lfcheck.satake import (
     satake_point,
 )
 from lfcheck.repalg import opaque_atom
+from test_ingest import tau
 
 
-G = standard_group()
 chi = G.gen("chi")
 
 
@@ -95,7 +95,7 @@ def test_clebsch_gordan_coefficients_multiply_exactly():
     pairs += [(rng.randrange(41), rng.randrange(41)) for _ in range(8)]
     for base in ("pi", "pi'"):
         twists = [
-            (G.one(), G.one()),
+            (G.ONE, G.ONE),
             (chi * G.gen(f"om_{base}", -1), G.gen("mu_pi", 2) * G.gen("eta_pi'")),
         ]
         for j, k in pairs:
@@ -154,7 +154,7 @@ def test_eval_requires_all_variables():
     P = coeff_poly(VirtualRep.of(sym_atom("pi", 1)))
     with pytest.raises(CoefficientError):
         P.eval({"a_pi": 1.0})
-    # also once the term list has been built
+    # also on a polynomial that has been evaluated
     pt = satake_point(1, 1, 1, 1)
     assert P.eval(pt) == 2
     for name in ("a_pi", "chi", "eta_pi'"):
@@ -227,8 +227,6 @@ def same_bits(a, b):
 
 
 def test_eval_of_thousands_of_terms_matches_the_oracle():
-    # one statement per term: a single expression this long would exceed
-    # the compiler's nesting limit
     rng = random.Random(5000)
     P = random_poly(rng, 7000)
     assert P.n_terms >= 5000
@@ -258,34 +256,3 @@ def test_eval_of_constant_and_empty_polynomials():
     ):
         assert same_bits(P.eval(pt), oracle_eval(P, pt)), P
     assert same_bits(LaurentPoly.zero().eval(pt), 0j)
-
-
-def test_evaluator_is_built_once_per_coefficient_dict(monkeypatch):
-    from lfcheck import satake
-
-    sources = []
-
-    def counting_compile(src, *args, **kwargs):
-        sources.append(src)
-        return compile(src, *args, **kwargs)
-
-    monkeypatch.setattr(satake, "compile", counting_compile, raising=False)
-    rng = random.Random(404)
-    P = LaurentPoly({(1, 2) + (0,) * (len(VARS) - 2): 10**20 + 1})
-    assert sources == []  # nothing is built before the first eval
-    pts = [random_unit_point(rng) for _ in range(5)]
-    for pt in pts:
-        assert same_bits(P.eval(pt), oracle_eval(P, pt))
-    assert len(sources) == 1
-    # the source holds names, exponents and indices, never a coefficient
-    assert "100000000000000000001" not in sources[0]
-    assert "1e+20" not in sources[0]
-    Q = random_poly(rng, 30)
-    P.c = Q.c
-    for pt in pts:
-        assert same_bits(P.eval(pt), oracle_eval(Q, pt))
-    assert len(sources) == 2
-    # an equal but distinct dict is a rebinding too
-    P.c = dict(Q.c)
-    P.eval(pts[0])
-    assert len(sources) == 3
