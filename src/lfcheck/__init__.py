@@ -33,17 +33,6 @@ def read_lines(path: str) -> list[str]:
     return _split_lines(text)
 
 
-class Record:
-    """Base of the mutable result records: each subclass lists its fields
-    in `__slots__` and sets them in `__init__`."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
 _EXPORTS = {
     "chargroup": ("FormalCharacter",),
     "hypotheses": ("GL2Type", "Hypotheses", "Tri", "classify"),

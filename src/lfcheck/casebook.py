@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from . import InputError, Record
+from . import InputError
 from .chargroup import gen
 from .exprlang import parse_expr
 from .hypotheses import GL2Type, Hypotheses, classify
@@ -410,20 +410,11 @@ CASES = _build_cases()
 CASE_IDS = tuple(CASES)
 
 
-class CaseReport(Record):
-    __slots__ = ("case_id", "title", "hypotheses", "verdicts")
-
-    def __init__(
-        self,
-        case_id: str,
-        title: str,
-        hypotheses: str,
-        verdicts: list[Verdict] | None = None,
-    ):
-        self.case_id = case_id
-        self.title = title
-        self.hypotheses = hypotheses
-        self.verdicts = [] if verdicts is None else verdicts
+class CaseReport(NamedTuple):
+    case_id: str
+    title: str
+    hypotheses: str
+    verdicts: list[Verdict]
 
     @property
     def ok(self) -> bool:
@@ -463,16 +454,14 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
     spec = CASES[case_id]
     if tamper is not None and not spec.identities:
         raise CaseError(f"case {case_id} has no display to tamper with")
-    rep = CaseReport(case_id, spec.title, _hyp_desc(spec.hyp))
-
     got = classify(spec.hyp)
-    rep.verdicts.append(
+    verdicts = [
         Verdict(
             "classification",
             "PASS" if got == case_id else "FAIL",
             f"declared shapes classify as {got}",
         )
-    )
+    ]
 
     pole_target = None
     for i, ident in enumerate(spec.identities):
@@ -482,7 +471,7 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
             rhs = _tampered(rhs, tamper)
         tag = f" ({ident.label})" if len(spec.identities) > 1 else ""
 
-        rep.verdicts.append(
+        verdicts.append(
             Verdict(
                 f"degree{tag}",
                 "PASS" if lhs.degree == rhs.degree else "FAIL",
@@ -495,7 +484,7 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
         if i == 0:
             pole_target = dl
         delta = dr.delta(dl)
-        rep.verdicts.append(
+        verdicts.append(
             Verdict(
                 f"identity{tag}",
                 "PASS" if not delta else "FAIL",
@@ -508,7 +497,7 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
             known = _signed(ident.known_delta)
             degshift = sum(m * k.degree for k, m in delta.items())
             ok = delta == known and degshift == 0
-            rep.verdicts.append(
+            verdicts.append(
                 Verdict(
                     f"discrepancy analysis{tag}",
                     "PASS" if ok else "FAIL",
@@ -523,7 +512,7 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
             try:
                 resid = coeff_poly(rhs) - coeff_poly(lhs)
                 ok = resid.is_zero
-                rep.verdicts.append(
+                verdicts.append(
                     Verdict(
                         f"coefficient{tag}",
                         "PASS" if ok else "FAIL",
@@ -546,7 +535,7 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
                 key.a.degree > 2 or key.b.degree > 2
             ):
                 bad.append(key.pretty())
-        rep.verdicts.append(
+        verdicts.append(
             Verdict(
                 "gl2 structure",
                 "PASS" if not bad else "FAIL",
@@ -565,7 +554,7 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
         else:
             iv, reasons = pole_order(pole_target, spec.hyp)
         want = PoleInterval(*spec.expected_pole)
-        rep.verdicts.append(
+        verdicts.append(
             Verdict(
                 "pole ledger",
                 "PASS" if iv == want else "FAIL",
@@ -580,11 +569,11 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
                 status, det = "FAIL", f"lower bound {iv.lo} > k = {spec.k}"
             else:
                 status, det = "UNKNOWN", f"interval {iv} straddles k = {spec.k}"
-            rep.verdicts.append(Verdict("entirety", status, det))
+            verdicts.append(Verdict("entirety", status, det))
 
     if spec.ell is not None and spec.k is not None:
         ok = 2 * spec.ell > spec.k
-        rep.verdicts.append(
+        verdicts.append(
             Verdict(
                 "ghl budget",
                 "PASS" if ok else "FAIL",
@@ -593,7 +582,7 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
                 else f"2*ell = {2 * spec.ell} <= k = {spec.k}",
             )
         )
-    return rep
+    return CaseReport(case_id, spec.title, _hyp_desc(spec.hyp), verdicts)
 
 
 def verify_plethysm_bridge() -> CaseReport:
@@ -601,30 +590,25 @@ def verify_plethysm_bridge() -> CaseReport:
     the adjoint against the normalized fourth power and removing the
     denominator leaves exactly the symmetric square of the third power,
     both as multisets and as coefficient polynomials."""
-    rep = CaseReport(
-        "bridge",
-        "symmetric-square-of-cube ratio identity",
-        _hyp_desc(Hypotheses(GEN, GEN, twist_equiv=True)),
-    )
     numer = parse_expr("Ad(pi) (x) Sym^4(pi) tw chi*omega^-2")
     denom = parse_expr("Sym^4(pi) tw chi*omega^-2")
     ratio = numer.delta(denom)
 
     tags = plethysm_sym2(3)
-    rep.verdicts.append(
+    verdicts = [
         Verdict(
             "weight peel",
             "PASS" if tags == [(6, 0), (2, 2)] else "FAIL",
             f"Sym^2(Sym^3) tags: {tags}",
         )
-    )
+    ]
 
     chi, om = gen("chi"), gen("om_pi")
     pleth = VirtualRep.build(
         (sym_atom("pi", d, chi * om ** (r - 3)), 1) for d, r in tags
     )
     ok = ratio == dict(pleth.counter())
-    rep.verdicts.append(
+    verdicts.append(
         Verdict(
             "multiset identity",
             "PASS" if ok else "FAIL",
@@ -635,7 +619,7 @@ def verify_plethysm_bridge() -> CaseReport:
     )
 
     resid = coeff_poly(numer) - coeff_poly(denom) - coeff_poly(pleth)
-    rep.verdicts.append(
+    verdicts.append(
         Verdict(
             "coefficient",
             "PASS" if resid.is_zero else "FAIL",
@@ -644,7 +628,12 @@ def verify_plethysm_bridge() -> CaseReport:
             else f"{resid.n_terms} residual terms",
         )
     )
-    return rep
+    return CaseReport(
+        "bridge",
+        "symmetric-square-of-cube ratio identity",
+        _hyp_desc(Hypotheses(GEN, GEN, twist_equiv=True)),
+        verdicts,
+    )
 
 
 def run_all() -> list[CaseReport]:

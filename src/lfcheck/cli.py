@@ -11,7 +11,8 @@ Subcommands map one-to-one onto the library verifiers:
     poles <expr> --hyp <file>   pole-order ledger under declared shapes
 
 Exit status: 0 when every verdict is PASS, 1 on any verification failure,
-2 on usage errors (any `lfcheck.InputError`, or an unreadable file).
+2 on usage errors (any `lfcheck.InputError`, or an unreadable file) and
+when the report cannot be written to stdout.
 `--json` switches the report to JSON.  Hypothesis files are `key = value`
 lines: type_pi and type_pi' (dihedral, tetrahedral, octahedral, or
 general), plus the optional boolean twist_equiv.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from importlib import import_module
@@ -171,11 +173,7 @@ def parse_hyp_file(path: str) -> Hypotheses:
 
 
 def _case_section(cr: CaseReport) -> Section:
-    return Section(
-        heading=f"case {cr.case_id}: {cr.title}",
-        subheading=cr.hypotheses,
-        verdicts=list(cr.verdicts),
-    )
+    return Section(f"case {cr.case_id}: {cr.title}", cr.hypotheses, cr.verdicts)
 
 
 def _cmd_verify(args) -> Report:
@@ -191,49 +189,58 @@ def _cmd_verify(args) -> Report:
         raise UsageError("--tamper applies only to verify case")
 
     if args.what == "sos":
-        rep = Report("verify sos", digest("verify sos", __version__))
-        for name, ok, detail in verify_sos():
-            rep.verdicts.append(Verdict(name, "PASS" if ok else "FAIL", detail))
-        return rep
+        return Report(
+            "verify sos",
+            digest("verify sos", __version__),
+            [
+                Verdict(name, "PASS" if ok else "FAIL", detail)
+                for name, ok, detail in verify_sos()
+            ],
+        )
     if args.what == "bridge":
-        rep = Report("verify bridge", digest("verify bridge", __version__))
-        rep.sections.append(_case_section(verify_plethysm_bridge()))
-        return rep
+        return Report(
+            "verify bridge",
+            digest("verify bridge", __version__),
+            sections=[_case_section(verify_plethysm_bridge())],
+        )
     if args.what == "all":
-        rep = Report("verify all", digest("verify all", __version__))
-        for cr in run_all():
-            rep.sections.append(_case_section(cr))
-        return rep
+        return Report(
+            "verify all",
+            digest("verify all", __version__),
+            sections=[_case_section(cr) for cr in run_all()],
+        )
     cmd = f"verify case {args.case_id}"
     parts = [cmd, __version__]
     if args.tamper is not None:
         cmd += f" --tamper {args.tamper}"
         parts.append(str(args.tamper))
-    rep = Report(cmd, digest(*parts))
-    rep.sections.append(_case_section(verify_case(args.case_id, args.tamper)))
-    return rep
+    return Report(
+        cmd,
+        digest(*parts),
+        sections=[_case_section(verify_case(args.case_id, args.tamper))],
+    )
 
 
 def _cmd_expand(args) -> Report:
     _load("exprlang", "satake")
     V = parse_expr(args.expr)
-    rep = Report(f"expand {args.expr!r}", digest("expand", args.expr))
     form = " (+) ".join(
         f"{k.pretty()}" if m == 1 else f"{m} * {k.pretty()}"
         for k, m in V.entries
     ) or "0"
-    rep.verdicts.append(
-        Verdict("normal form", "PASS", f"{len(V.entries)} kinds: {form}")
-    )
-    rep.verdicts.append(Verdict("degree", "PASS", str(V.degree)))
     try:
-        poly = coeff_poly(V)
-        rep.verdicts.append(
-            Verdict("coefficient polynomial", "PASS", poly.pretty())
-        )
+        poly = Verdict("coefficient polynomial", "PASS", coeff_poly(V).pretty())
     except CoefficientError as e:
-        rep.verdicts.append(Verdict("coefficient polynomial", "UNKNOWN", str(e)))
-    return rep
+        poly = Verdict("coefficient polynomial", "UNKNOWN", str(e))
+    return Report(
+        f"expand {args.expr!r}",
+        digest("expand", args.expr),
+        [
+            Verdict("normal form", "PASS", f"{len(V.entries)} kinds: {form}"),
+            Verdict("degree", "PASS", str(V.degree)),
+            poly,
+        ],
+    )
 
 
 def _resolve_form(src: str, xmax: int):
@@ -272,16 +279,15 @@ def _cmd_scan(args) -> Report:
         f"scan --form1 {args.form1} --form2 {args.form2} --char {args.char} "
         f"--xmax {args.xmax} --lmax {args.lmax}"
     )
-    rep = Report(cmd, "")
     try:
         form1, d1 = _resolve_form(args.form1, args.xmax)
         form2, d2 = _resolve_form(args.form2, args.xmax)
     except BoundError as e:
-        rep.inputs_digest = digest(cmd)
-        rep.verdicts.append(Verdict("eigenvalue bound", "FAIL", str(e)))
-        return rep
+        return Report(
+            cmd, digest(cmd), [Verdict("eigenvalue bound", "FAIL", str(e))]
+        )
     char = parse_char_spec(args.char)
-    rep.inputs_digest = digest(cmd, d1, d2, args.char, str(args.tol))
+    inputs_digest = digest(cmd, d1, d2, args.char, str(args.tol))
     points, skipped = prepare_scan_points(form1, form2, char, args.xmax)
     skipped_txt = ",".join(map(str, skipped)) if skipped else "none"
     if not points:
@@ -292,15 +298,14 @@ def _cmd_scan(args) -> Report:
         )
     res = scan_positivity(points, args.lmax, args.tol)
 
-    rep.verdicts.append(
+    verdicts = [
         Verdict(
             "points",
             "PASS" if res.checked == len(points) * args.lmax else "FAIL",
             f"{res.checked} prime-power points over {len(points)} primes "
             f"(ramified skipped: {skipped_txt})",
         )
-    )
-
+    ]
     for kind, clean in (
         (NONNEGATIVITY, f"min coefficient {res.min_value:.6g}"),
         (REALNESS, f"imaginary parts within {args.tol:g} everywhere"),
@@ -308,10 +313,9 @@ def _cmd_scan(args) -> Report:
     ):
         hit = next((v for v in res.violations if v.kind == kind), None)
         status, detail = ("PASS", clean) if hit is None else ("FAIL", str(hit))
-        rep.verdicts.append(Verdict(kind, status, detail))
-    rep.facts["min_at"] = res.min_at
-    rep.facts["max_delta_at"] = res.max_delta_at
-    return rep
+        verdicts.append(Verdict(kind, status, detail))
+    facts = {"min_at": res.min_at, "max_delta_at": res.max_delta_at}
+    return Report(cmd, inputs_digest, verdicts, facts=facts)
 
 
 def _cmd_poles(args) -> Report:
@@ -320,24 +324,17 @@ def _cmd_poles(args) -> Report:
     V = parse_expr(args.expr)
     dec = decompose_under(V, hyp)
     iv, reasons = pole_order(dec, hyp)
-    rep = Report(
-        f"poles {args.expr!r} --hyp {args.hyp}",
-        digest("poles", args.expr, _file_digest(args.hyp)),
-    )
-    rep.verdicts.append(
-        Verdict("pole order", "PASS", f"interval {iv} at the edge point")
-    )
-    rep.verdicts.append(Verdict("factors", "PASS", " | ".join(reasons)))
+    dig = digest("poles", args.expr, _file_digest(args.hyp))
+    verdicts = [
+        Verdict("pole order", "PASS", f"interval {iv} at the edge point"),
+        Verdict("factors", "PASS", " | ".join(reasons)),
+    ]
     obstructions = self_dual_abelian_entries(dec, hyp)
     if obstructions:
-        rep.verdicts.append(
-            Verdict(
-                "self-dual abelian factors",
-                "PASS",
-                "; ".join(obstructions),
-            )
+        verdicts.append(
+            Verdict("self-dual abelian factors", "PASS", "; ".join(obstructions))
         )
-    return rep
+    return Report(f"poles {args.expr!r} --hyp {args.hyp}", dig, verdicts)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -355,8 +352,14 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    rep.elapsed_s = time.perf_counter() - start
-    print(render_json(rep) if args.json else render_text(rep))
+    rep = rep._replace(elapsed_s=time.perf_counter() - start)
+    try:
+        print(render_json(rep) if args.json else render_text(rep), flush=True)
+    except OSError as e:  # stdout is closed or failing, say a pipe with no reader
+        # the interpreter flushes stdout again at exit; give that flush a sink
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     return rep.exit_status
 
 

@@ -16,16 +16,13 @@ adjoint coefficient of the second.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from math import inf
+from typing import NamedTuple, Sequence
 
-from . import Record
 from .chargroup import ONE, gen
+from .hypotheses import base_name
 from .repalg import VirtualRep, ad_atom, rs_product, sym_atom, char_atom
 from .satake import VARS, CoefficientError, LaurentPoly, coeff_poly, satake_point
-
-
-def _om2bar(base: str):
-    return gen("om_pi" if base == "pi" else "om_pi'") ** (-2)
 
 
 def aux_factors() -> list[tuple[str, VirtualRep, int]]:
@@ -35,10 +32,11 @@ def aux_factors() -> list[tuple[str, VirtualRep, int]]:
     A2 = VirtualRep.of(ad_atom("pi'"))
     A2chi = VirtualRep.of(ad_atom("pi'", chi))
     A2chibar = VirtualRep.of(ad_atom("pi'", chi.inv()))
-    S4 = VirtualRep.of(sym_atom("pi", 4, _om2bar("pi")))
-    S42 = VirtualRep.of(sym_atom("pi'", 4, _om2bar("pi'")))
-    S4chi = VirtualRep.of(sym_atom("pi", 4, chi * _om2bar("pi")))
-    S4chibar = VirtualRep.of(sym_atom("pi", 4, chi.inv() * _om2bar("pi")))
+    om2bar, om2bar2 = gen("om_pi", -2), gen("om_pi'", -2)
+    S4 = VirtualRep.of(sym_atom("pi", 4, om2bar))
+    S42 = VirtualRep.of(sym_atom("pi'", 4, om2bar2))
+    S4chi = VirtualRep.of(sym_atom("pi", 4, chi * om2bar))
+    S4chibar = VirtualRep.of(sym_atom("pi", 4, chi.inv() * om2bar))
     one = VirtualRep.of(char_atom(ONE))
     out = [
         ("zeta", one, 6),
@@ -101,7 +99,8 @@ def verify_sos() -> list[tuple[str, bool, str]]:
     )
 
     for base, xx in (("pi", x), ("pi'", coeff_poly(VirtualRep.of(ad_atom("pi'"))))):
-        s4 = coeff_poly(VirtualRep.of(sym_atom(base, 4, _om2bar(base))))
+        om2bar = gen(base_name("om", base), -2)
+        s4 = coeff_poly(VirtualRep.of(sym_atom(base, 4, om2bar)))
         lhs = xx * xx
         rhs = LaurentPoly.one() + xx + s4
         checks.append(
@@ -270,35 +269,17 @@ class Violation(NamedTuple):
         )
 
 
-class ScanResult(Record):
+class ScanResult(NamedTuple):
     """Scan totals: `min_at` is the first (p, l) with the smallest direct
     coefficient and `max_delta_at` the first with the largest gap between
     it and the closed square; both None when nothing was checked."""
 
-    __slots__ = (
-        "checked",
-        "min_value",
-        "min_at",
-        "max_abs_delta",
-        "max_delta_at",
-        "violations",
-    )
-
-    def __init__(
-        self,
-        checked: int = 0,
-        min_value: float = float("inf"),
-        min_at: tuple[int, int] | None = None,
-        max_abs_delta: float = 0.0,
-        max_delta_at: tuple[int, int] | None = None,
-        violations: list[Violation] | None = None,
-    ):
-        self.checked = checked
-        self.min_value = min_value
-        self.min_at = min_at
-        self.max_abs_delta = max_abs_delta
-        self.max_delta_at = max_delta_at
-        self.violations = [] if violations is None else violations
+    checked: int = 0
+    min_value: float = inf
+    min_at: tuple[int, int] | None = None
+    max_abs_delta: float = 0.0
+    max_delta_at: tuple[int, int] | None = None
+    violations: Sequence[Violation] = ()
 
     @property
     def ok(self) -> bool:
@@ -315,7 +296,7 @@ def _bases(points):
     for p, vals in sorted(points.items()):
         base = dict(zip(_POINT_VARS, map(complex, vals)))
         for name, v in base.items():
-            if abs(abs(v) - 1.0) > 1e-6:
+            if not abs(abs(v) - 1.0) <= 1e-6:  # a NaN fails too
                 raise CoefficientError(f"{name} is not unit modulus: {v!r}")
         yield p, base
 
@@ -330,15 +311,16 @@ def scan_positivity(
 
     points maps p to (alpha1, beta1, alpha2, beta2, chi(p)).
     """
-    res = ScanResult()
+    checked, min_value, min_at, max_abs_delta, max_delta_at = 0, inf, None, 0.0, None
+    violations = []
     fn, coefs = _scan_kernel()
     for p, ell, direct, sos in fn(_bases(points), lmax, *coefs):
         delta = abs(direct.real - sos)
-        res.checked += 1
-        if res.min_at is None or direct.real < res.min_value:
-            res.min_value, res.min_at = direct.real, (p, ell)
-        if res.max_delta_at is None or delta > res.max_abs_delta:
-            res.max_abs_delta, res.max_delta_at = delta, (p, ell)
+        checked += 1
+        if min_at is None or direct.real < min_value:
+            min_value, min_at = direct.real, (p, ell)
+        if max_delta_at is None or delta > max_abs_delta:
+            max_abs_delta, max_delta_at = delta, (p, ell)
         if abs(direct.imag) > tol:
             kind = REALNESS
         elif direct.real < -tol:
@@ -347,5 +329,7 @@ def scan_positivity(
             kind = SQUARE_IDENTITY
         else:
             continue
-        res.violations.append(Violation(kind, p, ell, direct, sos))
-    return res
+        violations.append(Violation(kind, p, ell, direct, sos))
+    return ScanResult(
+        checked, min_value, min_at, max_abs_delta, max_delta_at, violations
+    )

@@ -48,8 +48,10 @@ class Hypotheses(namedtuple("Hypotheses", "type_pi type_pi2 twist_equiv")):
         raise KeyError(f"unknown base {base!r}")
 
 
-def _primed(base: str) -> str:
-    return "" if base == "pi" else "'"
+def base_name(stem: str, base: str) -> str:
+    """The name of the generator or opaque atom `stem` over `base`: mu_pi
+    over pi and mu_pi' over pi'."""
+    return f"{stem}_{base}"
 
 
 def nontrivial_gens(hyp: Hypotheses) -> frozenset[str]:
@@ -57,11 +59,10 @@ def nontrivial_gens(hyp: Hypotheses) -> frozenset[str]:
     out = set()
     for base in BASES:
         t = hyp.type_of(base)
-        s = _primed(base)
         if t is GL2Type.TETRAHEDRAL:
-            out.add(f"mu_pi{s}")
+            out.add(base_name("mu", base))
         elif t is GL2Type.OCTAHEDRAL:
-            out.add(f"eta_pi{s}")
+            out.add(base_name("eta", base))
     return frozenset(out)
 
 
@@ -96,7 +97,7 @@ def ad_selftwists(base: str, hyp: Hypotheses) -> tuple[FormalCharacter, ...]:
     is {1, mu, mu^2}.
     """
     if hyp.type_of(base) is GL2Type.TETRAHEDRAL:
-        mu = gen(f"mu_pi{_primed(base)}")
+        mu = gen(base_name("mu", base))
         return (ONE, mu, mu * mu)
     return (ONE,)
 

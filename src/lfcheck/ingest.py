@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 import sys
 from operator import add, sub
+from typing import NamedTuple
 
-from . import InputError, Record, read_lines
+from . import InputError, read_lines
 
 
 class IngestError(InputError):
@@ -178,20 +179,11 @@ def satake_from_ap(ap: int, p: int, k: int) -> tuple[complex, complex]:
     return alpha, alpha.conjugate()
 
 
-class NewformData(Record):
-    __slots__ = ("weight", "level", "ap", "source")
-
-    def __init__(
-        self,
-        weight: int,
-        level: int,
-        ap: dict[int, int] | None = None,
-        source: str = "",
-    ):
-        self.weight = weight
-        self.level = level
-        self.ap = {} if ap is None else ap
-        self.source = source
+class NewformData(NamedTuple):
+    weight: int
+    level: int
+    ap: dict[int, int]
+    source: str
 
     def satake(self, p: int) -> tuple[complex, complex]:
         if p not in self.ap:
@@ -211,12 +203,13 @@ def load_eigenvalue_file(path: str) -> NewformData:
     """TSV loader.  First non-blank line: '#weight <k> level <N>'; data
     lines: '<p>\\t<a_p>'.  Validates primality, duplicates, and the exact
     eigenvalue bound."""
-    form = None
+    k = N = None
+    table: dict[int, int] = {}
     for lineno, raw in enumerate(read_lines(path), 1):
         line = raw.strip()
         if not line:
             continue
-        if form is None:
+        if k is None:
             parts = line.split()
             if len(parts) != 4 or parts[0] != "#weight" or parts[2] != "level":
                 raise IngestError(
@@ -233,7 +226,6 @@ def load_eigenvalue_file(path: str) -> NewformData:
                 ) from None
             if k < 1 or N < 1:
                 raise IngestError(f"{path}:{lineno}: weight and level must be >= 1")
-            form = NewformData(k, N, {}, path)
             continue
         if line.startswith("#"):
             continue
@@ -255,25 +247,25 @@ def load_eigenvalue_file(path: str) -> NewformData:
             )
         if not is_prime(p):
             raise IngestError(f"{path}:{lineno}: {p} is not prime")
-        if p in form.ap:
+        if p in table:
             raise IngestError(f"{path}:{lineno}: duplicate prime {p}")
         # sqrt(p^(k-1)) is taken in floats; bit lengths catch a huge k first
-        w = form.weight - 1
+        w = k - 1
         if w * (p.bit_length() - 1) >= 1024 or p**w > _FLOAT_MAX:
             raise IngestError(
                 f"{path}:{lineno}: p^(k-1) = {p}^{w} is too large for a float"
             )
-        if form.level % p != 0 and not deligne_ok(ap, p, form.weight):
+        if N % p != 0 and not deligne_ok(ap, p, k):
             raise BoundError(
                 f"{path}:{lineno}: a_p={ap} violates the eigenvalue "
-                f"bound at p={p} for weight {form.weight}"
+                f"bound at p={p} for weight {k}"
             )
-        form.ap[p] = ap
-    if form is None:
+        table[p] = ap
+    if k is None:
         raise IngestError(f"{path}: empty file")
-    if not form.ap:
+    if not table:
         raise IngestError(f"{path}: no eigenvalue rows")
-    return form
+    return NewformData(k, N, table, path)
 
 
 def kronecker(a: int, n: int) -> int:
@@ -309,25 +301,23 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-class CharacterData(Record):
-    __slots__ = ("modulus", "spec", "_table")
+class CharacterData(NamedTuple):
+    """A table character has its values in `table`, a Kronecker character
+    its discriminant in `disc`; the trivial character has neither."""
 
-    def __init__(
-        self, modulus: int, spec: str, _table: dict[int, complex] | None = None
-    ):
-        self.modulus = modulus
-        self.spec = spec
-        self._table = _table
+    modulus: int
+    spec: str
+    disc: int | None = None
+    table: dict[int, complex] | None = None
 
     def value(self, p: int) -> complex:
-        if self._table is not None:
-            if p not in self._table:
+        if self.table is not None:
+            if p not in self.table:
                 raise IngestError(f"no character value stored for p={p}")
-            return self._table[p]
-        if self.spec == "trivial":
+            return self.table[p]
+        if self.disc is None:
             return 1.0 + 0j
-        d = int(self.spec.split(":", 1)[1])
-        return complex(kronecker(d, p))
+        return complex(kronecker(self.disc, p))
 
 
 def parse_char_spec(spec: str) -> CharacterData:
@@ -343,7 +333,7 @@ def parse_char_spec(spec: str) -> CharacterData:
             raise IngestError(f"bad discriminant in {spec!r}") from None
         if d == 0:
             raise IngestError("kronecker discriminant must be nonzero")
-        return CharacterData(abs(4 * d), spec)
+        return CharacterData(abs(4 * d), spec, d)
     table: dict[int, complex] = {}
     try:
         lines = read_lines(spec)
@@ -367,6 +357,8 @@ def parse_char_spec(spec: str) -> CharacterData:
         except ValueError:
             _refuse_long_numeral(f"{spec}:{lineno}", "p", fields[0])
             raise IngestError(f"{spec}:{lineno}: bad number") from None
+        if p in table:
+            raise IngestError(f"{spec}:{lineno}: duplicate prime {p}")
         # written so that a NaN part fails too: a NaN value would make
         # every check at its point pass
         if not abs(abs(v) - 1) <= 1e-6:
@@ -376,7 +368,7 @@ def parse_char_spec(spec: str) -> CharacterData:
         table[p] = v
     if not table:
         raise IngestError(f"{spec}: no character rows")
-    return CharacterData(1, spec, table)
+    return CharacterData(1, spec, table=table)
 
 
 def prepare_scan_points(

@@ -22,7 +22,9 @@ from typing import Iterable, NamedTuple, Union
 
 from . import InputError
 from .chargroup import ONE, STD_ORDERS, FormalCharacter, gen
-from .hypotheses import GL2Type, Hypotheses, Tri, ad_selftwists, is_trivial, member_of
+from .hypotheses import (
+    GL2Type, Hypotheses, Tri, ad_selftwists, base_name, is_trivial, member_of
+)
 
 
 class RepAlgError(InputError):
@@ -59,7 +61,7 @@ def opaque_info(label: str) -> OpaqueInfo:
 
 
 def _om(base: str) -> FormalCharacter:
-    return gen("om_pi" if base == "pi" else "om_pi'")
+    return gen(base_name("om", base))
 
 
 def _subgroup(gen_names: Iterable[str]) -> tuple[FormalCharacter, ...]:
@@ -369,25 +371,24 @@ def _decompose_atom(atom: RepAtom, hyp: Hypotheses) -> list[tuple[RepAtom, int]]
     if atom.kind != "sym":
         return None
     t = hyp.type_of(atom.base)
-    s = "" if atom.base == "pi" else "'"
     om = _om(atom.base)
     c = atom.twist
     if atom.m == 2 and t is GL2Type.DIHEDRAL:
         return [
-            (opaque_atom(f"ind_pi{s}", c), 1),
-            (char_atom(gen(f"xiF_pi{s}") * c), 1),
+            (opaque_atom(base_name("ind", atom.base), c), 1),
+            (char_atom(gen(base_name("xiF", atom.base)) * c), 1),
         ]
     if atom.m == 4 and t is GL2Type.TETRAHEDRAL:
-        mu = gen(f"mu_pi{s}")
+        mu = gen(base_name("mu", atom.base))
         return [
             (sym_atom(atom.base, 2, c * om), 1),
             (char_atom(mu * c * om**2), 1),
             (char_atom(mu * mu * c * om**2), 1),
         ]
     if atom.m == 4 and t is GL2Type.OCTAHEDRAL:
-        eta = gen(f"eta_pi{s}")
+        eta = gen(base_name("eta", atom.base))
         return [
-            (opaque_atom(f"nu_pi{s}", c * om**2), 1),
+            (opaque_atom(base_name("nu", atom.base), c * om**2), 1),
             (sym_atom(atom.base, 2, eta * c * om), 1),
         ]
     return None

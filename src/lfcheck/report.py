@@ -10,14 +10,12 @@ file line).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 try:  # the built-in module spares loading OpenSSL on every command
     from _sha256 import sha256
 except ImportError:
     from hashlib import sha256
-
-from . import Record
 
 
 class Verdict(NamedTuple):
@@ -26,47 +24,21 @@ class Verdict(NamedTuple):
     detail: str = ""
 
 
-class Section(Record):
-    __slots__ = ("heading", "subheading", "verdicts")
-
-    def __init__(
-        self,
-        heading: str,
-        subheading: str = "",
-        verdicts: list[Verdict] | None = None,
-    ):
-        self.heading = heading
-        self.subheading = subheading
-        self.verdicts = [] if verdicts is None else verdicts
+class Section(NamedTuple):
+    heading: str
+    subheading: str = ""
+    verdicts: Sequence[Verdict] = ()
 
 
-class Report(Record):
+class Report(NamedTuple):
     """`facts` holds named values that only the JSON form reports."""
 
-    __slots__ = (
-        "command",
-        "inputs_digest",
-        "verdicts",
-        "sections",
-        "elapsed_s",
-        "facts",
-    )
-
-    def __init__(
-        self,
-        command: str,
-        inputs_digest: str,
-        verdicts: list[Verdict] | None = None,
-        sections: list[Section] | None = None,
-        elapsed_s: float = 0.0,
-        facts: dict | None = None,
-    ):
-        self.command = command
-        self.inputs_digest = inputs_digest
-        self.verdicts = [] if verdicts is None else verdicts
-        self.sections = [] if sections is None else sections
-        self.elapsed_s = elapsed_s
-        self.facts = {} if facts is None else facts
+    command: str
+    inputs_digest: str
+    verdicts: Sequence[Verdict] = ()
+    sections: Sequence[Section] = ()
+    elapsed_s: float = 0.0
+    facts: dict | None = None
 
     def all_verdicts(self) -> list[Verdict]:
         out = list(self.verdicts)

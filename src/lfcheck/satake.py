@@ -222,7 +222,7 @@ def satake_point(
     for n in VARS[4:]:
         vals[n] = complex((chars or {}).get(n, 1))
     for n, v in vals.items():
-        if abs(abs(v) - 1.0) > tol:
+        if not abs(abs(v) - 1.0) <= tol:  # a NaN fails too
             raise CoefficientError(f"{n} is not unit modulus: {v!r}")
         order = STD_ORDERS.get(n, 0)
         if order and abs(v**order - 1.0) > tol:

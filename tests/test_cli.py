@@ -9,6 +9,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +33,7 @@ from lfcheck.exprlang import (
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
 GOLDENS = os.path.join(HERE, "goldens")
+SRC = os.path.join(os.path.dirname(HERE), "src")
 HYP = os.path.join(FIXTURES, "octa_octa.hyp")
 
 GOLDEN_COMMANDS = {
@@ -119,6 +121,19 @@ def test_scan_malformed_table_exit_two(tmp_path, capsys):
     assert "not prime" in err
 
 
+def test_scan_character_table_duplicate_prime_exit_two(tmp_path, capsys):
+    # as for eigenvalue tables; the last row used to win silently
+    chars = tmp_path / "chars.tsv"
+    chars.write_text("3\t1\t0\n3\t-1\t0\n")
+    code, out, err = run_cli(
+        ["scan", "--form1", "delta", "--form2", "11a",
+         "--char", str(chars), "--xmax", "20"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {chars}:2: duplicate prime 3\n"
+
+
 def test_scan_prime_beyond_exact_range_exit_two(tmp_path, capsys):
     big = tmp_path / "big.tsv"
     big.write_text("#weight 2 level 1\n" + "9" * 30 + "\t0\n")
@@ -154,9 +169,11 @@ def test_scan_verdicts_follow_violation_kind(monkeypatch, capsys, kind):
             return "p=3 l=1: reworded"
 
     def scan(points, lmax, tol):
-        res = ScanResult(checked=len(points) * lmax, min_value=0.0)
-        res.violations.append(Reworded(kind, 3, 1, 0j, 0.0))
-        return res
+        return ScanResult(
+            checked=len(points) * lmax,
+            min_value=0.0,
+            violations=[Reworded(kind, 3, 1, 0j, 0.0)],
+        )
 
     monkeypatch.setattr(cli, "scan_positivity", scan)
     code, out, _err = run_cli(
@@ -174,8 +191,7 @@ def test_scan_points_verdict_counts_every_point(monkeypatch, capsys):
 
     def short_scan(points, lmax, tol):
         res = real(points, lmax, tol)
-        res.checked -= 1
-        return res
+        return res._replace(checked=res.checked - 1)
 
     monkeypatch.setattr(cli, "scan_positivity", short_scan)
     code, out, _err = run_cli(GOLDEN_COMMANDS["scan_small"], capsys)
@@ -425,3 +441,20 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
+
+
+def test_closed_stdout_exit_two():
+    # a reader that has gone away (`lfcheck ... | true`) is not a failed
+    # verdict, so the exit is 2, with no traceback at exit either
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lfcheck.cli", "expand", "((pi))"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"

@@ -1,10 +1,14 @@
-"""The docstring examples in the package run and pass."""
+"""The docstring examples in the package and the README's library example
+run and pass."""
 
 import doctest
 import importlib
+import os
 import pkgutil
 
 import lfcheck
+
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def test_docstring_examples():
@@ -16,3 +20,13 @@ def test_docstring_examples():
     # chargroup 4, repalg 2, exprlang 2: a count of zero would mean
     # nothing ran
     assert attempted >= 8
+
+
+def test_readme_library_example():
+    # the README's one public example of a result record, run as written
+    readme = os.path.join(os.path.dirname(HERE), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "assert rep.ok" in code
+    exec(compile(code, readme, "exec"), {})

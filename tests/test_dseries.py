@@ -226,17 +226,19 @@ def test_kernel_is_built_once_and_holds_no_coefficient(monkeypatch):
 
 
 def test_scan_refuses_a_point_off_the_unit_circle():
-    # each of the five values a point holds is checked, to within 1e-6
+    # each of the five values a point holds is checked, to within 1e-6; a
+    # NaN, which compares False with everything, would pass every check
     unit = cmath.exp(0.7j)
     good = (unit, unit.conjugate(), 1j, -1j, -1.0)
     near = 1 + 5e-7
     assert scan_positivity({3: good, 5: (near, 1, 1, 1, 1)}, lmax=1).ok
     names = ("a_pi", "b_pi", "a_pi'", "b_pi'", "chi")
     for i, name in enumerate(names):
-        bad = list(good)
-        bad[i] *= 1 + 2e-6
-        with pytest.raises(CoefficientError, match=f"^{name} is not unit"):
-            scan_positivity({3: good, 7: tuple(bad)}, lmax=1)
+        for v in (good[i] * (1 + 2e-6), complex(math.nan, 0), math.inf):
+            bad = list(good)
+            bad[i] = v
+            with pytest.raises(CoefficientError, match=f"^{name} is not unit"):
+                scan_positivity({3: good, 7: tuple(bad)}, lmax=1)
 
 
 def test_scan_empty_not_ok():

@@ -141,6 +141,15 @@ def test_opaque_atom_has_no_polynomial():
 def test_satake_point_validates_modulus():
     with pytest.raises(ValueError):
         satake_point(2.0, 0.5, 1.0, 1.0, {})
+    # a NaN compares False with everything, so it must fail explicitly
+    for bad in (math.nan, math.inf, complex(math.nan, 1)):
+        for i, name in enumerate(("a_pi", "b_pi", "a_pi'", "b_pi'")):
+            slots = [1.0] * 4
+            slots[i] = bad
+            with pytest.raises(CoefficientError, match=f"^{name} is not unit"):
+                satake_point(*slots)
+        with pytest.raises(CoefficientError, match="^chi is not unit"):
+            satake_point(1, 1, 1, 1, {"chi": bad})
 
 
 def test_satake_point_validates_declared_orders():
