@@ -251,7 +251,7 @@ def _resolve_form(src: str, xmax: int):
 
 # largest --xmax and --lmax accepted: the sieve and the built-in tables take
 # memory linear in xmax and built-in Delta time faster than linear (about
-# 5 s at 10^5, minutes at the cap), and a scan checks primes(xmax) * lmax
+# 0.5 s at 10^5, 40 s at the cap), and a scan checks primes(xmax) * lmax
 # points, so without caps one numeral could exhaust memory or run for days
 SCAN_XMAX = 10**6
 SCAN_LMAX = 64
@@ -274,21 +274,36 @@ def _check_scan_args(args) -> None:
 
 def _cmd_scan(args) -> Report:
     _check_scan_args(args)
-    _load("ingest", "dseries")
     cmd = (
         f"scan --form1 {args.form1} --form2 {args.form2} --char {args.char} "
         f"--xmax {args.xmax} --lmax {args.lmax}"
     )
+    # seconds per stage, reported by --json alone; a stage's time includes
+    # loading the modules it is the first to call
+    timings = {}
+
+    def lap(stage: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        timings[stage] = round(now - clock, 6)
+        clock = now
+
+    clock = time.perf_counter()
+    _load("ingest")
     try:
         form1, d1 = _resolve_form(args.form1, args.xmax)
+        lap("form1")
         form2, d2 = _resolve_form(args.form2, args.xmax)
+        lap("form2")
     except BoundError as e:
         return Report(
             cmd, digest(cmd), [Verdict("eigenvalue bound", "FAIL", str(e))]
         )
     char = parse_char_spec(args.char)
+    lap("char")
     inputs_digest = digest(cmd, d1, d2, args.char, str(args.tol))
     points, skipped = prepare_scan_points(form1, form2, char, args.xmax)
+    lap("points")
     skipped_txt = ",".join(map(str, skipped)) if skipped else "none"
     if not points:
         # an empty scan would report PASS on every check of no point
@@ -296,7 +311,9 @@ def _cmd_scan(args) -> Report:
             f"--xmax {args.xmax} leaves no unramified prime to scan "
             f"(ramified skipped: {skipped_txt})"
         )
+    _load("dseries")
     res = scan_positivity(points, args.lmax, args.tol)
+    lap("scan")
 
     verdicts = [
         Verdict(
@@ -315,7 +332,7 @@ def _cmd_scan(args) -> Report:
         status, detail = ("PASS", clean) if hit is None else ("FAIL", str(hit))
         verdicts.append(Verdict(kind, status, detail))
     facts = {"min_at": res.min_at, "max_delta_at": res.max_delta_at}
-    return Report(cmd, inputs_digest, verdicts, facts=facts)
+    return Report(cmd, inputs_digest, verdicts, facts=facts, timings=timings)
 
 
 def _cmd_poles(args) -> Report:

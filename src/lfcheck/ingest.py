@@ -3,16 +3,22 @@ forms computed from scratch, a TSV loader for user data, and character
 value tables.
 
 Both built-ins come from eta products.  The weight-12 level-1 form is
-prod (1-q^n)^24, grown on demand as the 8th power of Jacobi's series for
-prod (1-q^n)^3; the weight-2 level-11 form is q prod (1-q^n)^2 (1-q^(11n))^2
-from Euler's pentagonal series.  The tests check each against an independent
-oracle: the naive product, and point counts on y^2 + y = x^3 - x^2 - 10x - 20.
+q prod (1-q^n)^24, grown on demand.  Its coefficient tau(p) at a prime
+takes the power recurrence for the 8th power of Jacobi's series for
+prod (1-q^n)^3; every other coefficient follows from smaller ones by the
+Hecke relations of a level-1 eigenform, tau(ab) = tau(a) tau(b) for coprime
+a, b and tau(p^(e+1)) = tau(p) tau(p^e) - p^11 tau(p^(e-1)).  The weight-2
+level-11 form is q prod (1-q^n)^2 (1-q^(11n))^2 from Euler's pentagonal
+series.  The tests check each against an independent oracle: the power
+recurrence at every index and the naive product, and point counts on
+y^2 + y = x^3 - x^2 - 10x - 20.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from operator import add, sub
 from typing import NamedTuple
 
@@ -86,6 +92,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _require_prime(where: str, p: int) -> None:
+    """Raise unless p is a prime that is_prime certifies exactly."""
+    if p >= MR_LIMIT:
+        raise IngestError(
+            f"{where}: {p} is too large to certify as prime (limit {MR_LIMIT})"
+        )
+    if not is_prime(p):
+        raise IngestError(f"{where}: {p} is not prime")
+
+
 def _refuse_long_numeral(where: str, what: str, text: str) -> None:
     """Raise when int(text) failed only because text is a decimal numeral
     past the interpreter's limit on digits, which int() reports with the
@@ -104,32 +120,60 @@ def _refuse_long_numeral(where: str, what: str, text: str) -> None:
 _ETA24 = [1]
 
 
-def _grow_eta24(nmax: int) -> list[int]:
-    """_ETA24, first extended through q^nmax.  With g = prod (1-q^n)^3 =
-    sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2} (Jacobi) and f = g^8, the power
-    recurrence n f_n = sum_{j>=1} (9j - n) g_j f_{n-j} divides exactly."""
+def _grow_eta24(nmax: int) -> tuple[list[int], list[int]]:
+    """_ETA24, first extended through q^nmax, and the primes up to nmax + 1.
+
+    f = prod (1-q^n)^24 = sum tau(n+1) q^n is Delta / q, so f_n is the
+    Hecke eigenvalue tau(n+1) of a level-1 eigenform.  Only at an index
+    with n + 1 prime does f_n take the power recurrence: with g = prod
+    (1-q^n)^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2} (Jacobi) and f = g^8,
+    n f_n = sum_{j>=1} (9j - n) g_j f_{n-j}.  Every other index follows from
+    smaller ones by the Hecke relations tau(ab) = tau(a) tau(b) for coprime
+    a, b and tau(p^(e+1)) = tau(p) tau(p^e) - p^11 tau(p^(e-1)).  A wrong
+    entry feeds every later prime index, so the division is checked."""
     f = _ETA24
+    primes = sieve(nmax + 1)
     if len(f) > nmax:
-        return f
+        return f, primes
     g = []
     for k in range(1, (math.isqrt(8 * nmax + 1) + 1) // 2):  # k(k+1)/2 <= nmax
         j = k * (k + 1) // 2
         gj = (-1) ** k * (2 * k + 1)
         g.append((j, gj, 9 * j * gj))
+    i = bisect_right(primes, len(f))  # primes[i] is the next prime m = n + 1
     for n in range(len(f), nmax + 1):
-        s = 0
-        for j, gj, a in g:
-            if j > n:
+        m = n + 1
+        if i < len(primes) and primes[i] == m:
+            i += 1
+            s = 0
+            for j, gj, a in g:
+                if j > n:
+                    break
+                s += (a - n * gj) * f[n - j]
+            if s % n:
+                raise ArithmeticError(
+                    f"prod (1-q^n)^24: power recurrence does not divide at n={n}"
+                )
+            f.append(s // n)
+            continue
+        # m is composite, so its smallest prime factor p is at most sqrt(m)
+        for p in primes:
+            if m % p == 0:
                 break
-            s += (a - n * gj) * f[n - j]
-        f.append(s // n)
-    return f
+        q = p
+        while m % (q * p) == 0:
+            q *= p
+        if q < m:
+            f.append(f[q - 1] * f[m // q - 1])
+        else:
+            f.append(f[p - 1] * f[m // p - 1] - p**11 * f[m // (p * p) - 1])
+    return f, primes
 
 
 def delta_eigenvalues(xmax: int) -> dict[int, int]:
     """a_p of the weight-12 level-1 form for primes p <= xmax."""
-    series = _grow_eta24(xmax)
-    return {p: series[p - 1] for p in sieve(xmax)}
+    series, primes = _grow_eta24(xmax - 1)
+    return {p: series[p - 1] for p in primes}
 
 
 def _pentagonal(nmax: int, step: int) -> list[tuple[int, int]]:
@@ -240,13 +284,7 @@ def load_eigenvalue_file(path: str) -> NewformData:
             _refuse_long_numeral(f"{path}:{lineno}", "p", fields[0])
             _refuse_long_numeral(f"{path}:{lineno}", "a_p", fields[1])
             raise IngestError(f"{path}:{lineno}: non-integer entry") from None
-        if p >= MR_LIMIT:
-            raise IngestError(
-                f"{path}:{lineno}: {p} is too large to certify as prime "
-                f"(limit {MR_LIMIT})"
-            )
-        if not is_prime(p):
-            raise IngestError(f"{path}:{lineno}: {p} is not prime")
+        _require_prime(f"{path}:{lineno}", p)
         if p in table:
             raise IngestError(f"{path}:{lineno}: duplicate prime {p}")
         # sqrt(p^(k-1)) is taken in floats; bit lengths catch a huge k first
@@ -313,7 +351,7 @@ class CharacterData(NamedTuple):
     def value(self, p: int) -> complex:
         if self.table is not None:
             if p not in self.table:
-                raise IngestError(f"no character value stored for p={p}")
+                raise IngestError(f"{self.spec}: no character value for p={p}")
             return self.table[p]
         if self.disc is None:
             return 1.0 + 0j
@@ -357,6 +395,7 @@ def parse_char_spec(spec: str) -> CharacterData:
         except ValueError:
             _refuse_long_numeral(f"{spec}:{lineno}", "p", fields[0])
             raise IngestError(f"{spec}:{lineno}: bad number") from None
+        _require_prime(f"{spec}:{lineno}", p)
         if p in table:
             raise IngestError(f"{spec}:{lineno}: duplicate prime {p}")
         # written so that a NaN part fails too: a NaN value would make

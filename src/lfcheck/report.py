@@ -31,7 +31,8 @@ class Section(NamedTuple):
 
 
 class Report(NamedTuple):
-    """`facts` holds named values that only the JSON form reports."""
+    """`facts` holds named values and `timings` seconds per stage; only the
+    JSON form reports either."""
 
     command: str
     inputs_digest: str
@@ -39,6 +40,7 @@ class Report(NamedTuple):
     sections: Sequence[Section] = ()
     elapsed_s: float = 0.0
     facts: dict | None = None
+    timings: dict | None = None
 
     def all_verdicts(self) -> list[Verdict]:
         out = list(self.verdicts)
@@ -116,4 +118,6 @@ def render_json(rep: Report) -> str:
     }
     if rep.facts:
         doc["facts"] = rep.facts
+    if rep.timings:
+        doc["timings"] = rep.timings
     return json.dumps(doc, indent=2, sort_keys=True)

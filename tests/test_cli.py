@@ -134,6 +134,33 @@ def test_scan_character_table_duplicate_prime_exit_two(tmp_path, capsys):
     assert err == f"error: {chars}:2: duplicate prime 3\n"
 
 
+def test_scan_character_table_composite_p_exit_two(tmp_path, capsys):
+    # as for eigenvalue tables; the row for 4 used to be accepted and unused
+    chars = tmp_path / "chars.tsv"
+    chars.write_text("2\t1\t0\n3\t1\t0\n4\t-1\t0\n5\t1\t0\n7\t1\t0\n")
+    code, out, err = run_cli(
+        ["scan", "--form1", "delta", "--form2", "11a",
+         "--char", str(chars), "--xmax", "8", "--lmax", "1"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {chars}:3: 4 is not prime\n"
+
+
+def test_scan_character_table_missing_prime_exit_two(tmp_path, capsys):
+    # a table character has modulus 1, so it must list every prime up to
+    # --xmax that neither form ramifies at; the error names the table
+    chars = tmp_path / "chars.tsv"
+    chars.write_text("3\t1\t0\n5\t1\t0\n7\t1\t0\n")
+    code, out, err = run_cli(
+        ["scan", "--form1", "delta", "--form2", "11a",
+         "--char", str(chars), "--xmax", "8"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {chars}: no character value for p=2\n"
+
+
 def test_scan_prime_beyond_exact_range_exit_two(tmp_path, capsys):
     big = tmp_path / "big.tsv"
     big.write_text("#weight 2 level 1\n" + "9" * 30 + "\t0\n")
@@ -418,8 +445,19 @@ def test_json_scan_names_its_extreme_points(capsys):
     assert d["facts"] == {"min_at": [29, 2], "max_delta_at": [5, 2]}
     assert sorted(d) == [
         "command", "elapsed_s", "facts", "inputs_digest", "result", "sections",
-        "verdicts",
+        "timings", "verdicts",
     ]
+
+
+def test_json_scan_times_its_stages(capsys):
+    # only --json carries the timings, so the scan goldens stay byte-equal
+    code, out, _ = run_cli(["--json", *GOLDEN_COMMANDS["scan_small"]], capsys)
+    assert code == 0
+    d = json.loads(out)
+    t = d["timings"]
+    assert sorted(t) == ["char", "form1", "form2", "points", "scan"]
+    assert all(v >= 0 for v in t.values())
+    assert sum(t.values()) <= d["elapsed_s"]
 
 
 def test_json_erratum_case(capsys):

@@ -1,5 +1,6 @@
 """Arithmetic inputs: eigenvalue tables, Satake data, character values."""
 
+import math
 import random
 import time
 
@@ -26,12 +27,33 @@ from lfcheck.ingest import (
 def eta24_series(nmax):
     """Coefficients of prod_{n>=1} (1-q^n)^24 through q^nmax, read from the
     series that built-in Delta ingest grows."""
-    return tuple(ingest._grow_eta24(nmax)[: nmax + 1])
+    return tuple(ingest._grow_eta24(nmax)[0][: nmax + 1])
+
+
+# prod (1-q^n)^24 by the power recurrence at every index, which uses no
+# Hecke relation, so tests that check those relations read this series
+_ORACLE = [1]
+
+
+def oracle_eta24(nmax):
+    """Oracle: with g = prod (1-q^n)^3 = sum (-1)^k (2k+1) q^(k(k+1)/2)
+    (Jacobi) and f = g^8, n f_n = sum_{j>=1} (9j - n) g_j f_(n-j)."""
+    f = _ORACLE
+    g = []
+    k = 1
+    while k * (k + 1) // 2 <= nmax:
+        g.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
+        k += 1
+    for n in range(len(f), nmax + 1):
+        s = sum((9 * j - n) * gj * f[n - j] for j, gj in g if j <= n)
+        assert s % n == 0, n
+        f.append(s // n)
+    return f[: nmax + 1]
 
 
 def tau(n):
-    """Ramanujan tau, n >= 1, from the same series."""
-    return ingest._grow_eta24(n - 1)[n - 1]
+    """Ramanujan tau, n >= 1, from the oracle series."""
+    return oracle_eta24(n - 1)[n - 1]
 
 
 # classical table, Ramanujan 1916
@@ -42,19 +64,27 @@ AP_11A = {2: -2, 3: -1, 5: 1, 7: -2, 13: 4, 17: -2, 19: 0, 23: -1}
 
 
 def test_tau_table():
+    grown = eta24_series(10)
     for n, v in TAU.items():
         assert tau(n) == v
+        assert grown[n - 1] == v
 
 
 def test_eta_power_vs_naive_product():
-    # same q-expansion from the fast route and a direct product expansion,
-    # computed at two different truncation orders
+    # same q-expansion from the fast route, the oracle and a direct product
+    # expansion, computed at two different truncation orders
     for nmax in (30, 64):
         fast = eta24_series(nmax)
         slow = naive_product_series(nmax)
         assert list(fast) == list(slow)
+        assert oracle_eta24(nmax) == slow
     short = eta24_series(20)
     assert list(short) == list(eta24_series(50))[: len(short)]
+
+
+def test_grown_series_equals_the_oracle_through_1e4(monkeypatch):
+    monkeypatch.setattr(ingest, "_ETA24", [1])
+    assert list(eta24_series(10**4)) == oracle_eta24(10**4)
 
 
 def test_hecke_relation_at_prime_squares():
@@ -67,10 +97,25 @@ def test_tau_multiplicative():
     for _ in range(30):
         m = rng.randrange(2, 40)
         n = rng.randrange(2, 40)
-        import math
-
         if math.gcd(m, n) == 1:
             assert tau(m * n) == tau(m) * tau(n)
+
+
+def test_a_wrong_composite_entry_fails_the_division(monkeypatch):
+    # index 99 holds tau(100), a composite filled by the Hecke relations;
+    # the recurrence at n = 100 (101 is prime) reads it with weight
+    # (9 - 100) g_1 = 273, which 100 does not divide
+    prefix = oracle_eta24(99)
+    prefix[99] += 1
+    monkeypatch.setattr(ingest, "_ETA24", prefix)
+    with pytest.raises(ArithmeticError, match="at n=100$"):
+        ingest._grow_eta24(200)
+
+
+def test_delta_eigenvalues_list_every_prime():
+    assert list(delta_eigenvalues(100)) == sieve(100)
+    assert list(delta_eigenvalues(101)) == sieve(101)
+    assert delta_eigenvalues(2) == {2: -24}
 
 
 def test_eta24_prefixes_agree_in_any_call_order(monkeypatch):
@@ -86,7 +131,7 @@ def test_tau_past_the_memo_end_extends_it(monkeypatch):
     monkeypatch.setattr(ingest, "_ETA24", [1])
     short = eta24_series(20)
     want = naive_product_series(90)
-    assert tau(90) == want[89]
+    assert eta24_series(89)[89] == want[89]
     assert ingest._ETA24 == want[:90]
     assert eta24_series(20) == short
 
