@@ -64,6 +64,7 @@ _MR_BOUNDS = (
     3317044064679887385961981,
 )
 MR_LIMIT = _MR_BOUNDS[-1]
+_BASES_PRODUCT = math.prod(_MR_BASES)
 
 
 def is_prime(n: int) -> bool:
@@ -71,15 +72,15 @@ def is_prime(n: int) -> bool:
     Uses the shortest prefix of the bases that is exact below n."""
     if n < 2:
         return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
+    if math.gcd(n, _BASES_PRODUCT) != 1:
+        return n in _MR_BASES
+    if n < 43 * 43:  # no prime factor up to 41
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    k = next((i for i, b in enumerate(_MR_BOUNDS, 1) if n < b), len(_MR_BASES))
-    for a in _MR_BASES[:k]:
+    for a in _MR_BASES[: bisect_right(_MR_BOUNDS, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
