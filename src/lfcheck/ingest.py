@@ -161,7 +161,7 @@ def _grow_eta24(nmax: int) -> tuple[list[int], list[int]]:
         for p in primes:
             if m % p == 0:
                 break
-        q = p
+        q = p  # grows to p^e, the full power of p in m
         while m % (q * p) == 0:
             q *= p
         if q < m:
