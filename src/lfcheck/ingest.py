@@ -9,9 +9,11 @@ prod (1-q^n)^3; every other coefficient follows from smaller ones by the
 Hecke relations of a level-1 eigenform, tau(ab) = tau(a) tau(b) for coprime
 a, b and tau(p^(e+1)) = tau(p) tau(p^e) - p^11 tau(p^(e-1)).  The weight-2
 level-11 form is q prod (1-q^n)^2 (1-q^(11n))^2 from Euler's pentagonal
-series.  The tests check each against an independent oracle: the power
-recurrence at every index and the naive product, and point counts on
-y^2 + y = x^3 - x^2 - 10x - 20.
+series: the square and one of the two q^11 factors are expanded at every
+index, and the last q^11 factor is applied only at the indices p - 1 for
+primes p.  The tests check each against an independent oracle: the power
+recurrence at every index and the naive product, and the full expansion
+and point counts on y^2 + y = x^3 - x^2 - 10x - 20.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from itertools import compress
 from operator import add, sub
 from typing import NamedTuple
 
@@ -40,8 +43,8 @@ def sieve(n: int) -> list[int]:
     flags[0] = flags[1] = 0
     for i in range(2, int(n**0.5) + 1):
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i, f in enumerate(flags) if f]
+            flags[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return list(compress(range(n + 1), flags))
 
 
 _FLOAT_MAX = int(sys.float_info.max)
@@ -191,21 +194,37 @@ def _pentagonal(nmax: int, step: int) -> list[tuple[int, int]]:
 
 def x0_11_eigenvalues(xmax: int) -> dict[int, int]:
     """a_p of the level-11 weight-2 form q prod (1-q^n)^2 (1-q^(11n))^2 for
-    primes p <= xmax other than 11; a_p sits at q^(p-1) of the product."""
+    primes p <= xmax other than 11; a_p sits at q^(p-1) of the product.
+
+    h = prod (1-q^n)^2 comes from pairs of Euler's pentagonal terms, and one
+    full pass of signed slices multiplies it by E = prod (1-q^(11n)) into r.
+    The scan reads the product r E only at q^(p-1), so the second factor E is
+    applied there alone: a_p = sum s_e r_(p-1-e) over the terms s_e q^e of E
+    with e < p, 49 of them at p near 10^4 and 31 on average below it."""
     nmax = max(xmax - 1, 0)
-    c = [0] * (nmax + 1)
+    h = [0] * (nmax + 1)
     euler = _pentagonal(nmax, 1)  # ascending exponents
     for e1, s1 in euler:
         for e2, s2 in euler:
             if e1 + e2 > nmax:
                 break
-            c[e1 + e2] += s1 * s2
-    for step in (11, 11):
-        out = [0] * (nmax + 1)
-        for e, s in _pentagonal(nmax, step):
-            out[e:] = map(add if s > 0 else sub, out[e:], c[: nmax + 1 - e])
-        c = out
-    return {p: c[p - 1] for p in sieve(xmax) if p != 11}
+            h[e1 + e2] += s1 * s2
+    eleven = _pentagonal(nmax, 11)
+    r = [0] * (nmax + 1)
+    for e, s in eleven:
+        r[e:] = map(add if s > 0 else sub, r[e:], h[: nmax + 1 - e])
+    ap = {}
+    for p in sieve(xmax):
+        if p == 11:
+            continue
+        n = p - 1
+        a = 0
+        for e, s in eleven:
+            if e > n:
+                break
+            a += s * r[n - e]
+        ap[p] = a
+    return ap
 
 
 def deligne_ok(ap: int, p: int, k: int) -> bool:
@@ -427,7 +446,8 @@ def prepare_scan_points(
             skipped.append(p)
             continue
         if p not in form1.ap or p not in form2.ap:
-            raise IngestError(f"missing eigenvalue at unramified p={p}")
+            form = form2 if p in form1.ap else form1
+            raise IngestError(f"{form.source}: no eigenvalue for unramified p={p}")
         a1, b1 = form1.satake(p)
         a2, b2 = form2.satake(p)
         points[p] = (a1, b1, a2, b2, char.value(p))

@@ -161,6 +161,21 @@ def test_scan_character_table_missing_prime_exit_two(tmp_path, capsys):
     assert err == f"error: {chars}: no character value for p=2\n"
 
 
+def test_scan_eigenvalue_table_missing_prime_exit_two(tmp_path, capsys):
+    # an eigenvalue table must list every prime up to --xmax that no level
+    # or character modulus ramifies; the error names the table, as for
+    # character tables
+    form = tmp_path / "T.tsv"
+    form.write_text("#weight 2 level 11\n2\t-2\n3\t-1\n7\t-2\n")
+    code, out, err = run_cli(
+        ["scan", "--form1", "delta", "--form2", str(form),
+         "--char", "trivial", "--xmax", "8", "--lmax", "1"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {form}: no eigenvalue for unramified p=5\n"
+
+
 def test_scan_prime_beyond_exact_range_exit_two(tmp_path, capsys):
     big = tmp_path / "big.tsv"
     big.write_text("#weight 2 level 1\n" + "9" * 30 + "\t0\n")

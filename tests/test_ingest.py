@@ -201,6 +201,43 @@ def test_x0_11_known_values_and_hasse():
         assert ap * ap <= 4 * p
 
 
+def oracle_x0_11(xmax):
+    """Oracle: q prod (1-q^n)^2 (1-q^(11n))^2 expanded in full through
+    q^(xmax-1), the q^11 factor by two passes over every index, read at
+    the primes p <= xmax other than 11."""
+    nmax = max(xmax - 1, 0)
+
+    def pentagonal(step):
+        # nonzero terms (e, sign) of prod (1 - q^(step n)) through q^nmax
+        terms = [(0, 1)]
+        k = 1
+        while step * k * (3 * k - 1) // 2 <= nmax:
+            for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if step * e <= nmax:
+                    terms.append((step * e, (-1) ** k))
+            k += 1
+        return terms
+
+    c = [0] * (nmax + 1)
+    for e1, s1 in pentagonal(1):
+        for e2, s2 in pentagonal(1):
+            if e1 + e2 <= nmax:
+                c[e1 + e2] += s1 * s2
+    for _ in range(2):
+        out = [0] * (nmax + 1)
+        for e, s in pentagonal(11):
+            for n in range(e, nmax + 1):
+                out[n] += s * c[n - e]
+        c = out
+    return {p: c[p - 1] for p in sieve(xmax) if p != 11}
+
+
+def test_builtin_11a_equals_the_full_expansion_through_2e4():
+    assert ingest.x0_11_eigenvalues(2 * 10**4) == oracle_x0_11(2 * 10**4)
+    for xmax in (2, 3, 11, 12, 13, 23, 24, 100):
+        assert ingest.x0_11_eigenvalues(xmax) == oracle_x0_11(xmax), xmax
+
+
 def test_builtin_11a_matches_point_counts():
     want = {p: x0_11_ap(p) for p in sieve(2000) if p != 11}
     assert builtin_form("11a", 2000).ap == want
@@ -457,7 +494,11 @@ def test_prepare_scan_points():
     a1, b1, a2, b2, cv = points[3]
     assert abs(a1 * b1 - 1) < 1e-12 and abs(a2 * b2 - 1) < 1e-12
     assert cv == kronecker(-4, 3)
-    # a truncated form table surfaces as a missing-eigenvalue error
-    short = builtin_form("delta", 10)
-    with pytest.raises(IngestError):
-        prepare_scan_points(short, f2, parse_char_spec("trivial"), 100)
+    # a truncated form table surfaces as a missing-eigenvalue error naming
+    # the form (11 is ramified, so 13 is the first prime missing)
+    trivial = parse_char_spec("trivial")
+    missing = "no eigenvalue for unramified p=13$"
+    with pytest.raises(IngestError, match="^builtin:delta: " + missing):
+        prepare_scan_points(builtin_form("delta", 10), f2, trivial, 100)
+    with pytest.raises(IngestError, match="^builtin:11a: " + missing):
+        prepare_scan_points(f1, builtin_form("11a", 10), trivial, 100)
