@@ -250,10 +250,10 @@ def _resolve_form(src: str, xmax: int):
 
 
 # largest --xmax and --lmax accepted: the sieve and the built-in tables take
-# memory linear in xmax and time near xmax^1.5 (at 10^5 about 0.34 s for
-# built-in Delta and 0.43 s for 11a; at the cap about 15 s each),
-# and a scan checks primes(xmax) * lmax points, so without caps one numeral
-# could exhaust memory or run for days
+# memory linear in xmax and time near xmax^1.5 (on a shared 2-vCPU Xeon, at
+# 10^5 about 0.85 s for built-in Delta and 0.18 s for 11a; at the cap 33 s
+# and 4 s), and a scan checks primes(xmax) * lmax points, so without caps
+# one numeral could exhaust memory or run for days
 SCAN_XMAX = 10**6
 SCAN_LMAX = 64
 

@@ -9,11 +9,11 @@ prod (1-q^n)^3; every other coefficient follows from smaller ones by the
 Hecke relations of a level-1 eigenform, tau(ab) = tau(a) tau(b) for coprime
 a, b and tau(p^(e+1)) = tau(p) tau(p^e) - p^11 tau(p^(e-1)).  The weight-2
 level-11 form is q prod (1-q^n)^2 (1-q^(11n))^2 from Euler's pentagonal
-series: the square and one of the two q^11 factors are expanded at every
-index, and the last q^11 factor is applied only at the indices p - 1 for
-primes p.  The tests check each against an independent oracle: the power
-recurrence at every index and the naive product, and the full expansion
-and point counts on y^2 + y = x^3 - x^2 - 10x - 20.
+series: the square is expanded at every index, and the two q^11 factors
+are applied to it packed into one int, as shifted adds.  The tests check
+each against an independent oracle: the power recurrence at every index
+and the naive product, and the full expansion and point counts on
+y^2 + y = x^3 - x^2 - 10x - 20.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 import sys
 from bisect import bisect_right
 from itertools import compress
-from operator import add, sub
 from typing import NamedTuple
 
 from . import InputError, read_lines
@@ -192,15 +191,54 @@ def _pentagonal(nmax: int, step: int) -> list[tuple[int, int]]:
     return terms
 
 
+def _times_square_packed(series: list[int], terms: list[tuple[int, int]]):
+    """series * (sum s q^e over terms)^2 through the length of series, as an
+    array of signed 32-bit ints; no exponent e may exceed len(series).
+
+    The series is packed into one int X with the coefficient of q^n in bits
+    32n to 32n + 31, so multiplying by s q^e adds s (X << 32e), and masking
+    X to len(series) slots truncates the series.  Every coefficient is read
+    back with a bias of 2^31 per slot, which is exact while each lies
+    strictly between -2^31 and 2^31.  Each coefficient of both products sums
+    at most len(terms)^2 signed entries of the series, so that holds a
+    priori below the bound checked first; past it one slot could carry into
+    the next, which is an internal error."""
+    from array import array
+
+    bound = max(map(abs, series)) * len(terms) ** 2
+    if bound >= 1 << 31:
+        raise ArithmeticError(
+            f"packed product: coefficient bound {bound} does not fit 32 bits"
+        )
+    n = len(series)
+    bias = int.from_bytes(b"\0\0\0\x80" * n, "little")
+    mask = (1 << 32 * n) - 1
+    slots = array("i", series)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    # two's complement slots, then the same series as a sum of signed slots
+    x = ((int.from_bytes(slots, "little") ^ bias) - bias) & mask
+    for _ in range(2):
+        acc = 0
+        for e, s in terms:
+            # only the low n - e slots of x reach the first n of the product
+            y = (x & ((1 << 32 * (n - e)) - 1)) << 32 * e
+            acc = acc + y if s > 0 else acc - y
+        x = acc & mask
+    slots = array("i")
+    slots.frombytes((((x + bias) & mask) ^ bias).to_bytes(4 * n, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
+
+
 def x0_11_eigenvalues(xmax: int) -> dict[int, int]:
     """a_p of the level-11 weight-2 form q prod (1-q^n)^2 (1-q^(11n))^2 for
     primes p <= xmax other than 11; a_p sits at q^(p-1) of the product.
 
-    h = prod (1-q^n)^2 comes from pairs of Euler's pentagonal terms, and one
-    full pass of signed slices multiplies it by E = prod (1-q^(11n)) into r.
-    The scan reads the product r E only at q^(p-1), so the second factor E is
-    applied there alone: a_p = sum s_e r_(p-1-e) over the terms s_e q^e of E
-    with e < p, 49 of them at p near 10^4 and 31 on average below it."""
+    h = prod (1-q^n)^2 comes from pairs of Euler's pentagonal terms, and
+    both factors prod (1-q^(11n)) are applied to h packed into one int, one
+    shift-add per term (49 terms at xmax 10^4)."""
     nmax = max(xmax - 1, 0)
     h = [0] * (nmax + 1)
     euler = _pentagonal(nmax, 1)  # ascending exponents
@@ -209,22 +247,8 @@ def x0_11_eigenvalues(xmax: int) -> dict[int, int]:
             if e1 + e2 > nmax:
                 break
             h[e1 + e2] += s1 * s2
-    eleven = _pentagonal(nmax, 11)
-    r = [0] * (nmax + 1)
-    for e, s in eleven:
-        r[e:] = map(add if s > 0 else sub, r[e:], h[: nmax + 1 - e])
-    ap = {}
-    for p in sieve(xmax):
-        if p == 11:
-            continue
-        n = p - 1
-        a = 0
-        for e, s in eleven:
-            if e > n:
-                break
-            a += s * r[n - e]
-        ap[p] = a
-    return ap
+    product = _times_square_packed(h, _pentagonal(nmax, 11))
+    return {p: product[p - 1] for p in sieve(xmax) if p != 11}
 
 
 def deligne_ok(ap: int, p: int, k: int) -> bool:

@@ -243,6 +243,56 @@ def test_builtin_11a_matches_point_counts():
     assert builtin_form("11a", 2000).ap == want
 
 
+def test_builtin_11a_congruence_and_hasse_through_1e5():
+    # past the oracles' range: 11a has a rational point of order 5, which
+    # injects into E(F_p) for p != 11, so 5 divides #E(F_p) = p + 1 - a_p
+    ap = ingest.x0_11_eigenvalues(10**5)
+    assert list(ap) == [p for p in sieve(10**5) if p != 11]
+    for p, a in ap.items():
+        assert (a - 1 - p) % 5 == 0, p
+        assert a * a <= 4 * p, p
+
+
+def test_builtin_delta_congruence_mod_691_through_1e4():
+    # Ramanujan: tau(n) = sigma_11(n) mod 691, so tau(p) = 1 + p^11
+    for p, t in delta_eigenvalues(10**4).items():
+        assert (t - 1 - pow(p, 11, 691)) % 691 == 0, p
+
+
+def test_packed_square_product_matches_the_naive_product():
+    rng = random.Random(4111)
+    for n in (1, 2, 7, 40):
+        series = [rng.randrange(-1000, 1001) for _ in range(n)]
+        exponents = sorted(rng.sample(range(n), min(n, 6)))
+        terms = [(e, rng.choice((1, -1))) for e in exponents]
+        want = series
+        for _ in range(2):
+            out = [0] * n
+            for e, s in terms:
+                for i in range(e, n):
+                    out[i] += s * want[i - e]
+            want = out
+        assert list(ingest._times_square_packed(series, terms)) == want
+
+
+def test_packed_square_product_is_exact_up_to_the_slot_width():
+    top = 2**31 - 1
+    series = [top, -top, 0, 1, -1]
+    assert list(ingest._times_square_packed(series, [(0, 1)])) == series
+    # 46340^2 < 2^31 <= 46341^2: the largest coefficient the bound admits
+    # round-trips, and one more term is refused before it could wrap
+    ones = [(0, 1)] * 46340
+    assert list(ingest._times_square_packed([-1, 1], ones)) == [-(46340**2), 46340**2]
+    for series, terms in (
+        ([2**31], [(0, 1)]),
+        ([0, -(2**31)], [(0, 1)]),
+        ([1], ones + [(0, -1)]),
+        ([2**29], [(0, 1), (1, -1)]),
+    ):
+        with pytest.raises(ArithmeticError, match="does not fit 32 bits"):
+            ingest._times_square_packed(series, terms)
+
+
 def test_deligne_exact():
     assert deligne_ok(tau(5), 5, 12)
     # 4 * 5^11 = 195312500; isqrt gives the edge
