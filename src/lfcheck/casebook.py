@@ -46,7 +46,7 @@ from .repalg import (
     plethysm_sym2,
     sym_atom,
 )
-from .satake import CoefficientError, coeff_poly
+from .satake import coeff_poly
 from .poles import PoleInterval, isobaric_pair_pole, pole_order
 from .dseries import build_D
 from .report import Verdict
@@ -509,20 +509,17 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
                 )
             )
         if ident.polycheck:
-            try:
-                resid = coeff_poly(rhs) - coeff_poly(lhs)
-                ok = resid.is_zero
-                verdicts.append(
-                    Verdict(
-                        f"coefficient{tag}",
-                        "PASS" if ok else "FAIL",
-                        "coefficient polynomials agree"
-                        if ok
-                        else f"{resid.n_terms} residual terms",
-                    )
+            resid = coeff_poly(rhs) - coeff_poly(lhs)
+            ok = resid.is_zero
+            verdicts.append(
+                Verdict(
+                    f"coefficient{tag}",
+                    "PASS" if ok else "FAIL",
+                    "coefficient polynomials agree"
+                    if ok
+                    else f"{resid.n_terms} residual terms",
                 )
-            except CoefficientError:
-                pass
+            )
 
     if spec.structural:
         dl = decompose_under(_rows(_FACTOR), spec.hyp)

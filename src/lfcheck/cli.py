@@ -41,7 +41,6 @@ from .report import Report, Section, Verdict, digest, render_json, render_text
 _LAZY = {
     "casebook": (
         "CASE_IDS",
-        "CaseReport",
         "run_all",
         "verify_case",
         "verify_plethysm_bridge",
@@ -251,8 +250,8 @@ def _resolve_form(src: str, xmax: int):
 
 # largest --xmax and --lmax accepted: the sieve and the built-in tables take
 # memory linear in xmax and time near xmax^1.5 (on a shared 2-vCPU Xeon, at
-# 10^5 about 0.85 s for built-in Delta and 0.18 s for 11a; at the cap 33 s
-# and 4 s), and a scan checks primes(xmax) * lmax points, so without caps
+# 10^5 about 0.9 s for built-in Delta and 0.17 s for 11a; at the cap 36 s
+# and 5 s), and a scan checks primes(xmax) * lmax points, so without caps
 # one numeral could exhaust memory or run for days
 SCAN_XMAX = 10**6
 SCAN_LMAX = 64
@@ -302,7 +301,9 @@ def _cmd_scan(args) -> Report:
         )
     char = parse_char_spec(args.char)
     lap("char")
-    inputs_digest = digest(cmd, d1, d2, args.char, str(args.tol))
+    # a table character is hashed by its contents, like a table form
+    d3 = args.char if char.table is None else _file_digest(args.char)
+    inputs_digest = digest(cmd, d1, d2, d3, str(args.tol))
     points, skipped = prepare_scan_points(form1, form2, char, args.xmax)
     lap("points")
     skipped_txt = ",".join(map(str, skipped)) if skipped else "none"

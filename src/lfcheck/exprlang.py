@@ -23,6 +23,7 @@ import re
 from . import InputError
 from .chargroup import ONE, STD_GENERATORS, FormalCharacter, gen
 from .repalg import (
+    OPAQUE,
     VirtualRep,
     ad_atom,
     char_atom,
@@ -47,8 +48,6 @@ CHAR_NAMES = {
     "xiF": "xiF_pi",
     "xiF'": "xiF_pi'",
 }
-
-OPAQUE_NAMES = ("nu_pi", "nu_pi'", "ind_pi", "ind_pi'")
 
 # largest m accepted in Sym^m: expanding a same-base Sym^m (x) Sym^m costs
 # about m^2, so without a cap one numeral could make a short expression slow
@@ -174,7 +173,7 @@ class _Parser:
         if v in ("pi", "pi'"):
             self.next()
             return VirtualRep.of(sym_atom(v, 1))
-        if v in OPAQUE_NAMES:
+        if v in OPAQUE:
             self.next()
             return VirtualRep.of(opaque_atom(v))
         if v in CHAR_NAMES or v in ("one", "zeta"):

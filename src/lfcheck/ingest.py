@@ -1,6 +1,8 @@
 """Hecke eigenvalue sources for the numeric scan: two built-in classical
-forms computed from scratch, a TSV loader for user data, and character
-value tables.
+forms computed from scratch, a TSV loader for user data, and characters.
+Eigenvalue tables and character tables share one reader for their rows,
+keyed by primes (_prime_rows); each adds only its own checks on the
+values.
 
 Both built-ins come from eta products.  The weight-12 level-1 form is
 q prod (1-q^n)^24, grown on demand.  Its coefficient tau(p) at a prime
@@ -95,20 +97,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _require_prime(where: str, p: int) -> None:
-    """Raise unless p is a prime that is_prime certifies exactly."""
-    if p >= MR_LIMIT:
-        raise IngestError(
-            f"{where}: {p} is too large to certify as prime (limit {MR_LIMIT})"
-        )
-    if not is_prime(p):
-        raise IngestError(f"{where}: {p} is not prime")
-
-
-def _refuse_long_numeral(where: str, what: str, text: str) -> None:
-    """Raise when int(text) failed only because text is a decimal numeral
-    past the interpreter's limit on digits, which int() reports with the
-    same ValueError as a non-numeral."""
+def _int(where: str, what: str, text: str, fault: str) -> int:
+    """int(text), or an IngestError at `where` saying `fault`.  A decimal
+    numeral past the interpreter's limit on digits, which int() refuses
+    with the same ValueError as a non-numeral, is reported as too long."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
     digits = text.strip()
     if digits[:1] in ("+", "-"):
         digits = digits[1:]
@@ -117,6 +113,36 @@ def _refuse_long_numeral(where: str, what: str, text: str) -> None:
         raise IngestError(
             f"{where}: {what} is too long ({len(digits)} digits, limit {limit})"
         )
+    raise IngestError(f"{where}: {fault}")
+
+
+def _prime_rows(name: str, numbered, shape: str):
+    """(where, p, fields) for each row of a prime-keyed TSV table, read
+    from (line number, text) pairs.  Blank lines and '#' comments are
+    skipped.  Each row has as many tab-separated fields as `shape`, and
+    the first is a prime that is_prime certifies exactly and no earlier
+    row lists."""
+    width = len(shape.split("\\t"))
+    seen = set()
+    for lineno, raw in numbered:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{name}:{lineno}"
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise IngestError(f"{where}: expected '{shape}', got {line!r}")
+        p = _int(where, "p", fields[0], "non-integer p")
+        if p >= MR_LIMIT:
+            raise IngestError(
+                f"{where}: {p} is too large to certify as prime (limit {MR_LIMIT})"
+            )
+        if not is_prime(p):
+            raise IngestError(f"{where}: {p} is not prime")
+        if p in seen:
+            raise IngestError(f"{where}: duplicate prime {p}")
+        seen.add(p)
+        yield where, p, fields
 
 
 # prod (1-q^n)^24 through the largest exponent asked for so far
@@ -288,99 +314,44 @@ def builtin_form(name: str, xmax: int) -> NewformData:
 
 
 def load_eigenvalue_file(path: str) -> NewformData:
-    """TSV loader.  First non-blank line: '#weight <k> level <N>'; data
-    lines: '<p>\\t<a_p>'.  Validates primality, duplicates, and the exact
-    eigenvalue bound."""
-    k = N = None
-    table: dict[int, int] = {}
-    for lineno, raw in enumerate(read_lines(path), 1):
+    """TSV loader.  First non-blank line: '#weight <k> level <N>'; then
+    prime-keyed rows '<p>\\t<a_p>' (see _prime_rows), each checked
+    against the exact eigenvalue bound."""
+    numbered = enumerate(read_lines(path), 1)
+    for lineno, raw in numbered:
         line = raw.strip()
-        if not line:
-            continue
-        if k is None:
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "#weight" or parts[2] != "level":
-                raise IngestError(
-                    f"{path}:{lineno}: expected header "
-                    f"'#weight <k> level <N>', got {line!r}"
-                )
-            try:
-                k, N = int(parts[1]), int(parts[3])
-            except ValueError:
-                _refuse_long_numeral(f"{path}:{lineno}", "weight", parts[1])
-                _refuse_long_numeral(f"{path}:{lineno}", "level", parts[3])
-                raise IngestError(
-                    f"{path}:{lineno}: non-integer weight or level"
-                ) from None
-            if k < 1 or N < 1:
-                raise IngestError(f"{path}:{lineno}: weight and level must be >= 1")
-            continue
-        if line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise IngestError(
-                f"{path}:{lineno}: expected '<p>\\t<a_p>', got {line!r}"
-            )
-        try:
-            p, ap = int(fields[0]), int(fields[1])
-        except ValueError:
-            _refuse_long_numeral(f"{path}:{lineno}", "p", fields[0])
-            _refuse_long_numeral(f"{path}:{lineno}", "a_p", fields[1])
-            raise IngestError(f"{path}:{lineno}: non-integer entry") from None
-        _require_prime(f"{path}:{lineno}", p)
-        if p in table:
-            raise IngestError(f"{path}:{lineno}: duplicate prime {p}")
+        if line:
+            break
+    else:
+        raise IngestError(f"{path}: empty file")
+    where = f"{path}:{lineno}"
+    parts = line.split()
+    if len(parts) != 4 or parts[0] != "#weight" or parts[2] != "level":
+        raise IngestError(
+            f"{where}: expected header '#weight <k> level <N>', got {line!r}"
+        )
+    k = _int(where, "weight", parts[1], "non-integer weight or level")
+    N = _int(where, "level", parts[3], "non-integer weight or level")
+    if k < 1 or N < 1:
+        raise IngestError(f"{where}: weight and level must be >= 1")
+    w = k - 1
+    table: dict[int, int] = {}
+    for where, p, fields in _prime_rows(path, numbered, "<p>\\t<a_p>"):
+        ap = _int(where, "a_p", fields[1], "non-integer entry")
         # sqrt(p^(k-1)) is taken in floats; bit lengths catch a huge k first
-        w = k - 1
         if w * (p.bit_length() - 1) >= 1024 or p**w > _FLOAT_MAX:
             raise IngestError(
-                f"{path}:{lineno}: p^(k-1) = {p}^{w} is too large for a float"
+                f"{where}: p^(k-1) = {p}^{w} is too large for a float"
             )
         if N % p != 0 and not deligne_ok(ap, p, k):
             raise BoundError(
-                f"{path}:{lineno}: a_p={ap} violates the eigenvalue "
+                f"{where}: a_p={ap} violates the eigenvalue "
                 f"bound at p={p} for weight {k}"
             )
         table[p] = ap
-    if k is None:
-        raise IngestError(f"{path}: empty file")
     if not table:
         raise IngestError(f"{path}: no eigenvalue rows")
     return NewformData(k, N, table, path)
-
-
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n)."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -1
-    # factor out twos of n
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    # quadratic reciprocity loop on odd n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
 
 
 class CharacterData(NamedTuple):
@@ -393,30 +364,33 @@ class CharacterData(NamedTuple):
     table: dict[int, complex] | None = None
 
     def value(self, p: int) -> complex:
+        """chi(p) at a prime p.  A Kronecker character takes the symbol
+        (d|p): Euler's criterion d^((p-1)/2) mod p for odd p, and d mod 8
+        at p = 2."""
         if self.table is not None:
             if p not in self.table:
                 raise IngestError(f"{self.spec}: no character value for p={p}")
             return self.table[p]
-        if self.disc is None:
+        d = self.disc
+        if d is None:
             return 1.0 + 0j
-        return complex(kronecker(self.disc, p))
+        if p == 2:
+            return complex(0 if d % 2 == 0 else 1 if d % 8 in (1, 7) else -1)
+        s = pow(d, (p - 1) // 2, p)
+        return complex(s - p if s > 1 else s)
 
 
 def parse_char_spec(spec: str) -> CharacterData:
-    """'trivial', 'kronecker:<d>', or a path to a '<p>\\t<re>\\t<im>' table."""
+    """'trivial', 'kronecker:<d>', or a path to a table of prime-keyed rows
+    '<p>\\t<re>\\t<im>' (see _prime_rows) of unit-modulus values."""
     if spec == "trivial":
         return CharacterData(1, "trivial")
     if spec.startswith("kronecker:"):
         text = spec.split(":", 1)[1]
-        try:
-            d = int(text)
-        except ValueError:
-            _refuse_long_numeral("--char", "discriminant", text)
-            raise IngestError(f"bad discriminant in {spec!r}") from None
+        d = _int("--char", "discriminant", text, f"bad discriminant in {spec!r}")
         if d == 0:
             raise IngestError("kronecker discriminant must be nonzero")
         return CharacterData(abs(4 * d), spec, d)
-    table: dict[int, complex] = {}
     try:
         lines = read_lines(spec)
     except OSError:
@@ -424,30 +398,17 @@ def parse_char_spec(spec: str) -> CharacterData:
             f"character spec {spec!r} is neither 'trivial', 'kronecker:<d>', "
             "nor a readable file"
         ) from None
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise IngestError(
-                f"{spec}:{lineno}: expected '<p>\\t<re>\\t<im>'"
-            )
+    table: dict[int, complex] = {}
+    rows = _prime_rows(spec, enumerate(lines, 1), "<p>\\t<re>\\t<im>")
+    for where, p, fields in rows:
         try:
-            p = int(fields[0])
             v = complex(float(fields[1]), float(fields[2]))
         except ValueError:
-            _refuse_long_numeral(f"{spec}:{lineno}", "p", fields[0])
-            raise IngestError(f"{spec}:{lineno}: bad number") from None
-        _require_prime(f"{spec}:{lineno}", p)
-        if p in table:
-            raise IngestError(f"{spec}:{lineno}: duplicate prime {p}")
+            raise IngestError(f"{where}: bad number") from None
         # written so that a NaN part fails too: a NaN value would make
         # every check at its point pass
         if not abs(abs(v) - 1) <= 1e-6:
-            raise IngestError(
-                f"{spec}:{lineno}: character value not unit modulus"
-            )
+            raise IngestError(f"{where}: character value not unit modulus")
         table[p] = v
     if not table:
         raise IngestError(f"{spec}: no character rows")

@@ -45,7 +45,7 @@ class OpaqueInfo(NamedTuple):
 # nu is the dihedral summand of the Sym^4-degenerate shape: self-dual, with
 # central character eta and eta itself a self-twist.  ind is the induced
 # square in the dihedral shape; Ind(theta)~ = Ind(theta) (x) conj(theta|_F).
-_OPAQUE: dict[str, OpaqueInfo] = {
+OPAQUE: dict[str, OpaqueInfo] = {
     "nu_pi": OpaqueInfo(2, ONE, ("eta_pi",)),
     "nu_pi'": OpaqueInfo(2, ONE, ("eta_pi'",)),
     "ind_pi": OpaqueInfo(2, gen("xiF_pi", -2)),
@@ -55,7 +55,7 @@ _OPAQUE: dict[str, OpaqueInfo] = {
 
 def opaque_info(label: str) -> OpaqueInfo:
     try:
-        return _OPAQUE[label]
+        return OPAQUE[label]
     except KeyError:
         raise RepAlgError(f"unknown opaque atom {label!r}") from None
 

@@ -67,9 +67,6 @@ class LaurentPoly:
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.c == other.c
 
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.c)
         for k, v in other.c.items():

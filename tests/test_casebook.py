@@ -150,6 +150,22 @@ def test_unknown_case_rejected():
     assert "4.4.3" in str(e.value)  # the message lists the known ids
 
 
+def test_each_polycheck_identity_emits_its_coefficient_verdict():
+    # none of the three holds an opaque atom, so coeff_poly decides each one
+    want = {
+        "5.3.1": ["coefficient (generic head)"],
+        "5.3.2": ["coefficient (head)"],
+        "5.3.3": ["coefficient"],
+    }
+    assert set(want) == {
+        cid for cid, spec in CASES.items()
+        if any(ident.polycheck for ident in spec.identities)
+    }
+    for cid, names in want.items():
+        got = _by_name(verify_case(cid), "coefficient")
+        assert [(v.name, v.status) for v in got] == [(n, "PASS") for n in names]
+
+
 def test_bridge():
     rep = verify_plethysm_bridge()
     names = [v.name for v in rep.verdicts]

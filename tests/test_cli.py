@@ -161,6 +161,20 @@ def test_scan_character_table_missing_prime_exit_two(tmp_path, capsys):
     assert err == f"error: {chars}: no character value for p=2\n"
 
 
+def test_scan_digest_hashes_the_character_table(tmp_path, capsys):
+    # two tables at one path are different inputs, as for eigenvalue tables
+    chars = tmp_path / "chars.tsv"
+    argv = ["--json", "scan", "--form1", "delta", "--form2", "11a",
+            "--char", str(chars), "--xmax", "8", "--lmax", "1"]
+    digests = set()
+    for v3 in ("1", "-1"):
+        chars.write_text(f"2\t1\t0\n3\t{v3}\t0\n5\t1\t0\n7\t1\t0\n")
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        digests.add(json.loads(out)["inputs_digest"])
+    assert len(digests) == 2
+
+
 def test_scan_eigenvalue_table_missing_prime_exit_two(tmp_path, capsys):
     # an eigenvalue table must list every prime up to --xmax that no level
     # or character modulus ramifies; the error names the table, as for

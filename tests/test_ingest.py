@@ -10,12 +10,12 @@ from lfcheck import ingest
 from lfcheck.ingest import (
     BoundError,
     MR_LIMIT,
+    CharacterData,
     IngestError,
     builtin_form,
     is_prime,
     deligne_ok,
     delta_eigenvalues,
-    kronecker,
     load_eigenvalue_file,
     parse_char_spec,
     prepare_scan_points,
@@ -323,6 +323,39 @@ def test_builtin_forms():
         builtin_form("delta", 50).satake(101)
 
 
+def kronecker(a, n):
+    """Oracle: the Kronecker symbol (a|n) for any integers, by reciprocity."""
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    sign = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            sign = -1
+    # factor out twos of n
+    t = 0
+    while n % 2 == 0:
+        n //= 2
+        t += 1
+    if t:
+        if a % 2 == 0:
+            return 0
+        if t % 2 and a % 8 in (3, 5):
+            sign = -sign
+    a %= n
+    # quadratic reciprocity loop on odd n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
 def _legendre_naive(a, p):
     a %= p
     if a == 0:
@@ -347,6 +380,15 @@ def test_kronecker_multiplicative():
         assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
 
 
+def test_kronecker_character_at_primes_matches_the_oracle():
+    # p = 2 and every p dividing d included, though a scan skips them all
+    primes = sieve(2999)
+    for d in range(-300, 301):
+        chi = CharacterData(abs(4 * d), f"kronecker:{d}", d)
+        for p in primes:
+            assert chi.value(p) == kronecker(d, p), (d, p)
+
+
 def test_load_eigenvalue_file(tmp_path):
     p = tmp_path / "form.tsv"
     p.write_text("#weight 12 level 1\n2\t-24\n3\t252\n\n# comment\n5\t4830\n")
@@ -364,6 +406,7 @@ def test_loader_error_lines(tmp_path):
         ("#weight twelve level 1\n2\t-24\n", 1, "non-integer weight"),
         ("#weight 12 level 1\n2 -24\n", 2, "expected"),
         ("#weight 12 level 1\n2\tx\n", 2, "non-integer entry"),
+        ("#weight 12 level 1\n2.0\t-24\n", 2, "non-integer p"),
         ("#weight 12 level 1\n4\t-24\n", 2, "not prime"),
         ("#weight 12 level 1\n2\t-24\n2\t-24\n", 3, "duplicate"),
         ("", 0, "empty file"),
@@ -526,9 +569,19 @@ def test_parse_char_spec(tmp_path):
             parse_char_spec(bad)
     with pytest.raises(IngestError, match="discriminant is too long"):
         parse_char_spec(f"kronecker:-{LONG}")
-    t.write_text(f"{LONG}\t1.0\t0.0\n")
-    with pytest.raises(IngestError, match="char.tsv:1: p is too long"):
-        parse_char_spec(str(t))
+    # rows follow the rules of an eigenvalue table's rows
+    for text, frag in (
+        (f"{LONG}\t1.0\t0.0\n", "char.tsv:1: p is too long"),
+        ("3\t1.0\t0.0\n5\t1.0\n", "char.tsv:2: expected"),
+        ("# values\n3.0\t1.0\t0.0\n", "char.tsv:2: non-integer p"),
+        ("3\t1.0\t0.0\n\n9\t1.0\t0.0\n", "char.tsv:3: 9 is not prime"),
+        ("3\t1.0\t0.0\n3\t-1.0\t0.0\n", "char.tsv:2: duplicate prime 3"),
+        ("3\t1.0\tx\n", "char.tsv:1: bad number"),
+        ("# no rows\n", "no character rows"),
+    ):
+        t.write_text(text)
+        with pytest.raises(IngestError, match=frag):
+            parse_char_spec(str(t))
     for row in ("3\t2.0\t0.0\n", "3\tnan\t0.0\n", "3\t1.0\tnan\n", "3\tinf\t0\n"):
         t.write_text(row)
         with pytest.raises(IngestError, match="unit modulus"):
