@@ -49,6 +49,13 @@ GOLDEN_COMMANDS = {
         "--char", "kronecker:-4", "--xmax", "60", "--lmax", "2",
     ],
     "poles": ["poles", "Sym^4(pi) tw omega^-2 (x) Ad(pi')", "--hyp", HYP],
+    # twists reduced by the adjoint's cubic group and by nu_pi''s eta'
+    "poles_tetra": [
+        "poles",
+        "Ad(pi) tw mu (x) Sym^4(pi') tw chi*omega'^-2 (+) Ad(pi) tw mu^2*chi"
+        " (+) nu_pi' tw eta'*chi",
+        "--hyp", os.path.join(FIXTURES, "tetra_octa.hyp"),
+    ],
 }
 
 
