@@ -294,6 +294,8 @@ def _bases(points):
     """(p, base) in p order, where base maps each of the point's five
     variables to its value, checked to be of unit modulus."""
     for p, vals in sorted(points.items()):
+        if len(vals) != 5:
+            raise CoefficientError(f"point at p={p} has {len(vals)} values, not 5")
         base = dict(zip(_POINT_VARS, map(complex, vals)))
         for name, v in base.items():
             if not abs(abs(v) - 1.0) <= 1e-6:  # a NaN fails too

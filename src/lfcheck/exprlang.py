@@ -145,8 +145,7 @@ class _Parser:
                 acc = acc.dual()
             elif (k, v) == ("name", "tw"):
                 self.next()
-                c = self.charprod()
-                acc = acc.map_twists(lambda t, c=c: t * c)
+                acc = acc.twisted(self.charprod())
             else:
                 return acc
 

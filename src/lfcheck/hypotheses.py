@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .chargroup import ONE, STD_ORDERS, FormalCharacter, gen
+from .chargroup import STD_ORDERS, FormalCharacter
 
 
 class Tri(enum.Enum):
@@ -90,30 +90,14 @@ def is_trivial(c: FormalCharacter, hyp: Hypotheses) -> Tri:
     return Tri.UNKNOWN
 
 
-def ad_selftwists(base: str, hyp: Hypotheses) -> tuple[FormalCharacter, ...]:
-    """Declared self-twist group of the adjoint of the given base.
-
-    Trivial unless the Sym^3-degenerate shape is declared, in which case it
-    is {1, mu, mu^2}.
-    """
-    if hyp.type_of(base) is GL2Type.TETRAHEDRAL:
-        mu = gen(base_name("mu", base))
-        return (ONE, mu, mu * mu)
-    return (ONE,)
-
-
 def member_of(
     c: FormalCharacter, elems: tuple[FormalCharacter, ...], hyp: Hypotheses
 ) -> Tri:
     """Three-valued membership of c in a finite declared character set."""
-    any_unknown = False
-    for s in elems:
-        t = is_trivial(c * s.inv(), hyp)
-        if t is Tri.YES:
-            return Tri.YES
-        if t is Tri.UNKNOWN:
-            any_unknown = True
-    return Tri.UNKNOWN if any_unknown else Tri.NO
+    found = {is_trivial(c * s.inv(), hyp) for s in elems}
+    if Tri.YES in found:
+        return Tri.YES
+    return Tri.UNKNOWN if Tri.UNKNOWN in found else Tri.NO
 
 
 def classify(hyp: Hypotheses) -> str:

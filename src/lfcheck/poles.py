@@ -1,14 +1,14 @@
 """Pole-order bookkeeping at s = 1 for products of standard and
 Rankin-Selberg L-functions of cuspidal data.
 
-Inputs must be fully decomposed: a factor that the declared shape data
-rewrites as a smaller isobaric sum has no cuspidal pole theory of its own
-and is rejected.  For cuspidal data the rules are: a trivial character
-contributes a simple pole, any other cuspidal standard L-function none,
-and a pair contributes a simple pole exactly when the second member twisted
-by the pooled character is the contragredient of the first.  Three-valued
-answers about character triviality and dual matching propagate to interval
-bounds [lo, hi] on the total order.
+Inputs must be fully decomposed: `cuspidality` calls every atom that the
+declared shapes rewrite non-cuspidal, and such a factor or pair member is
+refused.  For cuspidal data the rules are: a trivial character contributes
+a simple pole, any other cuspidal standard L-function none, and a pair
+contributes a simple pole exactly when the second member twisted by the
+pooled character is the contragredient of the first.  Three-valued answers
+about character triviality and dual matching propagate to interval bounds
+[lo, hi] on the total order.
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ from collections import namedtuple
 
 from . import InputError
 from .hypotheses import GL2Type, Hypotheses, Tri, is_trivial
-from .repalg import (
-    Entry,
-    RepAtom,
-    RSPair,
-    VirtualRep,
-    _decompose_atom,
-    atom_equal,
-)
+from .repalg import Entry, RepAtom, RSPair, VirtualRep, atom_equal
 
 
 class PoleError(InputError):
@@ -56,6 +49,7 @@ class PoleInterval(namedtuple("PoleInterval", "lo hi")):
 ZERO = PoleInterval(0, 0)
 ONE = PoleInterval(1, 1)
 MAYBE = PoleInterval(0, 1)
+_BY_TRI = {Tri.YES: ONE, Tri.NO: ZERO, Tri.UNKNOWN: MAYBE}
 
 
 def cuspidality(atom: RepAtom, hyp: Hypotheses) -> Tri:
@@ -76,13 +70,14 @@ def cuspidality(atom: RepAtom, hyp: Hypotheses) -> Tri:
     return Tri.UNKNOWN
 
 
+def _dual_pole(a: RepAtom, b: RepAtom, hyp: Hypotheses) -> PoleInterval:
+    """Pole of the pair of a and b: simple exactly when b is the
+    contragredient of a."""
+    return _BY_TRI[atom_equal(b, a.dual(), hyp)]
+
+
 def _entry_pole(key: Entry, hyp: Hypotheses) -> tuple[PoleInterval, str]:
     if isinstance(key, RepAtom):
-        if _decompose_atom(key, hyp) is not None:
-            raise NonCuspidalError(
-                f"{key.pretty()} decomposes under the declared shapes; "
-                "decompose before taking pole orders"
-            )
         if key.kind == "char":
             t = is_trivial(key.twist, hyp)
             if t is Tri.YES:
@@ -99,25 +94,21 @@ def _entry_pole(key: Entry, hyp: Hypotheses) -> tuple[PoleInterval, str]:
             return MAYBE, f"{key.pretty()}: cuspidality undeclared"
         return ZERO, f"{key.pretty()}: cuspidal standard L-function, entire"
     assert isinstance(key, RSPair)
-    dec = any(_decompose_atom(c, hyp) is not None for c in (key.a, key.b))
-    if dec:
-        raise NonCuspidalError(
-            f"{key.pretty()} has a decomposable member; decompose first"
-        )
-    for c in (key.a, key.b):
-        cc = cuspidality(c, hyp)
+    # both members are checked for NO before an UNKNOWN one widens
+    cusp = [cuspidality(c, hyp) for c in (key.a, key.b)]
+    for c, cc in zip((key.a, key.b), cusp):
         if cc is Tri.NO:
             raise NonCuspidalError(
                 f"{key.pretty()}: member {c.pretty()} is non-cuspidal"
             )
-        if cc is Tri.UNKNOWN:
-            return MAYBE, f"{key.pretty()}: member cuspidality undeclared"
-    eq = atom_equal(key.b.twisted(key.twist), key.a.dual(), hyp)
-    if eq is Tri.YES:
-        return ONE, f"{key.pretty()}: dual pair, simple pole"
-    if eq is Tri.NO:
-        return ZERO, f"{key.pretty()}: members not dual, entire"
-    return MAYBE, f"{key.pretty()}: dual matching undecided"
+    if Tri.UNKNOWN in cusp:
+        return MAYBE, f"{key.pretty()}: member cuspidality undeclared"
+    iv = _dual_pole(key.a, key.b.twisted(key.twist), hyp)
+    if iv == ONE:
+        return iv, f"{key.pretty()}: dual pair, simple pole"
+    if iv == ZERO:
+        return iv, f"{key.pretty()}: members not dual, entire"
+    return iv, f"{key.pretty()}: dual matching undecided"
 
 
 def pole_order(V: VirtualRep, hyp: Hypotheses) -> tuple[PoleInterval, list[str]]:
@@ -148,19 +139,12 @@ def isobaric_pair_pole(
     reasons = []
     for ka, ma in A.entries:
         for kb, mb in B.entries:
-            eq = atom_equal(kb, ka.dual(), hyp)
-            if eq is Tri.YES:
-                iv = ONE
-            elif eq is Tri.NO:
-                iv = ZERO
-            else:
-                iv = MAYBE
+            iv = _dual_pole(ka, kb, hyp).scale(ma * mb)
             if iv != ZERO:
                 reasons.append(
-                    f"x{ma * mb} {ka.pretty()} against {kb.pretty()} "
-                    f"-> {iv.scale(ma * mb)}"
+                    f"x{ma * mb} {ka.pretty()} against {kb.pretty()} -> {iv}"
                 )
-            total = total + iv.scale(ma * mb)
+            total = total + iv
     return total, reasons
 
 

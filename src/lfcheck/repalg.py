@@ -6,8 +6,11 @@ one of the four opaque atoms of the degenerate shapes) or an RSPair (a
 formal Rankin-Selberg pair of two atom cores with one combined twist
 character).  Constructors canonicalize: same-base symmetric-power products
 expand by Clebsch-Gordan, GL(1) factors collapse into twists, pair members
-are sorted and the twist is pooled, so multiset equality of built values is
-the identity test.
+are sorted and the twist is pooled, and every twist is the least of its
+coset modulo the twists that fix its atom (`selftwists`; for a pair, the
+product of both members' groups, reduced in `_pair`).  So multiset equality
+of built values is the identity test; decompose_under also reduces modulo
+the declared groups.
 
 The unramified coefficient conventions: a twist multiplies coefficients, an
 isobaric sum adds them, a Rankin-Selberg pair multiplies them, and the
@@ -16,14 +19,13 @@ contragredient inverts every weight.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import Iterable, NamedTuple, Union
 
 from . import InputError
-from .chargroup import ONE, STD_ORDERS, FormalCharacter, gen
+from .chargroup import ONE, FormalCharacter, gen
 from .hypotheses import (
-    GL2Type, Hypotheses, Tri, ad_selftwists, base_name, is_trivial, member_of
+    GL2Type, Hypotheses, Tri, base_name, is_trivial, member_of
 )
 
 
@@ -39,15 +41,16 @@ class OpaqueInfo(NamedTuple):
     degree: int
     # the extra twist picked up under contragredient; ONE means self-dual
     dual_twist: FormalCharacter
-    selftwist_gens: tuple[str, ...] = ()
+    # the characters whose twist fixes the atom, ONE first
+    selftwists: tuple[FormalCharacter, ...] = (ONE,)
 
 
 # nu is the dihedral summand of the Sym^4-degenerate shape: self-dual, with
 # central character eta and eta itself a self-twist.  ind is the induced
 # square in the dihedral shape; Ind(theta)~ = Ind(theta) (x) conj(theta|_F).
 OPAQUE: dict[str, OpaqueInfo] = {
-    "nu_pi": OpaqueInfo(2, ONE, ("eta_pi",)),
-    "nu_pi'": OpaqueInfo(2, ONE, ("eta_pi'",)),
+    "nu_pi": OpaqueInfo(2, ONE, (ONE, gen("eta_pi"))),
+    "nu_pi'": OpaqueInfo(2, ONE, (ONE, gen("eta_pi'"))),
     "ind_pi": OpaqueInfo(2, gen("xiF_pi", -2)),
     "ind_pi'": OpaqueInfo(2, gen("xiF_pi'", -2)),
 }
@@ -64,18 +67,22 @@ def _om(base: str) -> FormalCharacter:
     return gen(base_name("om", base))
 
 
-def _subgroup(gen_names: Iterable[str]) -> tuple[FormalCharacter, ...]:
-    """All elements of the finite subgroup generated by the named generators."""
-    gens = [(gen(n), STD_ORDERS.get(n, 0)) for n in gen_names]
-    if any(order == 0 for _g, order in gens):
-        raise RepAlgError("self-twist generator without declared finite order")
-    out = []
-    for exps in itertools.product(*(range(order) for _g, order in gens)):
-        c = ONE
-        for (g, _o), e in zip(gens, exps):
-            c = c * g**e
-        out.append(c)
-    return tuple(out) if out else (ONE,)
+def selftwists(
+    core: RepAtom, hyp: Hypotheses | None = None
+) -> tuple[FormalCharacter, ...]:
+    """The characters whose twist fixes the atom, ONE first.
+
+    An opaque atom carries its own group.  Under hyp, the adjoint of a
+    tetrahedral base also has the declared {1, mu, mu^2}.  The group does
+    not depend on the atom's twist.
+    """
+    if core.kind == "op":
+        return opaque_info(core.label).selftwists
+    if hyp is not None and core.kind == "sym" and core.m == 2:
+        if hyp.type_of(core.base) is GL2Type.TETRAHEDRAL:
+            mu = gen(base_name("mu", core.base))
+            return (ONE, mu, mu * mu)
+    return (ONE,)
 
 
 def _canon_twist(
@@ -154,11 +161,9 @@ def sym_atom(base: str, m: int, twist: FormalCharacter | None = None) -> RepAtom
 
 
 def opaque_atom(label: str, twist: FormalCharacter | None = None) -> RepAtom:
-    info = opaque_info(label)
+    core = RepAtom("op", "", 0, label, ONE)
     t = twist if twist is not None else ONE
-    if info.selftwist_gens:
-        t = _canon_twist(t, _subgroup(info.selftwist_gens))
-    return RepAtom("op", "", 0, label, t)
+    return core._replace(twist=_canon_twist(t, selftwists(core)))
 
 
 def ad_atom(base: str, twist: FormalCharacter | None = None) -> RepAtom:
@@ -183,6 +188,9 @@ class RSPair(NamedTuple):
     @property
     def degree(self) -> int:
         return self.a.degree * self.b.degree
+
+    def twisted(self, c: FormalCharacter) -> "RSPair":
+        return _pair(self.a, self.b, self.twist * c)
 
     def dual(self) -> "RSPair":
         da, db = self.a.dual(), self.b.dual()
@@ -212,18 +220,14 @@ class RSPair(NamedTuple):
 Entry = Union[RepAtom, RSPair]
 
 
-def _pair(x: RepAtom, y: RepAtom, twist: FormalCharacter) -> RSPair:
-    for c in (x, y):
-        if c.kind == "char" or not c.twist.is_one:
-            raise RepAlgError("pair cores must be twist-free non-character atoms")
+def _pair(
+    x: RepAtom, y: RepAtom, twist: FormalCharacter, hyp: Hypotheses | None = None
+) -> RSPair:
+    """The pair of two cores, its twist reduced modulo the product of the
+    members' self-twist groups (declared ones too, under hyp)."""
     a, b = sorted((x, y), key=lambda k: k.sort_key())
-    sub = []
-    for c in (a, b):
-        if c.kind == "op":
-            sub.extend(opaque_info(c.label).selftwist_gens)
-    if sub:
-        twist = _canon_twist(twist, _subgroup(sub))
-    return RSPair(a, b, twist)
+    sub = [s * t for s in selftwists(a, hyp) for t in selftwists(b, hyp)]
+    return RSPair(a, b, _canon_twist(twist, sub))
 
 
 def cg_expand(j: int, k: int) -> list[tuple[int, int]]:
@@ -326,17 +330,8 @@ class VirtualRep(NamedTuple):
     def dual(self) -> "VirtualRep":
         return VirtualRep.build((k.dual(), m) for k, m in self.entries)
 
-    def map_twists(self, f) -> "VirtualRep":
-        def go(key: Entry) -> Entry:
-            if isinstance(key, RepAtom):
-                if key.kind == "char":
-                    return char_atom(f(key.twist))
-                if key.kind == "op":
-                    return opaque_atom(key.label, f(key.twist))
-                return sym_atom(key.base, key.m, f(key.twist))
-            return _pair(key.a, key.b, f(key.twist))
-
-        return VirtualRep.build((go(k), m) for k, m in self.entries)
+    def twisted(self, c: FormalCharacter) -> "VirtualRep":
+        return VirtualRep.build((k.twisted(c), m) for k, m in self.entries)
 
     def delta(self, other: "VirtualRep") -> dict[Entry, int]:
         """Signed multiset difference self minus other (zeros dropped)."""
@@ -409,19 +404,9 @@ def _decompose_entry(
 
 
 def _hyp_canon(key: Entry, hyp: Hypotheses) -> Entry:
-    def sub_of(core: RepAtom) -> tuple[FormalCharacter, ...]:
-        if core.kind == "sym" and core.m == 2:
-            return ad_selftwists(core.base, hyp)
-        return (ONE,)
-
-    if isinstance(key, RepAtom):
-        if key.kind == "sym" and key.m == 2:
-            return sym_atom(key.base, 2, _canon_twist(key.twist, sub_of(key.core())))
-        return key
-    sub = tuple(
-        s1 * s2 for s1 in sub_of(key.a) for s2 in sub_of(key.b)
-    )
-    return _pair(key.a, key.b, _canon_twist(key.twist, sub))
+    if isinstance(key, RSPair):
+        return _pair(key.a, key.b, key.twist, hyp)
+    return key._replace(twist=_canon_twist(key.twist, selftwists(key, hyp)))
 
 
 def decompose_under(V: VirtualRep, hyp: Hypotheses) -> VirtualRep:
@@ -464,16 +449,14 @@ def atom_equal(x: RepAtom, y: RepAtom, hyp: Hypotheses) -> Tri:
     if x.kind == "op":
         if x.label != y.label:
             return Tri.UNKNOWN
-        info = opaque_info(x.label)
-        sub = _subgroup(info.selftwist_gens) if info.selftwist_gens else (ONE,)
-        return member_of(y.twist * x.twist.inv(), sub, hyp)
+        return member_of(y.twist * x.twist.inv(), selftwists(x), hyp)
     # symmetric-power atoms of equal degree
     if x.m != y.m:
         return Tri.UNKNOWN
     if x.base == y.base:
         xi = y.twist * x.twist.inv()
         if x.m == 2:
-            return member_of(xi, ad_selftwists(x.base, hyp), hyp)
+            return member_of(xi, selftwists(x, hyp), hyp)
         if xi.is_one:
             return Tri.YES
         if x.m == 4 and is_trivial(xi**5, hyp) is Tri.NO:
@@ -490,6 +473,6 @@ def atom_equal(x: RepAtom, y: RepAtom, hyp: Hypotheses) -> Tri:
         # adjoints coincide; compare as same-base atoms over pi
         u = x.twist * _om(x.base)
         v = y.twist * _om(y.base)
-        return member_of(v * u.inv(), ad_selftwists("pi", hyp), hyp)
+        return member_of(v * u.inv(), selftwists(sym_atom("pi", 2), hyp), hyp)
     # no multiplicity-one input is declared for higher symmetric powers
     return Tri.UNKNOWN

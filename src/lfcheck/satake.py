@@ -208,7 +208,7 @@ def satake_point(
 
     Satake slots must be unit modulus (tempered normalization); finite-order
     character values must satisfy their declared order; remaining character
-    generators default to 1.
+    generators default to 1, and any other name is refused.
     """
     vals: dict[str, complex] = {
         "a_pi": complex(alpha_pi),
@@ -216,8 +216,11 @@ def satake_point(
         "a_pi'": complex(alpha_pi2),
         "b_pi'": complex(beta_pi2),
     }
+    rest = dict(chars or {})
     for n in VARS[4:]:
-        vals[n] = complex((chars or {}).get(n, 1))
+        vals[n] = complex(rest.pop(n, 1))
+    if rest:
+        raise CoefficientError(f"unknown character name {next(iter(rest))!r}")
     for n, v in vals.items():
         if not abs(abs(v) - 1.0) <= tol:  # a NaN fails too
             raise CoefficientError(f"{n} is not unit modulus: {v!r}")

@@ -169,8 +169,8 @@ def _random_point(rng):
         "mu_pi'": cmath.exp(2j * cmath.pi * rng.randrange(3) / 3),
         "eta_pi": float(rng.choice([1, -1])),
         "eta_pi'": float(rng.choice([1, -1])),
-        "xiF": cmath.exp(1j * rng.uniform(0, 2 * cmath.pi)),
-        "xiF'": cmath.exp(1j * rng.uniform(0, 2 * cmath.pi)),
+        "xiF_pi": cmath.exp(1j * rng.uniform(0, 2 * cmath.pi)),
+        "xiF_pi'": cmath.exp(1j * rng.uniform(0, 2 * cmath.pi)),
     }
     return satake_point(a1, a1.conjugate(), a2, a2.conjugate(), chars)
 

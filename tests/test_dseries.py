@@ -239,6 +239,11 @@ def test_scan_refuses_a_point_off_the_unit_circle():
             bad[i] = v
             with pytest.raises(CoefficientError, match=f"^{name} is not unit"):
                 scan_positivity({3: good, 7: tuple(bad)}, lmax=1)
+    # a point holds exactly five values: a sixth is not dropped, and a
+    # missing one is named by its prime rather than by a variable
+    for bad in (good + (5,), good[:4]):
+        with pytest.raises(CoefficientError, match=f"^point at p=7 has {len(bad)} "):
+            scan_positivity({3: good, 7: bad}, lmax=1)
 
 
 def test_scan_empty_not_ok():

@@ -3,9 +3,12 @@
 Every `lfcheck` command starts a fresh interpreter that compiles whatever
 it imports, so the import set is part of a command's cost.  These tests run
 the console entry point (`from lfcheck.cli import main`) in a child process
-and read `sys.modules` once `main` has returned.
+and read `sys.modules` once `main` has returned.  A last check keeps each
+module's private names its own.
 """
 
+import ast
+import glob
 import importlib.util
 import os
 import subprocess
@@ -80,3 +83,18 @@ def test_package_names_resolve_lazily():
     import lfcheck
 
     assert run_child(code) == f"{len(lfcheck.__all__)} [] True"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "lfcheck", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                found += [
+                    f"{os.path.basename(path)}: from .{node.module} import {a.name}"
+                    for a in node.names
+                    if a.name.startswith("_")
+                ]
+    assert found == []

@@ -1,5 +1,6 @@
 """Pole-order bookkeeping at the edge point."""
 
+import itertools
 import random
 
 import pytest
@@ -18,8 +19,11 @@ from lfcheck.poles import (
     pole_order,
     self_dual_abelian_entries,
 )
+from lfcheck.exprlang import parse_expr
 from lfcheck.repalg import (
+    OPAQUE,
     VirtualRep,
+    _decompose_atom,
     ad_atom,
     char_atom,
     decompose_under,
@@ -95,6 +99,32 @@ def test_non_cuspidal_input_rejected():
     # after decomposition the ledger goes through
     iv, _ = pole_order(decompose_under(V, hypT), hypT)
     assert iv == ZERO
+
+
+def test_every_rewritten_atom_is_non_cuspidal():
+    # the ledger refuses undecomposed input through cuspidality alone, so
+    # every atom the declared shapes rewrite must read NO there
+    atoms = [char_atom(chi), *(opaque_atom(label) for label in OPAQUE)]
+    atoms += [sym_atom(b, m, chi) for b in ("pi", "pi'") for m in range(1, 7)]
+    rewritten = 0
+    for t1, t2 in itertools.product(GL2Type, repeat=2):
+        hyp = Hypotheses(t1, t2)
+        for atom in atoms:
+            if _decompose_atom(atom, hyp) is not None:
+                rewritten += 1
+                assert cuspidality(atom, hyp) is Tri.NO, (atom, hyp)
+    # per base: one atom for each of its three degenerate types, with the
+    # other base of any of four types
+    assert rewritten == 2 * 3 * 4
+
+
+def test_pair_with_a_non_cuspidal_member_refused_before_widening():
+    # Sym^5(pi) has undeclared cuspidality, but Sym^4(pi') is non-cuspidal
+    # for a tetrahedral pi', so the pair is refused rather than read [0, 1]
+    hyp = Hypotheses(GL2Type.GENERAL, GL2Type.TETRAHEDRAL)
+    V = parse_expr("Sym^5(pi) (x) Sym^4(pi')")
+    with pytest.raises(NonCuspidalError, match="Sym\\^4\\(pi'\\) is non-cuspidal"):
+        pole_order(V, hyp)
 
 
 def test_self_dual_opaque_pair_has_pole():

@@ -5,14 +5,17 @@ independent oracle: torus character polynomials in ZZ[x, y, x^-1, y^-1]
 computed by brute force, where Sym^m has character sum_i x^i y^(m-i).
 """
 
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
 from lfcheck import chargroup as G
+from lfcheck.exprlang import parse_expr
 from lfcheck.hypotheses import GL2Type, Hypotheses, Tri
 from lfcheck.repalg import (
+    OPAQUE,
     PairOperandError,
     RepAlgError,
     RSPair,
@@ -25,6 +28,7 @@ from lfcheck.repalg import (
     opaque_atom,
     plethysm_sym2,
     rs_product,
+    selftwists,
     sym_atom,
 )
 
@@ -128,6 +132,8 @@ def test_pair_grouping_invariance():
     x = rs_product(VirtualRep.of(ad_atom("pi", chi)), VirtualRep.of(ad_atom("pi'")))
     y = rs_product(VirtualRep.of(ad_atom("pi")), VirtualRep.of(ad_atom("pi'", chi)))
     assert x == y
+    # a pair twist is reduced modulo both members' self-twist groups
+    assert parse_expr("nu_pi (x) nu_pi' tw eta*eta'") == parse_expr("nu_pi (x) nu_pi'")
 
 
 def test_char_absorption():
@@ -259,3 +265,19 @@ def test_entry_order_is_canonical():
     b = VirtualRep.of(ad_atom("pi")) + VirtualRep.of(char_atom(chi))
     assert a == b
     assert a.entries == b.entries
+
+
+def test_selftwists_are_groups():
+    # tests-only closure oracle: every group selftwists hands out lists
+    # ONE first, no element twice, and is closed under products
+    atoms = [char_atom(chi), *(opaque_atom(label) for label in OPAQUE)]
+    atoms += [sym_atom(b, m) for b in ("pi", "pi'") for m in range(1, 7)]
+    hyps = [None] + [Hypotheses(t1, t2) for t1, t2 in itertools.product(GL2Type, repeat=2)]
+    sizes = set()
+    for atom, hyp in itertools.product(atoms, hyps):
+        group = selftwists(atom, hyp)
+        assert group[0] == G.ONE
+        assert len(set(group)) == len(group)
+        assert {s * t for s in group for t in group} <= set(group), (atom, hyp)
+        sizes.add(len(group))
+    assert sizes == {1, 2, 3}

@@ -150,6 +150,10 @@ def test_satake_point_validates_modulus():
                 satake_point(*slots)
         with pytest.raises(CoefficientError, match="^chi is not unit"):
             satake_point(1, 1, 1, 1, {"chi": bad})
+    # a misspelt character, or one set by the Satake slots, is not ignored
+    for name in ("chii", "om_pi", "a_pi", "xiF"):
+        with pytest.raises(CoefficientError, match=f"unknown character name '{name}'"):
+            satake_point(1, 1, 1, 1, {"chi": -1, name: 1})
 
 
 def test_satake_point_validates_declared_orders():
