@@ -18,7 +18,8 @@ Each case produces verdicts:
   coefficient     Laurent-polynomial identity (only where decomposition-free)
   pole ledger     pole-order interval matches the recorded expectation
   entirety        pole upper bound does not exceed the cleared order k
-  ghl budget      2*ell > k so the zero-counting step applies
+  ghl budget      2*ell > k so the zero-counting step applies, with ell
+                  (auxiliary cases) the count of A x A'chi in D
   gl2 structure   (both-dihedral case) every factor has members of degree <= 2
 
 One display is reproduced as printed even though its exponents do not
@@ -463,7 +464,7 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
         )
     ]
 
-    pole_target = None
+    pole_target = dD = None
     for i, ident in enumerate(spec.identities):
         lhs = build_D() if ident.lhs is None else _rows(ident.lhs)
         rhs = _rows(ident.rhs)
@@ -483,6 +484,8 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
         dr = decompose_under(rhs, spec.hyp)
         if i == 0:
             pole_target = dl
+        if ident.lhs is None:
+            dD = dl
         delta = dr.delta(dl)
         verdicts.append(
             Verdict(
@@ -570,15 +573,15 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
 
     if spec.ell is not None and spec.k is not None:
         ok = 2 * spec.ell > spec.k
-        verdicts.append(
-            Verdict(
-                "ghl budget",
-                "PASS" if ok else "FAIL",
-                f"2*ell = {2 * spec.ell} > k = {spec.k}"
-                if ok
-                else f"2*ell = {2 * spec.ell} <= k = {spec.k}",
-            )
-        )
+        det = f"2*ell = {2 * spec.ell} {'>' if ok else '<='} k = {spec.k}"
+        # ell counts A x A'chi in D; 5.3.3 has no D, and no stated rule gives
+        # its ell (its Sym^4 chi-twists appear once each), so it stays recorded
+        if dD is not None:
+            ((target, _m),) = decompose_under(_rows(_FACTOR), spec.hyp).entries
+            ell = dD.counter()[target]
+            if ell != spec.ell:
+                ok, det = False, f"computed ell = {ell}, recorded ell = {spec.ell}"
+        verdicts.append(Verdict("ghl budget", "PASS" if ok else "FAIL", det))
     return CaseReport(case_id, spec.title, _hyp_desc(spec.hyp), verdicts)
 
 

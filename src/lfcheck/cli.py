@@ -171,7 +171,8 @@ def parse_hyp_file(path: str) -> Hypotheses:
         raise UsageError(f"{path}: {e}") from None
 
 
-def _case_section(cr: CaseReport) -> Section:
+def _case_section(cr) -> Section:
+    """A `casebook.CaseReport` as one report section."""
     return Section(f"case {cr.case_id}: {cr.title}", cr.hypotheses, cr.verdicts)
 
 
@@ -188,14 +189,7 @@ def _cmd_verify(args) -> Report:
         raise UsageError("--tamper applies only to verify case")
 
     if args.what == "sos":
-        return Report(
-            "verify sos",
-            digest("verify sos", __version__),
-            [
-                Verdict(name, "PASS" if ok else "FAIL", detail)
-                for name, ok, detail in verify_sos()
-            ],
-        )
+        return Report("verify sos", digest("verify sos", __version__), verify_sos())
     if args.what == "bridge":
         return Report(
             "verify bridge",

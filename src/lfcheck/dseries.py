@@ -1,68 +1,77 @@
 """The degree-324 auxiliary product: construction, the sum-of-squares
 identity for its prime-power coefficients, and a numeric positivity scan.
 
-The product has fifteen factors.  Writing A, A' for the two adjoints, S4,
-S4' for the omega-normalized fourth symmetric powers, and chi for the
-auxiliary character, the factors and multiplicities are
+The product D is defined by its square root.  At an unramified prime its
+coefficient is |w|^2 with
 
-    zeta^6, (A x A'chi)^4, (A x A'chibar)^4, A^7, A'^2, (A'chi)^2,
-    (A'chibar)^2, S4^5, S4'^2, (A x A')^3, (A x S4')^3, (A' x S4),
-    (A' x S4chi)^2, (A' x S4chibar)^2, (S4 x S4').
+    w = 2x + xz + z,
 
-At an unramified prime the coefficient equals |2x + xz + z|^2 with
-x the adjoint coefficient of the first form (real) and z the chi-twisted
-adjoint coefficient of the second.
+where x is the adjoint coefficient of the first form (real) and z the
+chi-twisted adjoint coefficient of the second.  `W` holds w; `build_D`,
+the closed square form and the scan's square all read it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import inf
 from typing import NamedTuple, Sequence
 
 from .chargroup import ONE, gen
 from .hypotheses import base_name
-from .repalg import VirtualRep, ad_atom, rs_product, sym_atom, char_atom
+from .report import Verdict
+from .repalg import RepAtom, VirtualRep, ad_atom, rs_product, sym_atom, char_atom
 from .satake import VARS, CoefficientError, LaurentPoly, coeff_poly, satake_point
 
+# w as (power of x, power of z) -> coefficient, its terms in the order the
+# scan adds them
+W = {(1, 0): 2, (1, 1): 1, (0, 1): 1}
 
-def aux_factors() -> list[tuple[str, VirtualRep, int]]:
-    """The fifteen factors in display order as (label, value, multiplicity)."""
-    chi = gen("chi")
-    A = VirtualRep.of(ad_atom("pi"))
-    A2 = VirtualRep.of(ad_atom("pi'"))
-    A2chi = VirtualRep.of(ad_atom("pi'", chi))
-    A2chibar = VirtualRep.of(ad_atom("pi'", chi.inv()))
-    om2bar, om2bar2 = gen("om_pi", -2), gen("om_pi'", -2)
-    S4 = VirtualRep.of(sym_atom("pi", 4, om2bar))
-    S42 = VirtualRep.of(sym_atom("pi'", 4, om2bar2))
-    S4chi = VirtualRep.of(sym_atom("pi", 4, chi * om2bar))
-    S4chibar = VirtualRep.of(sym_atom("pi", 4, chi.inv() * om2bar))
-    one = VirtualRep.of(char_atom(ONE))
-    out = [
-        ("zeta", one, 6),
-        ("A x A'(chi)", rs_product(A, A2chi), 4),
-        ("A x A'(chibar)", rs_product(A, A2chibar), 4),
-        ("A", A, 7),
-        ("A'", A2, 2),
-        ("A'(chi)", A2chi, 2),
-        ("A'(chibar)", A2chibar, 2),
-        ("S4", S4, 5),
-        ("S4'", S42, 2),
-        ("A x A'", rs_product(A, A2), 3),
-        ("A x S4'", rs_product(A, S42), 3),
-        ("A' x S4", rs_product(A2, S4), 1),
-        ("A' x S4(chi)", rs_product(A2, S4chi), 2),
-        ("A' x S4(chibar)", rs_product(A2, S4chibar), 2),
-        ("S4 x S4'", rs_product(S4, S42), 1),
-    ]
+# the atoms whose coefficients are x and z
+_X, _Z = ad_atom("pi"), ad_atom("pi'", gen("chi"))
+
+
+def _w_text(x: str, z: str, sep: str) -> str:
+    """w written in the names x and z, the factors of each term joined by
+    sep and the terms in W order."""
+    return " + ".join(
+        sep.join([str(c)] * (c != 1) + [x] * i + [z] * j) or "1"
+        for (i, j), c in W.items()
+    )
+
+
+def _powers(atom: RepAtom, n: int) -> list[VirtualRep]:
+    """The Rankin-Selberg powers 0..n of one atom."""
+    out = [VirtualRep.of(char_atom(ONE))]
+    for _ in range(n):
+        out.append(rs_product(out[-1], VirtualRep.of(atom)))
     return out
 
 
 def build_D() -> VirtualRep:
-    """The full auxiliary product as one multiset; degree 324."""
-    total = VirtualRep.build([])
-    for _label, V, mult in aux_factors():
-        total = total + V.scale(mult)
+    """|w|^2 as one multiset; degree 324.
+
+    The terms c x^i z^j and c' x^k z^l of W give c c' copies of
+    x^(i+k) z^j zbar^l: the Rankin-Selberg product of a power of Ad(pi)
+    with powers of Ad(pi') twisted by chi and of its dual.  Each power and
+    each z^j zbar^l is built once.
+    """
+    nz = max(j for _i, j in W)
+    xs = _powers(_X, 2 * max(i for i, _j in W))
+    zz = {
+        (j, l): rs_product(zj, zbl)
+        for j, zj in enumerate(_powers(_Z, nz))
+        for l, zbl in enumerate(_powers(_Z.dual(), nz))
+    }
+    mults: Counter = Counter()
+    for (i, j), c in W.items():
+        for (k, l), c2 in W.items():
+            mults[i + k, j, l] += c * c2
+    total = VirtualRep.build(
+        (key, m * mult)
+        for (n, j, l), m in mults.items()
+        for key, mult in rs_product(xs[n], zz[j, l]).entries
+    )
     assert total.degree == 324, total.degree
     return total
 
@@ -74,29 +83,33 @@ def _polys() -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     """(full coefficient polynomial, x, z), cached."""
     if "P" not in _CACHE:
         _CACHE["P"] = coeff_poly(build_D())
-        _CACHE["x"] = coeff_poly(VirtualRep.of(ad_atom("pi")))
-        _CACHE["z"] = coeff_poly(VirtualRep.of(ad_atom("pi'", gen("chi"))))
+        _CACHE["x"] = coeff_poly(VirtualRep.of(_X))
+        _CACHE["z"] = coeff_poly(VirtualRep.of(_Z))
     return _CACHE["P"], _CACHE["x"], _CACHE["z"]
 
 
 def sos_closed_form() -> LaurentPoly:
+    """|w|^2 with w built from W as a polynomial in x and z."""
     _P, x, z = _polys()
-    two = LaurentPoly.one() + LaurentPoly.one()
-    w = two * x + x * z + z
+    w = LaurentPoly.zero()
+    for (i, j), c in W.items():
+        term = LaurentPoly({(0,) * len(VARS): c})
+        for f in [x] * i + [z] * j:
+            term = term * f
+        w = w + term
     return w * w.conj()
 
 
-def verify_sos() -> list[tuple[str, bool, str]]:
-    """Check the square identity and its supporting relations exactly.
+def _verdict(name: str, ok: bool, detail: str) -> Verdict:
+    return Verdict(name, "PASS" if ok else "FAIL", detail)
 
-    Returns (name, ok, detail) per sub-check.
-    """
+
+def verify_sos() -> list[Verdict]:
+    """Check the square identity and its supporting relations exactly."""
     P, x, z = _polys()
-    checks = []
-
-    checks.append(
-        ("adjoint coefficient is real", (x.conj() - x).is_zero, "conj(x) = x")
-    )
+    checks = [
+        _verdict("adjoint coefficient is real", (x.conj() - x).is_zero, "conj(x) = x")
+    ]
 
     for base, xx in (("pi", x), ("pi'", coeff_poly(VirtualRep.of(ad_atom("pi'"))))):
         om2bar = gen(base_name("om", base), -2)
@@ -104,7 +117,7 @@ def verify_sos() -> list[tuple[str, bool, str]]:
         lhs = xx * xx
         rhs = LaurentPoly.one() + xx + s4
         checks.append(
-            (
+            _verdict(
                 f"square relation over {base}",
                 (lhs - rhs).is_zero,
                 "x^2 = 1 + x + s4",
@@ -114,8 +127,8 @@ def verify_sos() -> list[tuple[str, bool, str]]:
     Q = sos_closed_form()
     diff = P - Q
     checks.append(
-        (
-            "coefficient equals |2x + xz + z|^2",
+        _verdict(
+            f"coefficient equals |{_w_text('x', 'z', '')}|^2",
             diff.is_zero,
             "0 residual" if diff.is_zero else f"{diff.n_terms} residual terms",
         )
@@ -124,7 +137,7 @@ def verify_sos() -> list[tuple[str, bool, str]]:
     ones = satake_point(1, 1, 1, 1)
     v324 = P.eval(ones)
     checks.append(
-        (
+        _verdict(
             "degree check at the trivial point",
             abs(v324 - 324) < 1e-9,
             f"value {v324.real:.12g}",
@@ -133,7 +146,7 @@ def verify_sos() -> list[tuple[str, bool, str]]:
 
     vneg = P.eval(satake_point(1, 1, 1, 1, {"chi": -1}))
     checks.append(
-        (
+        _verdict(
             "quadratic character point",
             abs(vneg - 36) < 1e-9,
             f"value {vneg.real:.12g}",
@@ -145,7 +158,7 @@ def verify_sos() -> list[tuple[str, bool, str]]:
     sym = P.eval(pt)
     swapped = P.eval({**pt, "chi": pt["chi"].conjugate()})
     checks.append(
-        (
+        _verdict(
             "conjugate-character symmetry",
             abs(sym - swapped) < 1e-9,
             f"|difference| {abs(sym - swapped):.3g}",
@@ -167,10 +180,10 @@ def _compile(polys):
     fn(bases, lmax, c0, c1, c2), where c<k> is `coefficients[k]`, the
     values of polys[k] in dict order, yields (p, l, direct, square) for
     each (p, base) of `bases` and l = 1..lmax: P at the point base ** l,
-    and the closed square |2x + xz + z|^2 there.  Variable j of VARS is
-    read as base[<name>] ** l and bound once to u<j>, and only if some
-    polynomial uses it.  The source names only variables, exponents and
-    indices, never a coefficient.
+    and the closed square |w|^2 there.  Variable j of VARS is read as
+    base[<name>] ** l and bound once to u<j>, and only if some polynomial
+    uses it.  The source names only variables, exponents and indices,
+    never a coefficient.
 
     Each distinct power u ** e is computed once and shared by every
     polynomial.  Every term starts from its coefficient, multiplies its
@@ -214,7 +227,7 @@ def _compile(polys):
         sums[k].append(f"s{k} += {head}" + "".join(f" * w{w}" for w in ws[n:]))
     for k, body in enumerate(sums):
         lines += [f"s{k} = 0j", *body]
-    lines.append("yield p, l, s0, abs(2 * s1 + s1 * s2 + s2) ** 2")
+    lines.append(f"yield p, l, s0, abs({_w_text('s1', 's2', ' * ')}) ** 2")
     src = "".join(
         [
             "def _f(bases, lmax, c0, c1, c2):\n",
@@ -228,20 +241,6 @@ def _compile(polys):
     return ns["_f"], coefs
 
 
-# the compiled scan loop and the coefficient dicts it was built from
-_KERNEL: list = [None, (None, None, None)]
-
-
-def _scan_kernel():
-    """(generator function, coefficients) for the current (P, x, z), built
-    by `_compile` and rebuilt whenever one of their dicts is rebound."""
-    polys = _polys()
-    if any(q.c is not c for q, c in zip(polys, _KERNEL[1])):
-        _KERNEL[0] = _compile(polys)
-        _KERNEL[1] = tuple(q.c for q in polys)
-    return _KERNEL[0]
-
-
 # Violation kinds, each named after the scan verdict it fails
 NONNEGATIVITY = "nonnegativity"
 REALNESS = "realness"
@@ -250,7 +249,7 @@ SQUARE_IDENTITY = "square identity"
 
 class Violation(NamedTuple):
     """A failed check at the point (p, l): `value` is the direct coefficient
-    there and `square` the closed square form |2x + xz + z|^2."""
+    there and `square` the closed square form |w|^2."""
 
     kind: str
     p: int
@@ -315,7 +314,7 @@ def scan_positivity(
     """
     checked, min_value, min_at, max_abs_delta, max_delta_at = 0, inf, None, 0.0, None
     violations = []
-    fn, coefs = _scan_kernel()
+    fn, coefs = _compile(_polys())
     for p, ell, direct, sos in fn(_bases(points), lmax, *coefs):
         delta = abs(direct.real - sos)
         checked += 1

@@ -36,8 +36,6 @@ class LaurentPoly:
     """Integer-coefficient Laurent polynomial over the variable universe.
 
     `c` maps exponent tuples (in VARS order) to nonzero integer coefficients.
-    Code may rebind `c` but never mutates the dict in place; the scan's
-    compiled loop is keyed on the dicts it was built from.
     """
 
     __slots__ = ("c",)

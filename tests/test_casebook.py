@@ -77,6 +77,16 @@ def test_budget_pairs():
         assert f"2*ell = {2 * ell} > k = {k}" == v.detail
 
 
+def test_ghl_budget_checks_ell_against_D(monkeypatch):
+    # ell = 5 would pass 2*ell > k, but D holds A x A'chi four times in 4.3;
+    # the display's pair rows keep ell = 4, so nothing else goes red
+    monkeypatch.setitem(CASES, "4.3", CASES["4.3"]._replace(ell=5))
+    rep = verify_case("4.3")
+    assert [(v.name, v.status, v.detail) for v in rep.verdicts if v.status != "PASS"] == [
+        ("ghl budget", "FAIL", "computed ell = 4, recorded ell = 5")
+    ]
+
+
 def test_pole_ledgers():
     for cid, iv in EXPECTED_POLES.items():
         rep = verify_case(cid)

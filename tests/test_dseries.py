@@ -14,7 +14,6 @@ from lfcheck.dseries import (
     ScanResult,
     Violation,
     a_D_value,
-    aux_factors,
     build_D,
     scan_positivity,
     verify_sos,
@@ -26,8 +25,50 @@ from lfcheck.ingest import (
     prepare_scan_points,
     sieve,
 )
-from lfcheck.satake import VARS, CoefficientError, LaurentPoly, satake_point
+from lfcheck.casebook import verify_case
+from lfcheck.chargroup import ONE, gen
+from lfcheck.repalg import VirtualRep, ad_atom, char_atom, rs_product, sym_atom
+from lfcheck.satake import (
+    VARS,
+    CoefficientError,
+    LaurentPoly,
+    coeff_poly,
+    satake_point,
+)
 from test_satake import oracle_eval
+
+
+def oracle_factors():
+    """The paper's fifteen factors of D, transcribed by hand, in display
+    order as (label, value, multiplicity): a route to D that never reads w."""
+    chi = gen("chi")
+    A = VirtualRep.of(ad_atom("pi"))
+    A2 = VirtualRep.of(ad_atom("pi'"))
+    A2chi = VirtualRep.of(ad_atom("pi'", chi))
+    A2chibar = VirtualRep.of(ad_atom("pi'", chi.inv()))
+    om2bar, om2bar2 = gen("om_pi", -2), gen("om_pi'", -2)
+    S4 = VirtualRep.of(sym_atom("pi", 4, om2bar))
+    S42 = VirtualRep.of(sym_atom("pi'", 4, om2bar2))
+    S4chi = VirtualRep.of(sym_atom("pi", 4, chi * om2bar))
+    S4chibar = VirtualRep.of(sym_atom("pi", 4, chi.inv() * om2bar))
+    one = VirtualRep.of(char_atom(ONE))
+    return [
+        ("zeta", one, 6),
+        ("A x A'(chi)", rs_product(A, A2chi), 4),
+        ("A x A'(chibar)", rs_product(A, A2chibar), 4),
+        ("A", A, 7),
+        ("A'", A2, 2),
+        ("A'(chi)", A2chi, 2),
+        ("A'(chibar)", A2chibar, 2),
+        ("S4", S4, 5),
+        ("S4'", S42, 2),
+        ("A x A'", rs_product(A, A2), 3),
+        ("A x S4'", rs_product(A, S42), 3),
+        ("A' x S4", rs_product(A2, S4), 1),
+        ("A' x S4(chi)", rs_product(A2, S4chi), 2),
+        ("A' x S4(chibar)", rs_product(A2, S4chibar), 2),
+        ("S4 x S4'", rs_product(S4, S42), 1),
+    ]
 
 
 # display-order multiplicities of the fifteen factors
@@ -62,10 +103,10 @@ def scanned_rows(monkeypatch, points, lmax):
     """Run the scan and return its result with what its compiled loop
     yielded."""
     rows = []
-    kernel = dseries._scan_kernel
+    compile_loop = dseries._compile
 
-    def spy():
-        fn, coefs = kernel()
+    def spy(polys):
+        fn, coefs = compile_loop(polys)
 
         def tee(*args):
             for row in fn(*args):
@@ -74,7 +115,7 @@ def scanned_rows(monkeypatch, points, lmax):
 
         return tee, coefs
 
-    monkeypatch.setattr(dseries, "_scan_kernel", spy)
+    monkeypatch.setattr(dseries, "_compile", spy)
     return scan_positivity(points, lmax), rows
 
 
@@ -84,10 +125,15 @@ def assert_bit_equal(rows, ref):
 
 
 def test_factor_roster():
-    facs = aux_factors()
+    facs = oracle_factors()
     assert len(facs) == 15
     assert tuple(m for _l, _v, m in facs) == PROFILE
     assert sum(V.degree * m for _l, V, m in facs) == 324
+    # D built from w holds exactly the transcribed factors, entry for entry
+    total = VirtualRep.build([])
+    for _label, V, mult in facs:
+        total = total + V.scale(mult)
+    assert build_D() == total
 
 
 def test_total_degree():
@@ -97,8 +143,8 @@ def test_total_degree():
 def test_square_identity_suite():
     checks = verify_sos()
     assert len(checks) == 7
-    for name, ok, detail in checks:
-        assert ok, (name, detail)
+    for v in checks:
+        assert v.status == "PASS", v
 
 
 def _unitary(rng):
@@ -217,12 +263,13 @@ def test_kernel_is_built_once_and_holds_no_coefficient(monkeypatch):
     big = {**P.c, next(iter(P.c)): 10**20 + 1}
     monkeypatch.setitem(dseries._CACHE, "P", LaurentPoly(big))
     points = _small_points()
-    for _ in range(2):
+    for n in (1, 2):
         _res, rows = scanned_rows(monkeypatch, points, 2)
         assert_bit_equal(rows, reference_rows(points, 2))
-    assert len(sources) == 1
-    assert "100000000000000000001" not in sources[0]
-    assert "1e+20" not in sources[0]
+        assert len(sources) == n  # one compile per scan
+    for src in sources:
+        assert "100000000000000000001" not in src
+        assert "1e+20" not in src
 
 
 def test_scan_refuses_a_point_off_the_unit_circle():
@@ -258,7 +305,7 @@ def test_scan_violations_are_records(monkeypatch):
     direct = {1: -1 + 1j, 2: -1 + 0j, 3: 2.5 + 0j, 4: sq + 0j}
     points = {3: (1, 1, 1, 1, 1)}
 
-    def fake_kernel():
+    def fake_compile(polys):
         def scan(bases, lmax, *coefs):
             for p, _base in bases:
                 for ell in range(1, lmax + 1):
@@ -266,7 +313,7 @@ def test_scan_violations_are_records(monkeypatch):
 
         return scan, ()
 
-    monkeypatch.setattr(dseries, "_scan_kernel", fake_kernel)
+    monkeypatch.setattr(dseries, "_compile", fake_compile)
     res = scan_positivity(points, lmax=4, tol=1e-9)
     assert res.violations == [
         Violation(REALNESS, 3, 1, -1 + 1j, sq),
@@ -300,3 +347,81 @@ def test_direct_path_evaluates_the_built_polynomial(monkeypatch):
     assert res.checked > 0 and not res.ok
     assert {v.kind for v in res.violations} == {SQUARE_IDENTITY}
     assert len(res.violations) == res.checked
+
+
+def _chi_poly(e):
+    return coeff_poly(VirtualRep.of(char_atom(gen("chi", e))))
+
+
+def _add_to_P(*extra):
+    def mutate(monkeypatch):
+        P = dseries._polys()[0]
+        for q in extra:
+            P = P + q
+        monkeypatch.setitem(dseries._CACHE, "P", P)
+
+    return mutate
+
+
+def _twist_x(monkeypatch):
+    dseries._polys()
+    x = coeff_poly(VirtualRep.of(ad_atom("pi", gen("chi"))))
+    monkeypatch.setitem(dseries._CACHE, "x", x)
+
+
+def _unnormalized_sym4_prime(monkeypatch):
+    def mutated(base, m, twist=None):
+        return sym_atom(base, m, None if base == "pi'" else twist)
+
+    monkeypatch.setattr(dseries, "sym_atom", mutated)
+
+
+def _swap_w(monkeypatch):
+    # x's and z's coefficients traded: the degree stays 324
+    monkeypatch.setattr(dseries, "W", {(1, 0): 1, (1, 1): 1, (0, 1): 2})
+    monkeypatch.setattr(dseries, "_CACHE", {})
+
+
+REAL = "adjoint coefficient is real"
+SQUARE_PI, SQUARE_PI2 = "square relation over pi", "square relation over pi'"
+COEFFICIENT = "coefficient equals |2x + xz + z|^2"
+DEGREE = "degree check at the trivial point"
+QUADRATIC = "quadratic character point"
+SYMMETRY = "conjugate-character symmetry"
+
+# each mutation of verify sos's inputs and the exact checks it turns red
+SOS_MUTATIONS = {
+    "x twisted by chi": (_twist_x, {REAL, SQUARE_PI, COEFFICIENT}),
+    "Sym^4(pi') without omega'^-2": (_unnormalized_sym4_prime, {SQUARE_PI2}),
+    "P + 1": (_add_to_P(LaurentPoly.one()), {COEFFICIENT, DEGREE, QUADRATIC}),
+    "P + chi - chi^-1": (
+        _add_to_P(_chi_poly(1), -_chi_poly(-1)),
+        {COEFFICIENT, SYMMETRY},
+    ),
+    # both routes to the coefficient read W, so only a fixed value sees it
+    "W with x and z swapped": (_swap_w, {QUADRATIC}),
+}
+
+
+def _red(verdicts):
+    return {v.name for v in verdicts if v.status != "PASS"}
+
+
+@pytest.mark.parametrize("name", SOS_MUTATIONS)
+def test_sos_mutation_turns_its_checks_red(monkeypatch, name):
+    mutate, red = SOS_MUTATIONS[name]
+    mutate(monkeypatch)
+    assert _red(verify_sos()) == red
+
+
+def test_every_sos_check_has_a_killing_mutation():
+    names = {v.name for v in verify_sos()}
+    assert len(names) == 7
+    assert set().union(*(red for _m, red in SOS_MUTATIONS.values())) == names
+
+
+def test_swapped_w_turns_the_auxiliary_identity_red(monkeypatch):
+    # the display and the recorded ell were written for the paper's w
+    _swap_w(monkeypatch)
+    assert build_D().degree == 324
+    assert _red(verify_case("4.1").verdicts) == {"identity", "ghl budget"}

@@ -4,15 +4,19 @@ Every `lfcheck` command starts a fresh interpreter that compiles whatever
 it imports, so the import set is part of a command's cost.  These tests run
 the console entry point (`from lfcheck.cli import main`) in a child process
 and read `sys.modules` once `main` has returned.  A last check keeps each
-module's private names its own.
+module's private names its own, and another that every annotation names
+something its module can resolve.
 """
 
 import ast
 import glob
+import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -98,3 +102,36 @@ def test_no_module_imports_a_private_name_of_another():
                     if a.name.startswith("_")
                 ]
     assert found == []
+
+
+def _functions(mod):
+    """The functions and methods whose source is the module's file, which
+    leaves out those a named tuple generates."""
+    found = []
+    for obj in vars(mod).values():
+        if inspect.isfunction(obj):
+            found.append(obj)
+        elif inspect.isclass(obj):
+            for member in vars(obj).values():
+                fn = member.fget if isinstance(member, property) else member
+                fn = getattr(fn, "__func__", fn)  # staticmethod, classmethod
+                if inspect.isfunction(fn):
+                    found.append(fn)
+    return [fn for fn in found if fn.__code__.co_filename == mod.__file__]
+
+
+def test_every_annotation_resolves():
+    # annotations are postponed strings, so one naming what its module never
+    # imports only fails when something asks for the hints
+    unresolved = []
+    for path in sorted(glob.glob(os.path.join(SRC, "lfcheck", "*.py"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        mod = importlib.import_module(
+            "lfcheck" if name == "__init__" else f"lfcheck.{name}"
+        )
+        for fn in _functions(mod):
+            try:
+                typing.get_type_hints(fn)
+            except NameError as e:
+                unresolved.append(f"{name}.{fn.__qualname__}: {e}")
+    assert unresolved == []
