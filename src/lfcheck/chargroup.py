@@ -7,8 +7,9 @@ shapes, and the restrictions xiF_* of the inducing character in the
 dihedral shape.  A character is its exponent vector over them.  mu_* and
 eta_* have the orders in STD_ORDERS and their exponents are kept reduced
 into [0, n); the others are free.  Two characters are equal iff their
-reduced vectors coincide.  All characters are unitary, so conjugation is
-inversion.
+reduced vectors coincide.  This module is the only code that reduces
+exponents: satake copies them into polynomial keys as they are.  All
+characters are unitary, so conjugation is inversion.
 
 >>> x = gen("chi") * gen("mu_pi", 2)
 >>> (x * gen("mu_pi")).pretty()        # mu_pi^3 = 1
@@ -37,13 +38,15 @@ STD_GENERATORS = (
 
 STD_ORDERS = {"mu_pi": 3, "mu_pi'": 3, "eta_pi": 2, "eta_pi'": 2}
 
-# per-slot modulus, 0 for a generator of infinite order
-_MODULI = tuple(STD_ORDERS.get(g, 0) for g in STD_GENERATORS)
 _INDEX = {g: i for i, g in enumerate(STD_GENERATORS)}
+# the slots that can wrap, with their orders; every other exponent is free
+_FINITE = tuple((_INDEX[g], n) for g, n in STD_ORDERS.items())
 
 
-def _reduced(vec: Iterable[int]) -> "FormalCharacter":
-    return FormalCharacter(tuple(e % n if n else e for e, n in zip(vec, _MODULI)))
+def _reduced(vec: list[int]) -> "FormalCharacter":
+    for i, n in _FINITE:
+        vec[i] %= n
+    return FormalCharacter(tuple(vec))
 
 
 class FormalCharacter(NamedTuple):
@@ -52,13 +55,13 @@ class FormalCharacter(NamedTuple):
     exps: tuple[int, ...]
 
     def __mul__(self, other: "FormalCharacter") -> "FormalCharacter":
-        return _reduced(a + b for a, b in zip(self.exps, other.exps))
+        return _reduced([a + b for a, b in zip(self.exps, other.exps)])
 
     def __pow__(self, n: int) -> "FormalCharacter":
-        return _reduced(n * a for a in self.exps)
+        return _reduced([n * a for a in self.exps])
 
     def inv(self) -> "FormalCharacter":
-        return _reduced(-a for a in self.exps)
+        return _reduced([-a for a in self.exps])
 
     # unitary: conjugation is inversion
     conj = inv
@@ -94,7 +97,7 @@ def index(name: str) -> int:
 
 
 def make(exps: Iterable[int]) -> FormalCharacter:
-    vec = tuple(exps)
+    vec = list(exps)
     if len(vec) != len(STD_GENERATORS):
         raise ValueError("exponent vector of wrong length")
     return _reduced(vec)

@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from . import InputError
 from .hypotheses import GL2Type, Hypotheses, Tri, is_trivial
-from .repalg import Entry, RepAtom, RSPair, VirtualRep, atom_equal
+from .repalg import Entry, RepAtom, RSPair, VirtualRep, atom_equal, opaque_info
 
 
 class PoleError(InputError):
@@ -54,9 +54,15 @@ _BY_TRI = {Tri.YES: ONE, Tri.NO: ZERO, Tri.UNKNOWN: MAYBE}
 
 def cuspidality(atom: RepAtom, hyp: Hypotheses) -> Tri:
     """Whether the atom names a cuspidal representation under the declared
-    shapes.  Characters count as cuspidal on GL(1), and every opaque atom
-    (the nu and ind summands) is cuspidal by construction."""
-    if atom.kind in ("char", "op"):
+    shapes.  Characters count as cuspidal on GL(1).  An opaque atom (a nu or
+    ind summand) is cuspidal by construction, but exists only when its base
+    has the shape whose rule emits it; any other is refused."""
+    if atom.kind == "char":
+        return Tri.YES
+    if atom.kind == "op":
+        info = opaque_info(atom.label)
+        if hyp.type_of(info.base) is not info.shape:
+            raise PoleError(f"{atom.label} needs {info.base} to be {info.shape.value}")
         return Tri.YES
     t = hyp.type_of(atom.base)
     if t is GL2Type.DIHEDRAL:

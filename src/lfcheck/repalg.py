@@ -39,20 +39,23 @@ class PairOperandError(RepAlgError):
 
 class OpaqueInfo(NamedTuple):
     degree: int
+    # the base the atom lives over, and the shape that base must have
+    base: str
+    shape: GL2Type
     # the extra twist picked up under contragredient; ONE means self-dual
     dual_twist: FormalCharacter
     # the characters whose twist fixes the atom, ONE first
     selftwists: tuple[FormalCharacter, ...] = (ONE,)
 
 
-# nu is the dihedral summand of the Sym^4-degenerate shape: self-dual, with
+# nu is the dihedral summand of the octahedral Sym^4: self-dual, with
 # central character eta and eta itself a self-twist.  ind is the induced
 # square in the dihedral shape; Ind(theta)~ = Ind(theta) (x) conj(theta|_F).
 OPAQUE: dict[str, OpaqueInfo] = {
-    "nu_pi": OpaqueInfo(2, ONE, (ONE, gen("eta_pi"))),
-    "nu_pi'": OpaqueInfo(2, ONE, (ONE, gen("eta_pi'"))),
-    "ind_pi": OpaqueInfo(2, gen("xiF_pi", -2)),
-    "ind_pi'": OpaqueInfo(2, gen("xiF_pi'", -2)),
+    "nu_pi": OpaqueInfo(2, "pi", GL2Type.OCTAHEDRAL, ONE, (ONE, gen("eta_pi"))),
+    "nu_pi'": OpaqueInfo(2, "pi'", GL2Type.OCTAHEDRAL, ONE, (ONE, gen("eta_pi'"))),
+    "ind_pi": OpaqueInfo(2, "pi", GL2Type.DIHEDRAL, gen("xiF_pi", -2)),
+    "ind_pi'": OpaqueInfo(2, "pi'", GL2Type.DIHEDRAL, gen("xiF_pi'", -2)),
 }
 
 

@@ -3,52 +3,55 @@
 Every formal object of repalg has, at an unramified prime, a coefficient that
 is a Laurent polynomial in the four Satake slots a_pi, b_pi, a_pi', b_pi' and
 the character generators.  Central characters are not independent variables:
-om = a * b per base, so they fold into the Satake slots.  Finite-order
-generators carry their declared order and exponents are reduced mod it.
+om = a * b per base, so they fold into the Satake slots.
+
+The finite orders of mu_* and eta_* live in chargroup alone.  `char_poly` is
+the one door from characters into polynomials, and a monomial's mu/eta
+exponents are those of the one reduced character it came from.  LaurentPoly
+itself is the free Laurent ring over VARS: its arithmetic does not identify
+mu^3 with 1, and `conj` gives mu^-1, not mu^2.  Evaluation is unaffected,
+because `satake_point` enforces the declared orders.
 
 All inputs of modulus one, so conjugation is exponent inversion.
 """
 
 from __future__ import annotations
 
+from operator import add, neg
+
 from .chargroup import FormalCharacter, STD_GENERATORS, STD_ORDERS
-from .repalg import Entry, RepAtom, RSPair, VirtualRep
+from .hypotheses import BASES, base_name
+from .repalg import RepAtom, VirtualRep
 
 
 class CoefficientError(ValueError):
     pass
 
 
+_OM = {base_name("om", b): b for b in BASES}
 # variable universe: Satake slots then character generators, omegas excluded
-VARS = ("a_pi", "b_pi", "a_pi'", "b_pi'") + tuple(
-    g for g in STD_GENERATORS if g not in ("om_pi", "om_pi'")
+VARS = tuple(base_name(s, b) for b in BASES for s in ("a", "b")) + tuple(
+    g for g in STD_GENERATORS if g not in _OM
 )
 _IDX = {n: i for i, n in enumerate(VARS)}
 _VARSET = frozenset(VARS)
-_MODV = tuple(STD_ORDERS.get(n, 0) for n in VARS)
-
-
-def _reduce(key: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(e % m if m else e for e, m in zip(key, _MODV))
+# the (a, b) slots of each base, and the slots each generator's exponent
+# lands in: om_* on both of its base's, every other generator on its own
+_AB = {b: (_IDX[base_name("a", b)], _IDX[base_name("b", b)]) for b in BASES}
+_SLOTS = tuple(_AB[_OM[g]] if g in _OM else (_IDX[g],) for g in STD_GENERATORS)
 
 
 class LaurentPoly:
-    """Integer-coefficient Laurent polynomial over the variable universe.
+    """Integer-coefficient Laurent polynomial, free over the variable universe.
 
     `c` maps exponent tuples (in VARS order) to nonzero integer coefficients.
+    Products add exponent tuples and `conj` negates them, modulo nothing.
     """
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs: dict[tuple[int, ...], int] | None = None):
-        c: dict[tuple[int, ...], int] = {}
-        for k, v in (coeffs or {}).items():
-            if v:
-                k = _reduce(k)
-                c[k] = c.get(k, 0) + v
-                if not c[k]:
-                    del c[k]
-        self.c = c
+        self.c = {k: v for k, v in (coeffs or {}).items() if v}
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -71,14 +74,10 @@ class LaurentPoly:
             out[k] = out.get(k, 0) + v
             if not out[k]:
                 del out[k]
-        r = LaurentPoly()
-        r.c = out
-        return r
+        return _poly(out)
 
     def __neg__(self) -> "LaurentPoly":
-        r = LaurentPoly()
-        r.c = {k: -v for k, v in self.c.items()}
-        return r
+        return _poly({k: -v for k, v in self.c.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -87,19 +86,15 @@ class LaurentPoly:
         out: dict[tuple[int, ...], int] = {}
         for k1, v1 in self.c.items():
             for k2, v2 in other.c.items():
-                k = _reduce(tuple(a + b for a, b in zip(k1, k2)))
+                k = tuple(map(add, k1, k2))
                 out[k] = out.get(k, 0) + v1 * v2
                 if not out[k]:
                     del out[k]
-        r = LaurentPoly()
-        r.c = out
-        return r
+        return _poly(out)
 
     def conj(self) -> "LaurentPoly":
         """Complex conjugate under unit-modulus evaluation: invert exponents."""
-        r = LaurentPoly()
-        r.c = {_reduce(tuple(-e for e in k)): v for k, v in self.c.items()}
-        return r
+        return _poly({tuple(map(neg, k)): v for k, v in self.c.items()})
 
     def eval(self, vals: dict[str, complex]) -> complex:
         """The value at one point, term by term: each term starts from its
@@ -139,59 +134,55 @@ class LaurentPoly:
         return f"<lpoly {self.pretty()}>"
 
 
+def _poly(c: dict[tuple[int, ...], int]) -> LaurentPoly:
+    """A LaurentPoly on c itself, which holds no zero coefficient."""
+    r = LaurentPoly()
+    r.c = c
+    return r
+
+
 def char_poly(c: FormalCharacter) -> LaurentPoly:
-    """Monomial of a formal character with the omegas folded to a*b."""
+    """Monomial of a formal character: its exponents, already reduced by
+    chargroup, copied slot by slot, with the omegas folded to a*b."""
     key = [0] * len(VARS)
-    for name, e in zip(STD_GENERATORS, c.exps):
-        if not e:
-            continue
-        if name == "om_pi":
-            key[_IDX["a_pi"]] += e
-            key[_IDX["b_pi"]] += e
-        elif name == "om_pi'":
-            key[_IDX["a_pi'"]] += e
-            key[_IDX["b_pi'"]] += e
-        else:
-            key[_IDX[name]] += e
-    return LaurentPoly({tuple(key): 1})
+    for slots, e in zip(_SLOTS, c.exps):
+        if e:
+            for i in slots:
+                key[i] += e
+    return _poly({tuple(key): 1})
 
 
-def _sym_poly(base: str, m: int) -> LaurentPoly:
-    """Complete homogeneous polynomial: sum of a^(m-i) b^i for i = 0..m."""
-    ia, ib = _IDX[f"a_{base}"], _IDX[f"b_{base}"]
+def _core_poly(core: RepAtom) -> LaurentPoly:
+    """1 for a character core; for Sym^m the complete homogeneous
+    polynomial, the sum of a^(m-i) b^i for i = 0..m."""
+    if core.kind == "op":
+        raise CoefficientError(f"opaque atom {core.label!r} has no coefficient model")
+    if core.kind == "char":
+        return LaurentPoly.one()
+    ia, ib = _AB[core.base]
     terms = {}
-    for i in range(m + 1):
+    for i in range(core.m + 1):
         key = [0] * len(VARS)
-        key[ia], key[ib] = m - i, i
+        key[ia], key[ib] = core.m - i, i
         terms[tuple(key)] = 1
-    return LaurentPoly(terms)
-
-
-def _atom_poly(atom: RepAtom) -> LaurentPoly:
-    if atom.kind == "op":
-        raise CoefficientError(
-            f"opaque atom {atom.label!r} has no coefficient model"
-        )
-    if atom.kind == "char":
-        return char_poly(atom.twist)
-    return _sym_poly(atom.base, atom.m) * char_poly(atom.twist)
-
-
-def entry_poly(key: Entry) -> LaurentPoly:
-    if isinstance(key, RepAtom):
-        return _atom_poly(key)
-    assert isinstance(key, RSPair)
-    return _atom_poly(key.a) * _atom_poly(key.b) * char_poly(key.twist)
+    return _poly(terms)
 
 
 def coeff_poly(V: VirtualRep) -> LaurentPoly:
-    """Prime coefficient of a virtual value as a Laurent polynomial."""
-    out = LaurentPoly.zero()
-    scale = LaurentPoly()
+    """Prime coefficient of a virtual value as a Laurent polynomial.  Each
+    entry has exactly one character monomial: an atom's twist, or a pair's
+    pooled twist (its members are bare cores)."""
+    out: dict[tuple[int, ...], int] = {}
     for key, mult in V.entries:
-        scale.c = {(0,) * len(VARS): mult}
-        out = out + scale * entry_poly(key)
-    return out
+        if isinstance(key, RepAtom):
+            poly = _core_poly(key) * char_poly(key.twist)
+        else:
+            poly = _core_poly(key.a) * _core_poly(key.b) * char_poly(key.twist)
+        for k, v in poly.c.items():
+            out[k] = out.get(k, 0) + mult * v
+            if not out[k]:
+                del out[k]
+    return _poly(out)
 
 
 def satake_point(
@@ -208,12 +199,8 @@ def satake_point(
     character values must satisfy their declared order; remaining character
     generators default to 1, and any other name is refused.
     """
-    vals: dict[str, complex] = {
-        "a_pi": complex(alpha_pi),
-        "b_pi": complex(beta_pi),
-        "a_pi'": complex(alpha_pi2),
-        "b_pi'": complex(beta_pi2),
-    }
+    slots = (alpha_pi, beta_pi, alpha_pi2, beta_pi2)
+    vals: dict[str, complex] = dict(zip(VARS[:4], map(complex, slots)))
     rest = dict(chars or {})
     for n in VARS[4:]:
         vals[n] = complex(rest.pop(n, 1))

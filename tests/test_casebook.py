@@ -2,6 +2,8 @@
 
 import pytest
 
+from lfcheck import casebook
+from lfcheck import chargroup as G
 from lfcheck.casebook import (
     CASE_IDS,
     CASES,
@@ -12,6 +14,8 @@ from lfcheck.casebook import (
     verify_plethysm_bridge,
 )
 from lfcheck.hypotheses import GL2Type, Hypotheses
+from lfcheck.repalg import VirtualRep, sym_atom
+from lfcheck.satake import char_poly
 
 
 EXPECTED_POLES = {
@@ -182,6 +186,56 @@ def test_bridge():
     assert names == ["weight peel", "multiset identity", "coefficient"]
     assert rep.ok
     assert "(6, 0), (2, 2)" in rep.verdicts[0].detail
+
+
+def _reordered_tags(monkeypatch):
+    real = casebook.plethysm_sym2
+    monkeypatch.setattr(casebook, "plethysm_sym2", lambda m: real(m)[::-1])
+
+
+def _swapped_delta(monkeypatch):
+    # denominator minus numerator: only the multiset side reads delta
+    real = VirtualRep.delta
+    monkeypatch.setattr(VirtualRep, "delta", lambda self, other: real(other, self))
+
+
+# the plethysm block Sym^6(pi) tw chi*om^-3 (+) Sym^2(pi) tw chi*om^-1
+_PLETH = VirtualRep.build(
+    (sym_atom("pi", d, G.gen("chi") * G.gen("om_pi", r - 3)), 1)
+    for d, r in [(6, 0), (2, 2)]
+)
+
+
+def _extra_pleth_term(monkeypatch):
+    # one extra monomial, mu_pi, in the plethysm side's coefficient only
+    real = casebook.coeff_poly
+
+    def mutated(V):
+        P = real(V)
+        return P + char_poly(G.gen("mu_pi")) if V == _PLETH else P
+
+    monkeypatch.setattr(casebook, "coeff_poly", mutated)
+
+
+# each mutation of verify bridge's inputs and the exact checks it turns red
+BRIDGE_MUTATIONS = {
+    "plethysm tags reordered": (_reordered_tags, {"weight peel"}),
+    "delta with its operands swapped": (_swapped_delta, {"multiset identity"}),
+    "extra term in the plethysm coefficient": (_extra_pleth_term, {"coefficient"}),
+}
+
+
+@pytest.mark.parametrize("name", BRIDGE_MUTATIONS)
+def test_bridge_mutation_turns_its_check_red(monkeypatch, name):
+    mutate, red = BRIDGE_MUTATIONS[name]
+    mutate(monkeypatch)
+    rep = verify_plethysm_bridge()
+    assert {v.name for v in rep.verdicts if v.status != "PASS"} == red
+
+
+def test_every_bridge_check_has_a_killing_mutation():
+    names = {v.name for v in verify_plethysm_bridge().verdicts}
+    assert names == set().union(*(red for _m, red in BRIDGE_MUTATIONS.values()))
 
 
 def test_hypothesis_validation():

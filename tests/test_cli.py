@@ -432,6 +432,22 @@ def test_usage_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "expr,hyp,need",
+    [
+        # ind_* exists only over a dihedral base, nu_* over an octahedral one
+        ("ind_pi", "octa_octa.hyp", "error: ind_pi needs pi to be dihedral\n"),
+        ("nu_pi", "tetra_octa.hyp", "error: nu_pi needs pi to be octahedral\n"),
+        ("Ad(pi') (x) ind_pi'", "octa_octa.hyp", "ind_pi' needs pi' to be dihedral"),
+    ],
+)
+def test_poles_opaque_atom_of_another_shape_exit_two(capsys, expr, hyp, need):
+    argv = ["poles", expr, "--hyp", os.path.join(FIXTURES, hyp)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert need in err
+
+
+@pytest.mark.parametrize(
     "body,frag",
     [
         ("type_pi = octahedral\n", "missing required key"),

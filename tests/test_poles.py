@@ -118,6 +118,40 @@ def test_every_rewritten_atom_is_non_cuspidal():
     assert rewritten == 2 * 3 * 4
 
 
+def test_opaque_atoms_carry_the_shape_of_their_rule():
+    # every opaque atom a rewrite rule emits lives over the rewritten base,
+    # whose declared shape is the one OPAQUE records; cuspidality accepts it
+    emitted = set()
+    for t1, t2 in itertools.product(GL2Type, repeat=2):
+        hyp = Hypotheses(t1, t2)
+        for b, m in itertools.product(("pi", "pi'"), range(1, 7)):
+            for atom, _mult in _decompose_atom(sym_atom(b, m, chi), hyp) or ():
+                if atom.kind == "op":
+                    info = OPAQUE[atom.label]
+                    assert info.base == b and hyp.type_of(b) is info.shape
+                    assert cuspidality(atom, hyp) is Tri.YES
+                    emitted.add(atom.label)
+    assert emitted == set(OPAQUE)
+
+
+def test_opaque_atom_of_another_shape_refused():
+    for label, info in OPAQUE.items():
+        op = VirtualRep.of(opaque_atom(label))
+        for t in GL2Type:
+            hyp = Hypotheses(t, t)
+            if t is info.shape:
+                assert cuspidality(opaque_atom(label), hyp) is Tri.YES
+                continue
+            want = f"^{label} needs {info.base} to be {info.shape.value}$"
+            with pytest.raises(PoleError, match=want):
+                cuspidality(opaque_atom(label), hyp)
+            # as a pair member too, against a standard L-function of either base
+            for b in ("pi", "pi'"):
+                V = rs_product(VirtualRep.of(sym_atom(b, 1)), op)
+                with pytest.raises(PoleError, match=f"^{label} needs"):
+                    pole_order(V, hyp)
+
+
 def test_pair_with_a_non_cuspidal_member_refused_before_widening():
     # Sym^5(pi) has undeclared cuspidality, but Sym^4(pi') is non-cuspidal
     # for a tetrahedral pi', so the pair is refused rather than read [0, 1]

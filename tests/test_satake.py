@@ -7,6 +7,7 @@ import random
 import pytest
 
 from lfcheck import chargroup as G
+from lfcheck.exprlang import parse_expr
 from lfcheck.ingest import satake_from_ap
 from lfcheck.repalg import (
     VirtualRep,
@@ -24,6 +25,7 @@ from lfcheck.satake import (
     satake_point,
 )
 from lfcheck.repalg import opaque_atom
+from test_fuzz import _expr
 from test_ingest import tau
 
 
@@ -125,6 +127,41 @@ def test_duality_matches_conjugation():
         assert abs(PD.eval(pt) - P.eval(pt).conjugate()) < 1e-12
 
 
+def _fuzz_polys(n, seed):
+    """(V, coeff_poly(V)) for each of n seeded fuzz expressions that parses
+    and has a coefficient polynomial."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        try:
+            V = parse_expr(_expr(rng))
+            P = coeff_poly(V)
+        except ValueError:  # bad syntax, opaque atoms, non-isobaric pairs
+            continue
+        yield V, P
+
+
+def test_keys_carry_reduced_character_exponents():
+    # chargroup alone reduces exponents, and each entry's one character
+    # monomial is copied as it is, so every mu/eta exponent is in [0, order);
+    # the dual's coefficient is then the conjugate at every unitary point,
+    # although the free ring's conj gives mu^-1 where the dual has mu^2
+    finite = [(VARS.index(g), n) for g, n in G.STD_ORDERS.items()]
+    rng = random.Random(1)
+    built = carried = 0
+    for V, P in _fuzz_polys(3000, 1):
+        built += 1
+        exps = [(k[i], n) for k in P.c for i, n in finite]
+        assert all(0 <= e < n for e, n in exps), V
+        carried += any(e for e, _n in exps)
+        PD, PC = coeff_poly(V.dual()), P.conj()
+        tol = 1e-12 * (1 + sum(map(abs, P.c.values())))
+        for _ in range(2):
+            pt = unitary_point(rng)
+            assert abs(PD.eval(pt) - PC.eval(pt)) <= tol, V
+    # seed 1 builds 1,014 polynomials, 399 of them with mu/eta exponents
+    assert carried >= 300, (built, carried)
+
+
 def test_arithmetic_ring_axioms():
     x = coeff_poly(VirtualRep.of(sym_atom("pi", 1)))
     y = coeff_poly(VirtualRep.of(char_atom(chi)))
@@ -191,8 +228,9 @@ def oracle_eval(poly, vals):
 
 
 def random_poly(rng, n_terms):
-    # exponents up to +-3 in every slot, finite-order generators included
-    # (the constructor reduces those modulo their orders)
+    # exponents up to +-3 in every slot, finite-order generators included:
+    # the free ring keeps mu^3 and mu^-1 as they are, and eval needs no
+    # canonical key
     return LaurentPoly({
         tuple(rng.randint(-3, 3) if rng.random() < 0.4 else 0 for _ in VARS):
             rng.randint(-50, 50)
