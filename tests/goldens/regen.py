@@ -6,7 +6,8 @@ Run from the repository root:
 
 The commands and the normalization (timing lines stripped, the fixtures
 directory replaced by the placeholder FIXTURES) come from tests/test_cli.py,
-so a new golden is one entry in its GOLDEN_COMMANDS.
+so a new golden is one entry in its GOLDEN_COMMANDS.  Every command runs
+from the fixtures directory, as in test_golden.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(TESTS), "src"))
 sys.path.insert(0, TESTS)
 
 from lfcheck.cli import main  # noqa: E402
-from test_cli import GOLDEN_COMMANDS, normalize  # noqa: E402
+from test_cli import FIXTURES, GOLDEN_COMMANDS, normalize  # noqa: E402
 
 
 def run(argv):
@@ -32,6 +33,7 @@ def run(argv):
 
 
 if __name__ == "__main__":
+    os.chdir(FIXTURES)  # the goldens name fixtures by relative paths
     for name, argv in GOLDEN_COMMANDS.items():
         code, out = run(argv)
         path = os.path.join(HERE, f"{name}.txt")

@@ -48,6 +48,12 @@ GOLDEN_COMMANDS = {
         "scan", "--form1", "delta", "--form2", "11a",
         "--char", "kronecker:-4", "--xmax", "60", "--lmax", "2",
     ],
+    # relative paths, since the inputs digest hashes the command string:
+    # every golden runs from the fixtures directory
+    "scan_tables_small": [
+        "scan", "--form1", "form_w12_l1.tsv", "--form2", "form_w2_l11.tsv",
+        "--char", "char_mu12.tsv", "--xmax", "60", "--lmax", "8",
+    ],
     "poles": ["poles", "Sym^4(pi) tw omega^-2 (x) Ad(pi')", "--hyp", HYP],
     # twists reduced by the adjoint's cubic group and by nu_pi''s eta'
     "poles_tetra": [
@@ -71,7 +77,8 @@ def normalize(text):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
-def test_golden(name, capsys):
+def test_golden(name, capsys, monkeypatch):
+    monkeypatch.chdir(FIXTURES)
     code, out, err = run_cli(GOLDEN_COMMANDS[name], capsys)
     assert err == ""
     with open(os.path.join(GOLDENS, f"{name}.txt")) as fh:
