@@ -18,7 +18,7 @@ from math import inf
 from typing import NamedTuple, Sequence
 
 from .chargroup import ONE, gen
-from .hypotheses import base_name
+from .hypotheses import GENS
 from .report import Verdict
 from .repalg import RepAtom, VirtualRep, ad_atom, rs_product, sym_atom, char_atom
 from .satake import VARS, CoefficientError, LaurentPoly, coeff_poly, satake_point
@@ -112,7 +112,7 @@ def verify_sos() -> list[Verdict]:
     ]
 
     for base, xx in (("pi", x), ("pi'", coeff_poly(VirtualRep.of(ad_atom("pi'"))))):
-        om2bar = gen(base_name("om", base), -2)
+        om2bar = GENS[base].om ** -2
         s4 = coeff_poly(VirtualRep.of(sym_atom(base, 4, om2bar)))
         lhs = xx * xx
         rhs = LaurentPoly.one() + xx + s4
@@ -173,6 +173,34 @@ def a_D_value(point: dict[str, complex]) -> complex:
     return P.eval(point)
 
 
+def _power_name(j: int, e: int) -> str:
+    """The name the scan loop binds to u<j> ** e."""
+    return f"w{j}_{e}" if e > 0 else f"w{j}_m{-e}"
+
+
+def _power_lines(j: int, exps) -> list[str]:
+    """Statements binding _power_name(j, e) to u<j> ** e for each nonzero e
+    of exps, by the operations CPython's complex power performs for an
+    integer exponent (c_powi): ONE, the complex 1+0j, times the squares
+    u<j> ** 2^b over the set bits b of |e| in ascending order, and ONE
+    divided by that when e < 0.  The squares are shared by all of exps, and
+    e < 0 divides into the chain of -e when exps holds -e too."""
+    top = max(map(abs, exps)).bit_length()
+    sq = [f"u{j}"] + [f"u{j}_{1 << b}" for b in range(1, top)]
+    lines = [f"{sq[b]} = {sq[b - 1]} * {sq[b - 1]}" for b in range(1, top)]
+    for e in sorted(exps, key=lambda e: (e < 0, abs(e))):
+        m = abs(e)
+        chain = "ONE" + "".join(f" * {sq[b]}" for b in range(top) if m >> b & 1)
+        if e > 0:
+            rhs = chain
+        elif m in exps:
+            rhs = f"ONE / {_power_name(j, m)}"
+        else:
+            rhs = f"ONE / ({chain})"
+        lines.append(f"{_power_name(j, e)} = {rhs}")
+    return lines
+
+
 def _compile(polys):
     """(generator function, coefficients): the scan loop over `polys`,
     which are P, x and z.
@@ -180,58 +208,65 @@ def _compile(polys):
     fn(bases, lmax, c0, c1, c2), where c<k> is `coefficients[k]`, the
     values of polys[k] in dict order, yields (p, l, direct, square) for
     each (p, base) of `bases` and l = 1..lmax: P at the point base ** l,
-    and the closed square |w|^2 there.  Variable j of VARS is read as
-    base[<name>] ** l and bound once to u<j>, and only if some polynomial
-    uses it.  The source names only variables, exponents and indices,
-    never a coefficient.
+    and the closed square |w|^2 there.  Each coefficient is unpacked from
+    c<k> into a local once per call, so the source names only variables,
+    exponents and indices, never a coefficient.  Variable j of VARS is read
+    from base once per p, and only if some polynomial uses it, and raised
+    to l as u<j>.
 
     Each distinct power u ** e is computed once and shared by every
-    polynomial.  Every term starts from its coefficient, multiplies its
-    factors in VARS order and is added to its sum in dict order; a product
-    of a coefficient value and leading factors that two or more terms start
-    with is computed once.  These are the floating-point operations of
-    term-by-term evaluation on the same inputs, so every value is
-    bit-identical to it.  One statement per term keeps long polynomials
-    inside the compiler's nesting limit.
+    polynomial, by the operations CPython's own u ** e performs
+    (_power_lines).  Every term starts from its coefficient, multiplies
+    its factors in VARS order and is added to its sum in dict order; a
+    product of a coefficient value and leading factors that two or more
+    terms start with is computed once.  These are the floating-point
+    operations of term-by-term evaluation on the same inputs, so every
+    value is bit-identical to it; tests check the power chain against
+    u ** e, signed zeros included.  One statement per term keeps long
+    polynomials inside the compiler's nesting limit.
     """
-    powers: dict[tuple[int, int], int] = {}  # (j, e) -> n of w<n>
+    exps: dict[int, set[int]] = {}  # j -> the exponents e of u<j> ** e
     coefs = tuple(tuple(complex(v) for v in q.c.values()) for q in polys)
-    terms = []  # (k, i, coefficient value, power numbers in VARS order)
+    terms = []  # (k, i, coefficient value, power names in VARS order)
     uses: dict[tuple, int] = {}  # (value, leading powers) -> terms sharing it
     for k, q in enumerate(polys):
         for i, key in enumerate(q.c):
-            ws = tuple(
-                powers.setdefault((j, e), len(powers))
-                for j, e in enumerate(key)
-                if e
-            )
+            for j, e in enumerate(key):
+                if e:
+                    exps.setdefault(j, set()).add(e)
+            ws = tuple(_power_name(j, e) for j, e in enumerate(key) if e)
             cv = coefs[k][i]
             terms.append((k, i, cv, ws))
             for n in range(1, len(ws) + 1):
                 uses[cv, ws[:n]] = uses.get((cv, ws[:n]), 0) + 1
-    lines = [
-        f"u{j} = base[{VARS[j]!r}] ** l"
-        for j in sorted({j for j, _e in powers})
-    ]
-    lines += [f"w{n} = u{j} ** {e:d}" for (j, e), n in powers.items()]
+    used = sorted(exps)
+    lines = []
+    for j in used:
+        lines += [f"u{j} = v{j} ** l", *_power_lines(j, exps[j])]
     temps: dict[tuple, str] = {}  # shared prefix -> its t<n>
     sums: list[list[str]] = [[] for _ in polys]
     for k, i, cv, ws in terms:
-        head, n = f"c{k}[{i}]", 0
+        head, n = f"c{k}_{i}", 0
         while n < len(ws) and uses[cv, ws[: n + 1]] > 1:
             n += 1
             if (cv, ws[:n]) not in temps:
                 temps[cv, ws[:n]] = f"t{len(temps)}"
-                lines.append(f"{temps[cv, ws[:n]]} = {head} * w{ws[n - 1]}")
+                lines.append(f"{temps[cv, ws[:n]]} = {head} * {ws[n - 1]}")
             head = temps[cv, ws[:n]]
-        sums[k].append(f"s{k} += {head}" + "".join(f" * w{w}" for w in ws[n:]))
+        sums[k].append(f"s{k} += {head}" + "".join(f" * {w}" for w in ws[n:]))
     for k, body in enumerate(sums):
         lines += [f"s{k} = 0j", *body]
     lines.append(f"yield p, l, s0, abs({_w_text('s1', 's2', ' * ')}) ** 2")
     src = "".join(
         [
             "def _f(bases, lmax, c0, c1, c2):\n",
+            "    ONE = 1 + 0j\n",
+            *(
+                f"    [{', '.join(f'c{k}_{i}' for i in range(len(cs)))}] = c{k}\n"
+                for k, cs in enumerate(coefs)
+            ),
             "    for p, base in bases:\n",
+            *(f"        v{j} = base[{VARS[j]!r}]\n" for j in used),
             "        for l in range(1, lmax + 1):\n",
             *(f"            {line}\n" for line in lines),
         ]

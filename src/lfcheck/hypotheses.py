@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
+from typing import NamedTuple
 
-from .chargroup import STD_ORDERS, FormalCharacter
+from .chargroup import STD_ORDERS, FormalCharacter, gen
 
 
 class Tri(enum.Enum):
@@ -52,6 +53,24 @@ def base_name(stem: str, base: str) -> str:
     """The name of the generator or opaque atom `stem` over `base`: mu_pi
     over pi and mu_pi' over pi'."""
     return f"{stem}_{base}"
+
+
+class BaseGens(NamedTuple):
+    """The character generators over one base: its central character om,
+    and the mu, eta and xiF that its tetrahedral, octahedral and dihedral
+    shapes introduce."""
+
+    om: FormalCharacter
+    mu: FormalCharacter
+    eta: FormalCharacter
+    xiF: FormalCharacter
+
+
+# the generators of each base, built once
+GENS = {
+    base: BaseGens(*(gen(base_name(stem, base)) for stem in BaseGens._fields))
+    for base in BASES
+}
 
 
 def nontrivial_gens(hyp: Hypotheses) -> frozenset[str]:

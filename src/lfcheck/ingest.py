@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from itertools import compress
+from itertools import compress, islice
 from typing import NamedTuple
 
 from . import InputError, read_lines
@@ -37,15 +37,21 @@ class BoundError(IngestError):
     """Data that parsed fine but violates the exact eigenvalue bound."""
 
 
-def sieve(n: int) -> list[int]:
-    if n < 2:
-        return []
+def prime_flags(n: int) -> bytearray:
+    """flags[i] is 1 if i is prime and 0 if not, for 0 <= i <= n; n >= 1."""
     flags = bytearray([1]) * (n + 1)
     flags[0] = flags[1] = 0
     for i in range(2, int(n**0.5) + 1):
         if flags[i]:
             flags[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-    return list(compress(range(n + 1), flags))
+    return flags
+
+
+def sieve(n: int) -> list[int]:
+    """The primes up to n."""
+    if n < 2:
+        return []
+    return list(compress(range(n + 1), prime_flags(n)))
 
 
 _FLOAT_MAX = int(sys.float_info.max)
@@ -116,15 +122,22 @@ def _int(where: str, what: str, text: str, fault: str) -> int:
     raise IngestError(f"{where}: {fault}")
 
 
-def _prime_rows(name: str, numbered, shape: str):
+# table rows certify p by one sieve up to this many numbers per line of the
+# file, so its cost is bounded by the input's size; p above it takes is_prime
+SIEVE_PER_LINE = 16
+
+
+def _prime_rows(name: str, lines: list[str], start: int, shape: str):
     """(where, p, fields) for each row of a prime-keyed TSV table, read
-    from (line number, text) pairs.  Blank lines and '#' comments are
-    skipped.  Each row has as many tab-separated fields as `shape`, and
-    the first is a prime that is_prime certifies exactly and no earlier
-    row lists."""
+    from the lines of a file after its first `start`.  Blank lines and '#'
+    comments are skipped.  Each row has as many tab-separated fields as
+    `shape`, and the first is a prime that no earlier row lists.  p is
+    certified by a lookup in one sieve up to SIEVE_PER_LINE times the
+    file's line count, and by is_prime above that bound."""
     width = len(shape.split("\\t"))
+    flags = prime_flags(SIEVE_PER_LINE * len(lines))
     seen = set()
-    for lineno, raw in numbered:
+    for lineno, raw in islice(enumerate(lines, 1), start, None):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -137,7 +150,11 @@ def _prime_rows(name: str, numbered, shape: str):
             raise IngestError(
                 f"{where}: {p} is too large to certify as prime (limit {MR_LIMIT})"
             )
-        if not is_prime(p):
+        if p < len(flags):
+            prime = p > 1 and flags[p]  # so a negative p never indexes it
+        else:
+            prime = is_prime(p)
+        if not prime:
             raise IngestError(f"{where}: {p} is not prime")
         if p in seen:
             raise IngestError(f"{where}: duplicate prime {p}")
@@ -317,8 +334,8 @@ def load_eigenvalue_file(path: str) -> NewformData:
     """TSV loader.  First non-blank line: '#weight <k> level <N>'; then
     prime-keyed rows '<p>\\t<a_p>' (see _prime_rows), each checked
     against the exact eigenvalue bound."""
-    numbered = enumerate(read_lines(path), 1)
-    for lineno, raw in numbered:
+    lines = read_lines(path)
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if line:
             break
@@ -336,7 +353,7 @@ def load_eigenvalue_file(path: str) -> NewformData:
         raise IngestError(f"{where}: weight and level must be >= 1")
     w = k - 1
     table: dict[int, int] = {}
-    for where, p, fields in _prime_rows(path, numbered, "<p>\\t<a_p>"):
+    for where, p, fields in _prime_rows(path, lines, lineno, "<p>\\t<a_p>"):
         ap = _int(where, "a_p", fields[1], "non-integer entry")
         # sqrt(p^(k-1)) is taken in floats; bit lengths catch a huge k first
         if w * (p.bit_length() - 1) >= 1024 or p**w > _FLOAT_MAX:
@@ -399,7 +416,7 @@ def parse_char_spec(spec: str) -> CharacterData:
             "nor a readable file"
         ) from None
     table: dict[int, complex] = {}
-    rows = _prime_rows(spec, enumerate(lines, 1), "<p>\\t<re>\\t<im>")
+    rows = _prime_rows(spec, lines, 0, "<p>\\t<re>\\t<im>")
     for where, p, fields in rows:
         try:
             v = complex(float(fields[1]), float(fields[2]))

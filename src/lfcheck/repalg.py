@@ -23,9 +23,9 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Union
 
 from . import InputError
-from .chargroup import ONE, FormalCharacter, gen
+from .chargroup import ONE, FormalCharacter
 from .hypotheses import (
-    GL2Type, Hypotheses, Tri, base_name, is_trivial, member_of
+    GENS, GL2Type, Hypotheses, Tri, base_name, is_trivial, member_of
 )
 
 
@@ -52,10 +52,10 @@ class OpaqueInfo(NamedTuple):
 # central character eta and eta itself a self-twist.  ind is the induced
 # square in the dihedral shape; Ind(theta)~ = Ind(theta) (x) conj(theta|_F).
 OPAQUE: dict[str, OpaqueInfo] = {
-    "nu_pi": OpaqueInfo(2, "pi", GL2Type.OCTAHEDRAL, ONE, (ONE, gen("eta_pi"))),
-    "nu_pi'": OpaqueInfo(2, "pi'", GL2Type.OCTAHEDRAL, ONE, (ONE, gen("eta_pi'"))),
-    "ind_pi": OpaqueInfo(2, "pi", GL2Type.DIHEDRAL, gen("xiF_pi", -2)),
-    "ind_pi'": OpaqueInfo(2, "pi'", GL2Type.DIHEDRAL, gen("xiF_pi'", -2)),
+    "nu_pi": OpaqueInfo(2, "pi", GL2Type.OCTAHEDRAL, ONE, (ONE, GENS["pi"].eta)),
+    "nu_pi'": OpaqueInfo(2, "pi'", GL2Type.OCTAHEDRAL, ONE, (ONE, GENS["pi'"].eta)),
+    "ind_pi": OpaqueInfo(2, "pi", GL2Type.DIHEDRAL, GENS["pi"].xiF ** -2),
+    "ind_pi'": OpaqueInfo(2, "pi'", GL2Type.DIHEDRAL, GENS["pi'"].xiF ** -2),
 }
 
 
@@ -64,10 +64,6 @@ def opaque_info(label: str) -> OpaqueInfo:
         return OPAQUE[label]
     except KeyError:
         raise RepAlgError(f"unknown opaque atom {label!r}") from None
-
-
-def _om(base: str) -> FormalCharacter:
-    return gen(base_name("om", base))
 
 
 def selftwists(
@@ -83,7 +79,7 @@ def selftwists(
         return opaque_info(core.label).selftwists
     if hyp is not None and core.kind == "sym" and core.m == 2:
         if hyp.type_of(core.base) is GL2Type.TETRAHEDRAL:
-            mu = gen(base_name("mu", core.base))
+            mu = GENS[core.base].mu
             return (ONE, mu, mu * mu)
     return (ONE,)
 
@@ -125,7 +121,7 @@ class RepAtom(NamedTuple):
         if self.kind == "char":
             return RepAtom("char", "", 0, "", c)
         if self.kind == "sym":
-            return RepAtom("sym", self.base, self.m, "", c * _om(self.base) ** (-self.m))
+            return RepAtom("sym", self.base, self.m, "", c * GENS[self.base].om ** (-self.m))
         return opaque_atom(self.label, c * opaque_info(self.label).dual_twist)
 
     def sort_key(self):
@@ -135,7 +131,7 @@ class RepAtom(NamedTuple):
         if self.kind == "char":
             return "zeta" if self.twist.is_one else self.twist.pretty()
         if self.kind == "sym" and self.m == 2:
-            shown = self.twist * _om(self.base)
+            shown = self.twist * GENS[self.base].om
             head = f"Ad({self.base})"
         else:
             shown = self.twist
@@ -172,7 +168,7 @@ def opaque_atom(label: str, twist: FormalCharacter | None = None) -> RepAtom:
 def ad_atom(base: str, twist: FormalCharacter | None = None) -> RepAtom:
     """The adjoint: Sym^2 (x) conj(central character)."""
     t = twist if twist is not None else ONE
-    return sym_atom(base, 2, t * _om(base).inv())
+    return sym_atom(base, 2, t * GENS[base].om.inv())
 
 
 class RSPair(NamedTuple):
@@ -205,7 +201,7 @@ class RSPair(NamedTuple):
     def pretty(self) -> str:
         def dress(core: RepAtom) -> tuple[str, FormalCharacter]:
             if core.kind == "sym" and core.m == 2:
-                return f"Ad({core.base})", _om(core.base).inv()
+                return f"Ad({core.base})", GENS[core.base].om.inv()
             if core.kind == "sym":
                 return f"Sym^{core.m}({core.base})", ONE
             return core.label, ONE
@@ -280,7 +276,7 @@ def _rs_atoms(x: RepAtom, y: RepAtom) -> list[tuple[Entry, int]]:
         return [(x.twisted(y.twist), 1)]
     if x.kind == "sym" and y.kind == "sym" and x.base == y.base:
         t = x.twist * y.twist
-        om = _om(x.base)
+        om = GENS[x.base].om
         return [
             (sym_atom(x.base, d, t * om**r), 1) for d, r in cg_expand(x.m, y.m)
         ]
@@ -369,22 +365,22 @@ def _decompose_atom(atom: RepAtom, hyp: Hypotheses) -> list[tuple[RepAtom, int]]
     if atom.kind != "sym":
         return None
     t = hyp.type_of(atom.base)
-    om = _om(atom.base)
+    om = GENS[atom.base].om
     c = atom.twist
     if atom.m == 2 and t is GL2Type.DIHEDRAL:
         return [
             (opaque_atom(base_name("ind", atom.base), c), 1),
-            (char_atom(gen(base_name("xiF", atom.base)) * c), 1),
+            (char_atom(GENS[atom.base].xiF * c), 1),
         ]
     if atom.m == 4 and t is GL2Type.TETRAHEDRAL:
-        mu = gen(base_name("mu", atom.base))
+        mu = GENS[atom.base].mu
         return [
             (sym_atom(atom.base, 2, c * om), 1),
             (char_atom(mu * c * om**2), 1),
             (char_atom(mu * mu * c * om**2), 1),
         ]
     if atom.m == 4 and t is GL2Type.OCTAHEDRAL:
-        eta = gen(base_name("eta", atom.base))
+        eta = GENS[atom.base].eta
         return [
             (opaque_atom(base_name("nu", atom.base), c * om**2), 1),
             (sym_atom(atom.base, 2, eta * c * om), 1),
@@ -474,8 +470,8 @@ def atom_equal(x: RepAtom, y: RepAtom, hyp: Hypotheses) -> Tri:
         if not hyp.twist_equiv:
             return Tri.NO
         # adjoints coincide; compare as same-base atoms over pi
-        u = x.twist * _om(x.base)
-        v = y.twist * _om(y.base)
+        u = x.twist * GENS[x.base].om
+        v = y.twist * GENS[y.base].om
         return member_of(v * u.inv(), selftwists(sym_atom("pi", 2), hyp), hyp)
     # no multiplicity-one input is declared for higher symmetric powers
     return Tri.UNKNOWN

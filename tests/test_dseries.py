@@ -272,6 +272,27 @@ def test_kernel_is_built_once_and_holds_no_coefficient(monkeypatch):
         assert "1e+20" not in src
 
 
+def test_power_chain_is_bit_equal_to_complex_power():
+    # the loop's u ** e is CPython's own chain of products, whose order
+    # matters: repr tells -0.0 from 0.0, which == does not.  Each exponent
+    # is checked alone and beside its negative, whose chain it then shares.
+    P = dseries._polys()[0]
+    top = max(abs(e) for key in P.c for e in key)
+    exps = (set(range(-8, 9)) | {top, -top}) - {0}
+    rng = random.Random(27182)
+    values = [cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(200)]
+    values += [complex(a, b) for a in (0.0, -0.0) for b in (1.0, -1.0)]
+    values += [complex(a, b) for a in (1.0, -1.0) for b in (0.0, -0.0)]
+    for group in [exps, *({e} for e in exps)]:
+        code = compile("\n".join(dseries._power_lines(0, group)), "<chain>", "exec")
+        for v in values:
+            ns = {"ONE": 1 + 0j, "u0": v}
+            exec(code, ns)
+            for e in group:
+                got = ns[dseries._power_name(0, e)]
+                assert repr(got) == repr(v**e), (v, e)
+
+
 def test_scan_refuses_a_point_off_the_unit_circle():
     # each of the five values a point holds is checked, to within 1e-6; a
     # NaN, which compares False with everything, would pass every check

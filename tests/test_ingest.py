@@ -515,6 +515,57 @@ def test_loader_primality_near_1e18_is_fast(tmp_path):
     assert ":2:" in str(e.value) and "not prime" in str(e.value)
 
 
+def _row_table(tmp_path, p):
+    """A 3-line table file (the empty line after its last newline counts)
+    whose one row lists p."""
+    f = tmp_path / "rows.tsv"
+    f.write_text(f"#weight 2 level 1\n{p}\t0\n")
+    return str(f)
+
+
+def test_table_rows_on_each_side_of_the_sieve_bound(tmp_path, monkeypatch):
+    # a 3-line table sieves through 3 * SIEVE_PER_LINE, and only a p past
+    # that bound goes to is_prime
+    bound = 3 * ingest.SIEVE_PER_LINE
+    tested = []
+    monkeypatch.setattr(ingest, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    below = max(sieve(bound))
+    above = next(n for n in range(bound + 1, 2 * bound) if is_prime(n))
+    for p, certifier in ((below, []), (above, [above])):
+        tested.clear()
+        assert load_eigenvalue_file(_row_table(tmp_path, p)).ap == {p: 0}
+        assert tested == certifier
+    composites = (
+        max(n for n in range(4, bound + 1) if not is_prime(n)),
+        next(n for n in range(bound + 1, 2 * bound) if not is_prime(n)),
+    )
+    for n in composites:
+        with pytest.raises(IngestError, match=f"rows.tsv:2: {n} is not prime$"):
+            load_eigenvalue_file(_row_table(tmp_path, n))
+
+
+def test_table_rows_that_are_not_prime(tmp_path):
+    # mirror, read as an index, is the sieve's largest prime (47 at -2); no
+    # p below 2 indexes the sieve
+    bound = 3 * ingest.SIEVE_PER_LINE
+    mirror = -(bound + 1 - max(sieve(bound)))
+    above = next(n for n in range(bound + 1, 2 * bound) if is_prime(n))
+    for n in (-7, mirror, 0, 1, 4, above * above):
+        with pytest.raises(IngestError, match=f"rows.tsv:2: {n} is not prime$"):
+            load_eigenvalue_file(_row_table(tmp_path, n))
+
+
+def test_a_short_table_sieves_only_its_bound(tmp_path, monkeypatch):
+    # a 13-digit prime in a 2-line table costs a sieve of a few dozen
+    # numbers and one is_prime call, not a sieve up to p
+    p = 10**12 + 39
+    sieved = []
+    flags = ingest.prime_flags
+    monkeypatch.setattr(ingest, "prime_flags", lambda n: sieved.append(n) or flags(n))
+    assert load_eigenvalue_file(_row_table(tmp_path, p)).ap == {p: 0}
+    assert sieved == [3 * ingest.SIEVE_PER_LINE] and sieved[0] < 100
+
+
 def test_loader_rejects_primes_beyond_the_exact_range(tmp_path):
     f = tmp_path / "huge.tsv"
     f.write_text(f"#weight 2 level 1\n3\t0\n{MR_LIMIT}\t0\n")
