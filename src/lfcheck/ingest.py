@@ -151,7 +151,7 @@ def _prime_rows(name: str, lines: list[str], start: int, shape: str):
                 f"{where}: {p} is too large to certify as prime (limit {MR_LIMIT})"
             )
         if p < len(flags):
-            prime = p > 1 and flags[p]  # so a negative p never indexes it
+            prime = p > 1 and flags[p]  # p < 2, negatives too, never indexes flags
         else:
             prime = is_prime(p)
         if not prime:

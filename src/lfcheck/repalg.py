@@ -121,7 +121,8 @@ class RepAtom(NamedTuple):
         if self.kind == "char":
             return RepAtom("char", "", 0, "", c)
         if self.kind == "sym":
-            return RepAtom("sym", self.base, self.m, "", c * GENS[self.base].om ** (-self.m))
+            om = GENS[self.base].om
+            return RepAtom("sym", self.base, self.m, "", c * om ** (-self.m))
         return opaque_atom(self.label, c * opaque_info(self.label).dual_twist)
 
     def sort_key(self):

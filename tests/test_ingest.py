@@ -531,10 +531,10 @@ def test_table_rows_on_each_side_of_the_sieve_bound(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "is_prime", lambda n: tested.append(n) or is_prime(n))
     below = max(sieve(bound))
     above = next(n for n in range(bound + 1, 2 * bound) if is_prime(n))
-    for p, certifier in ((below, []), (above, [above])):
+    for p, calls in ((below, []), (above, [above])):
         tested.clear()
         assert load_eigenvalue_file(_row_table(tmp_path, p)).ap == {p: 0}
-        assert tested == certifier
+        assert tested == calls
     composites = (
         max(n for n in range(4, bound + 1) if not is_prime(n)),
         next(n for n in range(bound + 1, 2 * bound) if not is_prime(n)),
