@@ -201,18 +201,30 @@ def _power_lines(j: int, exps) -> list[str]:
     return lines
 
 
+# the variables of a prepared point, in its order; P, x and z read no other
+_POINT_VARS = ("a_pi", "b_pi", "a_pi'", "b_pi'", "chi")
+
+
 def _compile(polys):
     """(generator function, coefficients): the scan loop over `polys`,
     which are P, x and z.
 
-    fn(bases, lmax, c0, c1, c2), where c<k> is `coefficients[k]`, the
-    values of polys[k] in dict order, yields (p, l, direct, square) for
-    each (p, base) of `bases` and l = 1..lmax: P at the point base ** l,
-    and the closed square |w|^2 there.  Each coefficient is unpacked from
-    c<k> into a local once per call, so the source names only variables,
-    exponents and indices, never a coefficient.  Variable j of VARS is read
-    from base once per p, and only if some polynomial uses it, and raised
-    to l as u<j>.
+    fn(bases, lmax, tol, c0, c1, c2), where c<k> is `coefficients[k]`, the
+    values of polys[k] in dict order, evaluates each row (p, l) for each
+    (p, values) of `bases` and l = 1..lmax: the direct value s0, P at the
+    point values ** l, and the closed square sq = |w|^2 there.  Each
+    coefficient is unpacked from c<k> into a local once per call, so the
+    source names only variables, exponents and indices, never a
+    coefficient.  values holds the point's variables in _POINT_VARS order;
+    variable j of VARS is bound from it as v<j> once per p and raised to
+    l as u<j>, if some polynomial uses it.
+
+    The loop yields (p, l, s0, sq) only for a row that may change the
+    scan's result.  With r = s0.real, d = |r - sq|, lo the smallest r and
+    hi the largest d of the rows before it, that is a row where r <
+    max(lo, -tol), d > min(hi, tol) or |s0.imag| > tol, or where one of
+    them is NaN; the first row always.  A negative tol thus yields every
+    row.  The generator returns the number of rows it evaluated.
 
     Each distinct power u ** e is computed once and shared by every
     polynomial, by the operations CPython's own u ** e performs
@@ -240,6 +252,7 @@ def _compile(polys):
             for n in range(1, len(ws) + 1):
                 uses[cv, ws[:n]] = uses.get((cv, ws[:n]), 0) + 1
     used = sorted(exps)
+    assert all(VARS[j] in _POINT_VARS for j in used), "a variable no point holds"
     lines = []
     for j in used:
         lines += [f"u{j} = v{j} ** l", *_power_lines(j, exps[j])]
@@ -256,22 +269,39 @@ def _compile(polys):
         sums[k].append(f"s{k} += {head}" + "".join(f" * {w}" for w in ws[n:]))
     for k, body in enumerate(sums):
         lines += [f"s{k} = 0j", *body]
-    lines.append(f"yield p, l, s0, abs({_w_text('s1', 's2', ' * ')}) ** 2")
+    # lo and hi hold max(smallest r, -tol) and min(largest d, tol), so one
+    # comparison each tells whether a row can move an extreme or fail
+    lines += [
+        f"sq = abs({_w_text('s1', 's2', ' * ')}) ** 2",
+        "n += 1",
+        "r = s0.real",
+        "d = abs(r - sq)",
+        "if r >= lo and d <= hi and abs(s0.imag) <= tol:",
+        "    continue",
+        "lo = min(lo, max(r, -tol))",
+        "hi = max(hi, min(d, tol))",
+        "yield p, l, s0, sq",
+    ]
+    point = ", ".join(
+        f"v{VARS.index(name)}" if VARS.index(name) in used else "_"
+        for name in _POINT_VARS
+    )
     src = "".join(
         [
-            "def _f(bases, lmax, c0, c1, c2):\n",
+            "def _f(bases, lmax, tol, c0, c1, c2):\n",
             "    ONE = 1 + 0j\n",
             *(
                 f"    [{', '.join(f'c{k}_{i}' for i in range(len(cs)))}] = c{k}\n"
                 for k, cs in enumerate(coefs)
             ),
-            "    for p, base in bases:\n",
-            *(f"        v{j} = base[{VARS[j]!r}]\n" for j in used),
+            "    n, lo, hi = 0, inf, -inf\n",
+            f"    for p, ({point}) in bases:\n",
             "        for l in range(1, lmax + 1):\n",
             *(f"            {line}\n" for line in lines),
+            "    return n\n",
         ]
     )
-    ns: dict = {}
+    ns: dict = {"inf": inf}
     exec(compile(src, "<scan loop>", "exec"), ns)
     return ns["_f"], coefs
 
@@ -320,21 +350,17 @@ class ScanResult(NamedTuple):
         return self.checked > 0 and not self.violations
 
 
-# the variables of a prepared point, in its order; P, x and z read no other
-_POINT_VARS = ("a_pi", "b_pi", "a_pi'", "b_pi'", "chi")
-
-
 def _bases(points):
-    """(p, base) in p order, where base maps each of the point's five
-    variables to its value, checked to be of unit modulus."""
+    """(p, values) in p order, where values holds the point's five values
+    in _POINT_VARS order, each checked to be of unit modulus."""
     for p, vals in sorted(points.items()):
         if len(vals) != 5:
             raise CoefficientError(f"point at p={p} has {len(vals)} values, not 5")
-        base = dict(zip(_POINT_VARS, map(complex, vals)))
-        for name, v in base.items():
+        values = tuple(map(complex, vals))
+        for name, v in zip(_POINT_VARS, values):
             if not abs(abs(v) - 1.0) <= 1e-6:  # a NaN fails too
                 raise CoefficientError(f"{name} is not unit modulus: {v!r}")
-        yield p, base
+        yield p, values
 
 
 def scan_positivity(
@@ -345,14 +371,24 @@ def scan_positivity(
     """Check non-negativity and the square identity for each prepared prime
     point and each prime-power exponent up to lmax, in (p, l) order.
 
-    points maps p to (alpha1, beta1, alpha2, beta2, chi(p)).
+    points maps p to (alpha1, beta1, alpha2, beta2, chi(p)).  The compiled
+    loop evaluates every row but yields only those that can fail a check or
+    move an extreme (_compile); the bookkeeping below runs on those, so it
+    names the same violations and the same first (p, l) of each extreme as
+    it would on every row.  `checked` is the loop's own count of the rows
+    it evaluated.
     """
-    checked, min_value, min_at, max_abs_delta, max_delta_at = 0, inf, None, 0.0, None
+    min_value, min_at, max_abs_delta, max_delta_at = inf, None, 0.0, None
     violations = []
     fn, coefs = _compile(_polys())
-    for p, ell, direct, sos in fn(_bases(points), lmax, *coefs):
+    rows = fn(_bases(points), lmax, tol, *coefs)
+    while True:
+        try:
+            p, ell, direct, sos = next(rows)
+        except StopIteration as stop:
+            checked = stop.value
+            break
         delta = abs(direct.real - sos)
-        checked += 1
         if min_at is None or direct.real < min_value:
             min_value, min_at = direct.real, (p, ell)
         if max_delta_at is None or delta > max_abs_delta:

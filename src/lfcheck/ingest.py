@@ -103,14 +103,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _int(where: str, what: str, text: str, fault: str) -> int:
-    """int(text), or an IngestError at `where` saying `fault`.  A decimal
-    numeral past the interpreter's limit on digits, which int() refuses
-    with the same ValueError as a non-numeral, is reported as too long."""
+def _int(name: str, lineno: int | None, what: str, text: str, fault: str) -> int:
+    """int(text), or an IngestError at `name:lineno` (at `name` when lineno
+    is None) saying `fault`.  A decimal numeral past the interpreter's
+    limit on digits, which int() refuses with the same ValueError as a
+    non-numeral, is reported as too long."""
     try:
         return int(text)
     except ValueError:
         pass
+    where = name if lineno is None else f"{name}:{lineno}"
     digits = text.strip()
     if digits[:1] in ("+", "-"):
         digits = digits[1:]
@@ -128,12 +130,13 @@ SIEVE_PER_LINE = 16
 
 
 def _prime_rows(name: str, lines: list[str], start: int, shape: str):
-    """(where, p, fields) for each row of a prime-keyed TSV table, read
-    from the lines of a file after its first `start`.  Blank lines and '#'
-    comments are skipped.  Each row has as many tab-separated fields as
+    """(lineno, p, fields) for each row of a prime-keyed TSV table, read
+    from the lines of file `name` after its first `start`.  Blank lines and
+    '#' comments are skipped.  Each row has as many tab-separated fields as
     `shape`, and the first is a prime that no earlier row lists.  p is
     certified by a lookup in one sieve up to SIEVE_PER_LINE times the
-    file's line count, and by is_prime above that bound."""
+    file's line count, and by is_prime above that bound.  A row's
+    `name:lineno` is formatted only for an error, here and in the callers."""
     width = len(shape.split("\\t"))
     flags = prime_flags(SIEVE_PER_LINE * len(lines))
     seen = set()
@@ -141,25 +144,25 @@ def _prime_rows(name: str, lines: list[str], start: int, shape: str):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        where = f"{name}:{lineno}"
         fields = line.split("\t")
         if len(fields) != width:
-            raise IngestError(f"{where}: expected '{shape}', got {line!r}")
-        p = _int(where, "p", fields[0], "non-integer p")
+            raise IngestError(f"{name}:{lineno}: expected '{shape}', got {line!r}")
+        p = _int(name, lineno, "p", fields[0], "non-integer p")
         if p >= MR_LIMIT:
             raise IngestError(
-                f"{where}: {p} is too large to certify as prime (limit {MR_LIMIT})"
+                f"{name}:{lineno}: {p} is too large to certify as prime "
+                f"(limit {MR_LIMIT})"
             )
         if p < len(flags):
             prime = p > 1 and flags[p]  # p < 2, negatives too, never indexes flags
         else:
             prime = is_prime(p)
         if not prime:
-            raise IngestError(f"{where}: {p} is not prime")
+            raise IngestError(f"{name}:{lineno}: {p} is not prime")
         if p in seen:
-            raise IngestError(f"{where}: duplicate prime {p}")
+            raise IngestError(f"{name}:{lineno}: duplicate prime {p}")
         seen.add(p)
-        yield where, p, fields
+        yield lineno, p, fields
 
 
 # prod (1-q^n)^24 through the largest exponent asked for so far
@@ -299,14 +302,20 @@ def deligne_ok(ap: int, p: int, k: int) -> bool:
     return ap * ap <= 4 * p ** (k - 1)
 
 
+def _satake_alpha(ap: int, p: int, k: int) -> complex:
+    """alpha of the Satake pair (alpha, conj(alpha)) of an a_p that the
+    caller has checked against the eigenvalue bound."""
+    t = ap / math.sqrt(p ** (k - 1))
+    disc = max(0.0, 1.0 - t * t / 4.0)
+    return complex(t / 2.0, math.sqrt(disc))
+
+
 def satake_from_ap(ap: int, p: int, k: int) -> tuple[complex, complex]:
     """Unit-modulus Satake pair for a weight-k eigenvalue with trivial
     nebentypus normalization (alpha * beta = 1)."""
     if not deligne_ok(ap, p, k):
         raise BoundError(f"eigenvalue bound fails at p={p}: |a_p| too large")
-    t = ap / math.sqrt(p ** (k - 1))
-    disc = max(0.0, 1.0 - t * t / 4.0)
-    alpha = complex(t / 2.0, math.sqrt(disc))
+    alpha = _satake_alpha(ap, p, k)
     return alpha, alpha.conjugate()
 
 
@@ -322,12 +331,27 @@ class NewformData(NamedTuple):
         return satake_from_ap(self.ap[p], p, self.weight)
 
 
+def _bound_error(where: str, ap: int, p: int, k: int) -> BoundError:
+    return BoundError(
+        f"{where}: a_p={ap} violates the eigenvalue bound at p={p} for weight {k}"
+    )
+
+
 def builtin_form(name: str, xmax: int) -> NewformData:
+    """A built-in form with its a_p at the primes up to xmax that do not
+    divide its level, each checked against the exact eigenvalue bound as a
+    table row is."""
     if name == "delta":
-        return NewformData(12, 1, delta_eigenvalues(xmax), "builtin:delta")
-    if name == "11a":
-        return NewformData(2, 11, x0_11_eigenvalues(xmax), "builtin:11a")
-    raise IngestError(f"unknown builtin form {name!r} (use delta or 11a)")
+        form = NewformData(12, 1, delta_eigenvalues(xmax), "builtin:delta")
+    elif name == "11a":
+        form = NewformData(2, 11, x0_11_eigenvalues(xmax), "builtin:11a")
+    else:
+        raise IngestError(f"unknown builtin form {name!r} (use delta or 11a)")
+    k = form.weight
+    for p, ap in form.ap.items():
+        if not deligne_ok(ap, p, k):
+            raise _bound_error(form.source, ap, p, k)
+    return form
 
 
 def load_eigenvalue_file(path: str) -> NewformData:
@@ -347,24 +371,21 @@ def load_eigenvalue_file(path: str) -> NewformData:
         raise IngestError(
             f"{where}: expected header '#weight <k> level <N>', got {line!r}"
         )
-    k = _int(where, "weight", parts[1], "non-integer weight or level")
-    N = _int(where, "level", parts[3], "non-integer weight or level")
+    k = _int(path, lineno, "weight", parts[1], "non-integer weight or level")
+    N = _int(path, lineno, "level", parts[3], "non-integer weight or level")
     if k < 1 or N < 1:
         raise IngestError(f"{where}: weight and level must be >= 1")
     w = k - 1
     table: dict[int, int] = {}
-    for where, p, fields in _prime_rows(path, lines, lineno, "<p>\\t<a_p>"):
-        ap = _int(where, "a_p", fields[1], "non-integer entry")
+    for lineno, p, fields in _prime_rows(path, lines, lineno, "<p>\\t<a_p>"):
+        ap = _int(path, lineno, "a_p", fields[1], "non-integer entry")
         # sqrt(p^(k-1)) is taken in floats; bit lengths catch a huge k first
-        if w * (p.bit_length() - 1) >= 1024 or p**w > _FLOAT_MAX:
+        if w * (p.bit_length() - 1) >= 1024 or (pw := p**w) > _FLOAT_MAX:
             raise IngestError(
-                f"{where}: p^(k-1) = {p}^{w} is too large for a float"
+                f"{path}:{lineno}: p^(k-1) = {p}^{w} is too large for a float"
             )
-        if N % p != 0 and not deligne_ok(ap, p, k):
-            raise BoundError(
-                f"{where}: a_p={ap} violates the eigenvalue "
-                f"bound at p={p} for weight {k}"
-            )
+        if N % p != 0 and ap * ap > 4 * pw:  # deligne_ok on the one p^(k-1)
+            raise _bound_error(f"{path}:{lineno}", ap, p, k)
         table[p] = ap
     if not table:
         raise IngestError(f"{path}: no eigenvalue rows")
@@ -404,7 +425,7 @@ def parse_char_spec(spec: str) -> CharacterData:
         return CharacterData(1, "trivial")
     if spec.startswith("kronecker:"):
         text = spec.split(":", 1)[1]
-        d = _int("--char", "discriminant", text, f"bad discriminant in {spec!r}")
+        d = _int("--char", None, "discriminant", text, f"bad discriminant in {spec!r}")
         if d == 0:
             raise IngestError("kronecker discriminant must be nonzero")
         return CharacterData(abs(4 * d), spec, d)
@@ -417,15 +438,15 @@ def parse_char_spec(spec: str) -> CharacterData:
         ) from None
     table: dict[int, complex] = {}
     rows = _prime_rows(spec, lines, 0, "<p>\\t<re>\\t<im>")
-    for where, p, fields in rows:
+    for lineno, p, fields in rows:
         try:
             v = complex(float(fields[1]), float(fields[2]))
         except ValueError:
-            raise IngestError(f"{where}: bad number") from None
+            raise IngestError(f"{spec}:{lineno}: bad number") from None
         # written so that a NaN part fails too: a NaN value would make
         # every check at its point pass
         if not abs(abs(v) - 1) <= 1e-6:
-            raise IngestError(f"{where}: character value not unit modulus")
+            raise IngestError(f"{spec}:{lineno}: character value not unit modulus")
         table[p] = v
     if not table:
         raise IngestError(f"{spec}: no character rows")
@@ -439,18 +460,23 @@ def prepare_scan_points(
     xmax: int,
 ) -> tuple[dict[int, tuple[complex, complex, complex, complex, complex]], list[int]]:
     """Satake and character values at primes up to xmax with good reduction
-    everywhere; returns (points, skipped ramified primes)."""
+    everywhere; returns (points, skipped ramified primes).
+
+    Every unramified a_p met the eigenvalue bound when its form was made
+    (builtin_form, load_eigenvalue_file), so each Satake pair is built by
+    the float operations of satake_from_ap without checking it again."""
     points = {}
     skipped = []
     bad = form1.level * form2.level * char.modulus
+    ap1, k1, ap2, k2 = form1.ap, form1.weight, form2.ap, form2.weight
     for p in sieve(xmax):
         if bad % p == 0:
             skipped.append(p)
             continue
-        if p not in form1.ap or p not in form2.ap:
-            form = form2 if p in form1.ap else form1
+        if p not in ap1 or p not in ap2:
+            form = form2 if p in ap1 else form1
             raise IngestError(f"{form.source}: no eigenvalue for unramified p={p}")
-        a1, b1 = form1.satake(p)
-        a2, b2 = form2.satake(p)
-        points[p] = (a1, b1, a2, b2, char.value(p))
+        a1 = _satake_alpha(ap1[p], p, k1)
+        a2 = _satake_alpha(ap2[p], p, k2)
+        points[p] = (a1, a1.conjugate(), a2, a2.conjugate(), char.value(p))
     return points, skipped

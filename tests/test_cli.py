@@ -5,6 +5,7 @@ python3 tests/goldens/regen.py after an intentional output change.
 """
 
 import argparse
+import importlib
 import json
 import os
 import shutil
@@ -13,7 +14,7 @@ import sys
 
 import pytest
 
-from lfcheck import cli
+from lfcheck import cli, dseries, ingest
 from lfcheck.cli import main
 from lfcheck.dseries import (
     NONNEGATIVITY,
@@ -120,6 +121,25 @@ def test_scan_bound_violation_exit_one(tmp_path, capsys):
     assert code == 1
     assert "[FAIL] eigenvalue bound" in out
     assert "a_p=-10000 violates the eigenvalue bound at p=2" in out
+
+
+def test_scan_builtin_bound_violation_exit_one(monkeypatch, capsys):
+    # a built-in a_p past the bound is a failed verdict, as a table's is
+    real = ingest.x0_11_eigenvalues
+    monkeypatch.setattr(
+        ingest, "x0_11_eigenvalues", lambda xmax: {**real(xmax), 3: 10**6}
+    )
+    code, out, err = run_cli(
+        ["scan", "--form1", "delta", "--form2", "11a",
+         "--char", "trivial", "--xmax", "20"],
+        capsys,
+    )
+    assert (code, err) == (1, "")
+    fails = [ln.strip() for ln in out.splitlines() if "[FAIL]" in ln]
+    assert fails == [
+        "[FAIL] eigenvalue bound: builtin:11a: a_p=1000000 violates the "
+        "eigenvalue bound at p=3 for weight 2"
+    ]
 
 
 def test_scan_malformed_table_exit_two(tmp_path, capsys):
@@ -264,6 +284,30 @@ def test_scan_points_verdict_counts_every_point(monkeypatch, capsys):
         return res._replace(checked=res.checked - 1)
 
     monkeypatch.setattr(cli, "scan_positivity", short_scan)
+    code, out, _err = run_cli(GOLDEN_COMMANDS["scan_small"], capsys)
+    assert code == 1
+    fails = [ln.strip() for ln in out.splitlines() if "[FAIL]" in ln]
+    assert fails == [
+        "[FAIL] points: 29 prime-power points over 15 primes "
+        "(ramified skipped: 2,11)"
+    ]
+
+
+def test_scan_points_verdict_reads_the_loops_count(monkeypatch, capsys):
+    # `checked` is what the compiled loop counts, so a loop that evaluates
+    # one row more than it reports turns the points verdict, and it alone,
+    # red
+    real = dseries._compile
+
+    def short_compile(polys):
+        fn, coefs = real(polys)
+
+        def loop(*args):
+            return (yield from fn(*args)) - 1
+
+        return loop, coefs
+
+    monkeypatch.setattr(dseries, "_compile", short_compile)
     code, out, _err = run_cli(GOLDEN_COMMANDS["scan_small"], capsys)
     assert code == 1
     fails = [ln.strip() for ln in out.splitlines() if "[FAIL]" in ln]
@@ -538,6 +582,16 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
+
+
+def test_console_script_names_cli_main():
+    # what an install would put on PATH, checked in the source checkout
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(HERE), "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"lfcheck": "lfcheck.cli:main"}
+    module, attr = scripts["lfcheck"].split(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 def test_closed_stdout_exit_two():

@@ -99,24 +99,32 @@ def reference_rows(points, lmax):
     return out
 
 
-def scanned_rows(monkeypatch, points, lmax):
+def scanned_rows(monkeypatch, points, lmax, loop_tol=-1.0):
     """Run the scan and return its result with what its compiled loop
-    yielded."""
+    yielded.  The loop is given loop_tol, whose default, a negative one,
+    makes it yield every row, or the scan's own tol when loop_tol is None;
+    the scan's own checks keep their default tol."""
     rows = []
     compile_loop = dseries._compile
 
     def spy(polys):
         fn, coefs = compile_loop(polys)
 
-        def tee(*args):
-            for row in fn(*args):
+        def tee(bases, lmax, tol, *coefs):
+            loop = fn(bases, lmax, tol if loop_tol is None else loop_tol, *coefs)
+            while True:
+                try:
+                    row = next(loop)
+                except StopIteration as stop:
+                    return stop.value
                 rows.append(row)
                 yield row
 
         return tee, coefs
 
-    monkeypatch.setattr(dseries, "_compile", spy)
-    return scan_positivity(points, lmax), rows
+    with monkeypatch.context() as m:  # so a second call spies on the real loop
+        m.setattr(dseries, "_compile", spy)
+        return scan_positivity(points, lmax), rows
 
 
 def assert_bit_equal(rows, ref):
@@ -215,6 +223,56 @@ def test_kernel_is_bit_equal_on_the_acceptance_scan(monkeypatch):
     assert res.ok and len(rows) == 4908
     assert res.min_at == (3079, 4)
     assert_bit_equal(rows, reference_rows(points, 4))
+
+
+def test_loop_yields_few_rows_and_the_same_result(monkeypatch):
+    # the filter runs: the real loop hands the bookkeeping a small share of
+    # the acceptance scan's rows, and the result is the one every row gives
+    points, _ = prepare_scan_points(
+        builtin_form("delta", 10**4), builtin_form("11a", 10**4),
+        parse_char_spec("kronecker:-4"), 10**4,
+    )
+    res, rows = scanned_rows(monkeypatch, points, 4, loop_tol=None)
+    assert res.ok and res.checked == 4908
+    assert 0 < len(rows) < 0.05 * 4908
+    every, all_rows = scanned_rows(monkeypatch, points, 4)
+    assert len(all_rows) == 4908
+    assert res == every
+    yielded = {r[:2] for r in rows}
+    assert_bit_equal(rows, [r for r in all_rows if r[:2] in yielded])
+
+
+def test_loop_with_negative_tol_yields_every_row():
+    points = _small_points()
+    fn, coefs = dseries._compile(dseries._polys())
+    loop = fn(dseries._bases(points), 3, -1e-300, *coefs)
+    rows = []
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            rows.append(next(loop))
+    assert stop.value.value == len(rows) == 3 * len(points)
+    assert [r[:2] for r in rows] == [(p, l) for p in sorted(points) for l in (1, 2, 3)]
+    # through the scan, where a negative tol fails every realness check
+    res = scan_positivity(points, lmax=3, tol=-1.0)
+    assert res.checked == len(res.violations) == 3 * len(points)
+    assert {v.kind for v in res.violations} == {REALNESS}
+
+
+@pytest.mark.parametrize("shift, kind", [(-1000, NONNEGATIVITY), (1j, REALNESS)])
+def test_every_failing_row_is_a_violation(monkeypatch, shift, kind):
+    # negative controls for the loop's filter: with P's constant term
+    # shifted every row fails, though few rows move an extreme, so a loop
+    # that yielded only new extremes, or skipped the imaginary part, would
+    # drop nearly all of them
+    P = dseries._polys()[0]
+    shifted = dict(P.c)
+    shifted[(0,) * len(VARS)] += shift
+    monkeypatch.setitem(dseries._CACHE, "P", LaurentPoly(shifted))
+    points = _small_points()
+    res = scan_positivity(points, lmax=4)
+    assert res.checked == 4 * len(points)
+    assert len(res.violations) == res.checked
+    assert {v.kind for v in res.violations} == {kind}
 
 
 def test_kernel_is_bit_equal_on_seeded_tables(monkeypatch, tmp_path):
@@ -327,10 +385,13 @@ def test_scan_violations_are_records(monkeypatch):
     points = {3: (1, 1, 1, 1, 1)}
 
     def fake_compile(polys):
-        def scan(bases, lmax, *coefs):
-            for p, _base in bases:
+        def scan(bases, lmax, tol, *coefs):
+            n = 0
+            for p, _values in bases:
                 for ell in range(1, lmax + 1):
+                    n += 1
                     yield p, ell, direct[ell], sq
+            return n
 
         return scan, ()
 
