@@ -287,9 +287,9 @@ class CaseSpec(NamedTuple):
     title: str
     hyp: Hypotheses
     identities: tuple[IdentitySpec, ...]
+    expected_pole: tuple[int, int]
     ell: int | None = None
     k: int | None = None
-    expected_pole: tuple[int, int] | None = None
     structural: bool = False
     # isobaric operands (expressions) for the pair-multiplicity pole rule;
     # used instead of per-factor pole bookkeeping when the multiplied-out
@@ -545,31 +545,28 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
             )
         )
 
-    if spec.expected_pole is not None and (
-        pole_target is not None or spec.pair_pole is not None
-    ):
-        if spec.pair_pole is not None:
-            left, right = map(parse_expr, spec.pair_pole)
-            iv, reasons = isobaric_pair_pole(left, right, spec.hyp)
-        else:
-            iv, reasons = pole_order(pole_target, spec.hyp)
-        want = PoleInterval(*spec.expected_pole)
-        verdicts.append(
-            Verdict(
-                "pole ledger",
-                "PASS" if iv == want else "FAIL",
-                f"order interval {iv}, expected {want} "
-                f"({len(reasons)} factors examined)",
-            )
+    if spec.pair_pole is not None:
+        left, right = map(parse_expr, spec.pair_pole)
+        iv, reasons = isobaric_pair_pole(left, right, spec.hyp)
+    else:
+        iv, reasons = pole_order(pole_target, spec.hyp)
+    want = PoleInterval(*spec.expected_pole)
+    verdicts.append(
+        Verdict(
+            "pole ledger",
+            "PASS" if iv == want else "FAIL",
+            f"order interval {iv}, expected {want} "
+            f"({len(reasons)} factors examined)",
         )
-        if spec.k is not None:
-            if iv.hi <= spec.k:
-                status, det = "PASS", f"upper bound {iv.hi} <= k = {spec.k}"
-            elif iv.lo > spec.k:
-                status, det = "FAIL", f"lower bound {iv.lo} > k = {spec.k}"
-            else:
-                status, det = "UNKNOWN", f"interval {iv} straddles k = {spec.k}"
-            verdicts.append(Verdict("entirety", status, det))
+    )
+    if spec.k is not None:
+        if iv.hi <= spec.k:
+            status, det = "PASS", f"upper bound {iv.hi} <= k = {spec.k}"
+        elif iv.lo > spec.k:
+            status, det = "FAIL", f"lower bound {iv.lo} > k = {spec.k}"
+        else:
+            status, det = "UNKNOWN", f"interval {iv} straddles k = {spec.k}"
+        verdicts.append(Verdict("entirety", status, det))
 
     if spec.ell is not None and spec.k is not None:
         ok = 2 * spec.ell > spec.k

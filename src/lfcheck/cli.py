@@ -54,6 +54,7 @@ _LAZY = {
     ),
     "exprlang": ("parse_expr",),
     "ingest": (
+        "BUILTINS",
         "BoundError",
         "builtin_form",
         "load_eigenvalue_file",
@@ -237,7 +238,7 @@ def _cmd_expand(args) -> Report:
 
 
 def _resolve_form(src: str, xmax: int):
-    if src in ("delta", "11a"):
+    if src in BUILTINS:
         return builtin_form(src, xmax), src
     return load_eigenvalue_file(src), _file_digest(src)
 

@@ -201,8 +201,9 @@ def _power_lines(j: int, exps) -> list[str]:
     return lines
 
 
-# the variables of a prepared point, in its order; P, x and z read no other
-_POINT_VARS = ("a_pi", "b_pi", "a_pi'", "b_pi'", "chi")
+# the variables of a prepared point, in its order: the four Satake slots and
+# chi lead VARS; P, x and z read no other
+_POINT_VARS = VARS[: VARS.index("chi") + 1]
 
 
 def _compile(polys):
@@ -215,9 +216,9 @@ def _compile(polys):
     point values ** l, and the closed square sq = |w|^2 there.  Each
     coefficient is unpacked from c<k> into a local once per call, so the
     source names only variables, exponents and indices, never a
-    coefficient.  values holds the point's variables in _POINT_VARS order;
-    variable j of VARS is bound from it as v<j> once per p and raised to
-    l as u<j>, if some polynomial uses it.
+    coefficient.  values holds the point's variables, the first
+    len(_POINT_VARS) of VARS; variable j is bound from it as v<j> once per
+    p and raised to l as u<j>, if some polynomial uses it.
 
     The loop yields (p, l, s0, sq) only for a row that may change the
     scan's result.  With r = s0.real, d = |r - sq|, lo the smallest r and
@@ -252,7 +253,7 @@ def _compile(polys):
             for n in range(1, len(ws) + 1):
                 uses[cv, ws[:n]] = uses.get((cv, ws[:n]), 0) + 1
     used = sorted(exps)
-    assert all(VARS[j] in _POINT_VARS for j in used), "a variable no point holds"
+    assert all(j < len(_POINT_VARS) for j in used), "a variable no point holds"
     lines = []
     for j in used:
         lines += [f"u{j} = v{j} ** l", *_power_lines(j, exps[j])]
@@ -283,8 +284,7 @@ def _compile(polys):
         "yield p, l, s0, sq",
     ]
     point = ", ".join(
-        f"v{VARS.index(name)}" if VARS.index(name) in used else "_"
-        for name in _POINT_VARS
+        f"v{j}" if j in exps else "_" for j in range(len(_POINT_VARS))
     )
     src = "".join(
         [
@@ -354,8 +354,10 @@ def _bases(points):
     """(p, values) in p order, where values holds the point's five values
     in _POINT_VARS order, each checked to be of unit modulus."""
     for p, vals in sorted(points.items()):
-        if len(vals) != 5:
-            raise CoefficientError(f"point at p={p} has {len(vals)} values, not 5")
+        if len(vals) != len(_POINT_VARS):
+            raise CoefficientError(
+                f"point at p={p} has {len(vals)} values, not {len(_POINT_VARS)}"
+            )
         values = tuple(map(complex, vals))
         for name, v in zip(_POINT_VARS, values):
             if not abs(abs(v) - 1.0) <= 1e-6:  # a NaN fails too

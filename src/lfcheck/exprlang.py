@@ -162,9 +162,8 @@ class _Parser:
             self.expect("punct", ")")
             self.depth -= 1
             return inner
-        if k == "int" and v == "1":
-            self.next()
-            return VirtualRep.of(char_atom(ONE))
+        if v == "1" or v in CHAR_NAMES or v in ("one", "zeta"):
+            return VirtualRep.of(char_atom(self.charprod()))
         if k != "name":
             raise ExprError(f"expected an atom, got {v or 'end of input'!r}")
         if v in ("Sym", "Ad"):
@@ -175,8 +174,6 @@ class _Parser:
         if v in OPAQUE:
             self.next()
             return VirtualRep.of(opaque_atom(v))
-        if v in CHAR_NAMES or v in ("one", "zeta"):
-            return VirtualRep.of(char_atom(self.charprod()))
         raise ExprError(f"unknown atom {v!r}")
 
     def lift(self) -> VirtualRep:

@@ -310,25 +310,11 @@ def _satake_alpha(ap: int, p: int, k: int) -> complex:
     return complex(t / 2.0, math.sqrt(disc))
 
 
-def satake_from_ap(ap: int, p: int, k: int) -> tuple[complex, complex]:
-    """Unit-modulus Satake pair for a weight-k eigenvalue with trivial
-    nebentypus normalization (alpha * beta = 1)."""
-    if not deligne_ok(ap, p, k):
-        raise BoundError(f"eigenvalue bound fails at p={p}: |a_p| too large")
-    alpha = _satake_alpha(ap, p, k)
-    return alpha, alpha.conjugate()
-
-
 class NewformData(NamedTuple):
     weight: int
     level: int
     ap: dict[int, int]
     source: str
-
-    def satake(self, p: int) -> tuple[complex, complex]:
-        if p not in self.ap:
-            raise IngestError(f"no eigenvalue stored for p={p} ({self.source})")
-        return satake_from_ap(self.ap[p], p, self.weight)
 
 
 def _bound_error(where: str, ap: int, p: int, k: int) -> BoundError:
@@ -337,17 +323,24 @@ def _bound_error(where: str, ap: int, p: int, k: int) -> BoundError:
     )
 
 
+# the built-in forms: name -> (weight, level, a_p at the primes up to xmax
+# that do not divide the level)
+BUILTINS = {
+    "delta": (12, 1, delta_eigenvalues),
+    "11a": (2, 11, x0_11_eigenvalues),
+}
+
+
 def builtin_form(name: str, xmax: int) -> NewformData:
     """A built-in form with its a_p at the primes up to xmax that do not
     divide its level, each checked against the exact eigenvalue bound as a
     table row is."""
-    if name == "delta":
-        form = NewformData(12, 1, delta_eigenvalues(xmax), "builtin:delta")
-    elif name == "11a":
-        form = NewformData(2, 11, x0_11_eigenvalues(xmax), "builtin:11a")
-    else:
-        raise IngestError(f"unknown builtin form {name!r} (use delta or 11a)")
-    k = form.weight
+    if name not in BUILTINS:
+        raise IngestError(
+            f"unknown builtin form {name!r} (use {' or '.join(BUILTINS)})"
+        )
+    k, level, eigenvalues = BUILTINS[name]
+    form = NewformData(k, level, eigenvalues(xmax), f"builtin:{name}")
     for p, ap in form.ap.items():
         if not deligne_ok(ap, p, k):
             raise _bound_error(form.source, ap, p, k)
@@ -464,7 +457,7 @@ def prepare_scan_points(
 
     Every unramified a_p met the eigenvalue bound when its form was made
     (builtin_form, load_eigenvalue_file), so each Satake pair is built by
-    the float operations of satake_from_ap without checking it again."""
+    _satake_alpha without checking it again."""
     points = {}
     skipped = []
     bad = form1.level * form2.level * char.modulus

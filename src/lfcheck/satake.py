@@ -191,13 +191,13 @@ def satake_point(
     alpha_pi2: complex,
     beta_pi2: complex,
     chars: dict[str, complex] | None = None,
-    tol: float = 1e-9,
 ) -> dict[str, complex]:
     """Validated evaluation dictionary for coefficient polynomials.
 
     Satake slots must be unit modulus (tempered normalization); finite-order
     character values must satisfy their declared order; remaining character
-    generators default to 1, and any other name is refused.
+    generators default to 1, and any other name is refused.  Each holds to
+    within 1e-9.
     """
     slots = (alpha_pi, beta_pi, alpha_pi2, beta_pi2)
     vals: dict[str, complex] = dict(zip(VARS[:4], map(complex, slots)))
@@ -207,9 +207,9 @@ def satake_point(
     if rest:
         raise CoefficientError(f"unknown character name {next(iter(rest))!r}")
     for n, v in vals.items():
-        if not abs(abs(v) - 1.0) <= tol:  # a NaN fails too
+        if not abs(abs(v) - 1.0) <= 1e-9:  # a NaN fails too
             raise CoefficientError(f"{n} is not unit modulus: {v!r}")
         order = STD_ORDERS.get(n, 0)
-        if order and abs(v**order - 1.0) > tol:
+        if order and abs(v**order - 1.0) > 1e-9:
             raise CoefficientError(f"{n} does not have order dividing {order}")
     return vals

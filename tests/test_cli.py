@@ -49,6 +49,11 @@ GOLDEN_COMMANDS = {
         "scan", "--form1", "delta", "--form2", "11a",
         "--char", "kronecker:-4", "--xmax", "60", "--lmax", "2",
     ],
+    # one built-in on both sides: the second ingest reads the first's series
+    "scan_delta_delta": [
+        "scan", "--form1", "delta", "--form2", "delta",
+        "--char", "trivial", "--xmax", "60", "--lmax", "2",
+    ],
     # relative paths, since the inputs digest hashes the command string:
     # every golden runs from the fixtures directory
     "scan_tables_small": [
@@ -125,9 +130,9 @@ def test_scan_bound_violation_exit_one(tmp_path, capsys):
 
 def test_scan_builtin_bound_violation_exit_one(monkeypatch, capsys):
     # a built-in a_p past the bound is a failed verdict, as a table's is
-    real = ingest.x0_11_eigenvalues
-    monkeypatch.setattr(
-        ingest, "x0_11_eigenvalues", lambda xmax: {**real(xmax), 3: 10**6}
+    k, level, real = ingest.BUILTINS["11a"]
+    monkeypatch.setitem(
+        ingest.BUILTINS, "11a", (k, level, lambda xmax: {**real(xmax), 3: 10**6})
     )
     code, out, err = run_cli(
         ["scan", "--form1", "delta", "--form2", "11a",

@@ -19,7 +19,6 @@ from lfcheck.ingest import (
     load_eigenvalue_file,
     parse_char_spec,
     prepare_scan_points,
-    satake_from_ap,
     sieve,
 )
 
@@ -300,14 +299,26 @@ def test_deligne_exact():
     assert not deligne_ok(13976, 5, 12)
 
 
+def delta_pairs(xmax):
+    """The points of the scan of Delta against itself with the trivial
+    character, up to xmax, with each side made as the command line makes
+    it: the second builtin_form reads the series the first grew."""
+    f1, f2 = builtin_form("delta", xmax), builtin_form("delta", xmax)
+    return prepare_scan_points(f1, f2, parse_char_spec("trivial"), xmax)[0]
+
+
 def test_satake_pair():
-    for p in (2, 3, 5, 7):
-        a, b = satake_from_ap(tau(p), p, 12)
+    points = delta_pairs(7)
+    assert sorted(points) == [2, 3, 5, 7]
+    for p, (a, b, _a2, _b2, _cv) in points.items():
         assert abs(abs(a) - 1) < 1e-12 and abs(abs(b) - 1) < 1e-12
         assert abs(a * b - 1) < 1e-12
         assert abs((a + b) - tau(p) / p**5.5) < 1e-12
-    with pytest.raises(BoundError):
-        satake_from_ap(10**6, 2, 12)
+
+
+def test_same_form_on_both_sides_gives_equal_pairs():
+    for p, (a1, b1, a2, b2, cv) in delta_pairs(60).items():
+        assert (a1, b1) == (a2, b2) and cv == 1
 
 
 def test_builtin_forms():
@@ -319,8 +330,6 @@ def test_builtin_forms():
     assert 11 not in g.ap
     with pytest.raises(IngestError):
         builtin_form("37b", 50)
-    with pytest.raises(IngestError):
-        builtin_form("delta", 50).satake(101)
 
 
 def kronecker(a, n):

@@ -141,6 +141,10 @@ def test_char_absorption():
         VirtualRep.of(char_atom(chi)), VirtualRep.of(sym_atom("pi'", 2))
     )
     assert V == VirtualRep.of(sym_atom("pi'", 2, chi))
+    # the trivial character 1 takes a power and joins a product, as one does
+    for text in ("1*chi", "one*chi", "chi*1", "1^2*chi"):
+        assert parse_expr(text) == VirtualRep.of(char_atom(chi))
+    assert parse_expr("1^2") == parse_expr("1") == VirtualRep.of(char_atom(G.ONE))
 
 
 def test_duality_involution_seeded():

@@ -8,7 +8,6 @@ import pytest
 
 from lfcheck import chargroup as G
 from lfcheck.exprlang import parse_expr
-from lfcheck.ingest import satake_from_ap
 from lfcheck.repalg import (
     VirtualRep,
     ad_atom,
@@ -26,7 +25,7 @@ from lfcheck.satake import (
 )
 from lfcheck.repalg import opaque_atom
 from test_fuzz import _expr
-from test_ingest import tau
+from test_ingest import delta_pairs, tau
 
 
 chi = G.gen("chi")
@@ -56,7 +55,7 @@ def test_vars_cover_the_lattice_without_central_slots():
 
 def test_adjoint_coefficient_at_delta_p2():
     # tau(2) = -24, weight 12: a_Ad(2) = tau(2)^2 / 2^11 - 1
-    alpha, beta = satake_from_ap(tau(2), 2, 12)
+    alpha, beta = delta_pairs(2)[2][:2]
     pt = satake_point(alpha, beta, 1.0, 1.0, {})
     val = coeff_poly(VirtualRep.of(ad_atom("pi"))).eval(pt)
     assert abs(val.imag) < 1e-12
