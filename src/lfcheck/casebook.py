@@ -37,7 +37,7 @@ from typing import NamedTuple
 from . import InputError
 from .chargroup import gen
 from .exprlang import parse_expr
-from .hypotheses import GL2Type, Hypotheses, classify
+from .hypotheses import BASES, GL2Type, Hypotheses, classify
 from .repalg import (
     Entry,
     RepAtom,
@@ -47,10 +47,10 @@ from .repalg import (
     plethysm_sym2,
     sym_atom,
 )
-from .satake import coeff_poly
+from .satake import LaurentPoly, coeff_poly
 from .poles import PoleInterval, isobaric_pair_pole, pole_order
 from .dseries import build_D
-from .report import Verdict
+from .report import Verdict, check
 
 
 class CaseError(InputError):
@@ -430,8 +430,18 @@ def _fmt_delta(delta: dict[Entry, int]) -> str:
     return "; ".join(parts) if parts else "none"
 
 
+def _coefficient(name: str, resid: LaurentPoly) -> Verdict:
+    """The verdict that a residual coefficient polynomial vanishes."""
+    return check(
+        name,
+        resid.is_zero,
+        "coefficient polynomials agree",
+        f"{resid.n_terms} residual terms",
+    )
+
+
 def _hyp_desc(hyp: Hypotheses) -> str:
-    bits = [f"pi={hyp.type_pi.name.lower()}", f"pi'={hyp.type_pi2.name.lower()}"]
+    bits = [f"{base}={hyp.type_of(base).value}" for base in BASES]
     if hyp.twist_equiv:
         bits.append("twist-equivalent")
     return ", ".join(bits)
@@ -457,11 +467,7 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
         raise CaseError(f"case {case_id} has no display to tamper with")
     got = classify(spec.hyp)
     verdicts = [
-        Verdict(
-            "classification",
-            "PASS" if got == case_id else "FAIL",
-            f"declared shapes classify as {got}",
-        )
+        check("classification", got == case_id, f"declared shapes classify as {got}")
     ]
 
     pole_target = dD = None
@@ -473,9 +479,9 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
         tag = f" ({ident.label})" if len(spec.identities) > 1 else ""
 
         verdicts.append(
-            Verdict(
+            check(
                 f"degree{tag}",
-                "PASS" if lhs.degree == rhs.degree else "FAIL",
+                lhs.degree == rhs.degree,
                 f"{lhs.degree} vs {rhs.degree}",
             )
         )
@@ -488,41 +494,29 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
             dD = dl
         delta = dr.delta(dl)
         verdicts.append(
-            Verdict(
+            check(
                 f"identity{tag}",
-                "PASS" if not delta else "FAIL",
-                "exact multiset match"
-                if not delta
-                else f"claimed minus required: {_fmt_delta(delta)}",
+                not delta,
+                "exact multiset match",
+                f"claimed minus required: {_fmt_delta(delta)}",
             )
         )
         if ident.known_delta is not None and tamper is None:
             known = _signed(ident.known_delta)
             degshift = sum(m * k.degree for k, m in delta.items())
-            ok = delta == known and degshift == 0
             verdicts.append(
-                Verdict(
+                check(
                     f"discrepancy analysis{tag}",
-                    "PASS" if ok else "FAIL",
+                    delta == known and degshift == 0,
                     "difference matches the recorded slip and is "
                     "degree-neutral; repaired by moving exponent 4 onto "
-                    "the chi and conjugate-chi twists as 2+2"
-                    if ok
-                    else "difference does not match the recorded slip",
+                    "the chi and conjugate-chi twists as 2+2",
+                    "difference does not match the recorded slip",
                 )
             )
         if ident.polycheck:
             resid = coeff_poly(rhs) - coeff_poly(lhs)
-            ok = resid.is_zero
-            verdicts.append(
-                Verdict(
-                    f"coefficient{tag}",
-                    "PASS" if ok else "FAIL",
-                    "coefficient polynomials agree"
-                    if ok
-                    else f"{resid.n_terms} residual terms",
-                )
-            )
+            verdicts.append(_coefficient(f"coefficient{tag}", resid))
 
     if spec.structural:
         dl = decompose_under(_rows(_FACTOR), spec.hyp)
@@ -536,12 +530,11 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
             ):
                 bad.append(key.pretty())
         verdicts.append(
-            Verdict(
+            check(
                 "gl2 structure",
-                "PASS" if not bad else "FAIL",
-                "all factors have members of degree <= 2"
-                if not bad
-                else "oversized factors: " + "; ".join(bad),
+                not bad,
+                "all factors have members of degree <= 2",
+                "oversized factors: " + "; ".join(bad),
             )
         )
 
@@ -552,9 +545,9 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
         iv, reasons = pole_order(pole_target, spec.hyp)
     want = PoleInterval(*spec.expected_pole)
     verdicts.append(
-        Verdict(
+        check(
             "pole ledger",
-            "PASS" if iv == want else "FAIL",
+            iv == want,
             f"order interval {iv}, expected {want} "
             f"({len(reasons)} factors examined)",
         )
@@ -578,7 +571,7 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
             ell = dD.counter()[target]
             if ell != spec.ell:
                 ok, det = False, f"computed ell = {ell}, recorded ell = {spec.ell}"
-        verdicts.append(Verdict("ghl budget", "PASS" if ok else "FAIL", det))
+        verdicts.append(check("ghl budget", ok, det))
     return CaseReport(case_id, spec.title, _hyp_desc(spec.hyp), verdicts)
 
 
@@ -593,38 +586,24 @@ def verify_plethysm_bridge() -> CaseReport:
 
     tags = plethysm_sym2(3)
     verdicts = [
-        Verdict(
-            "weight peel",
-            "PASS" if tags == [(6, 0), (2, 2)] else "FAIL",
-            f"Sym^2(Sym^3) tags: {tags}",
-        )
+        check("weight peel", tags == [(6, 0), (2, 2)], f"Sym^2(Sym^3) tags: {tags}")
     ]
 
     chi, om = gen("chi"), gen("om_pi")
     pleth = VirtualRep.build(
         (sym_atom("pi", d, chi * om ** (r - 3)), 1) for d, r in tags
     )
-    ok = ratio == dict(pleth.counter())
     verdicts.append(
-        Verdict(
+        check(
             "multiset identity",
-            "PASS" if ok else "FAIL",
-            "numerator minus denominator equals the plethysm block"
-            if ok
-            else f"difference: {_fmt_delta({k: v for k, v in ratio.items()})}",
+            ratio == dict(pleth.counter()),
+            "numerator minus denominator equals the plethysm block",
+            f"difference: {_fmt_delta(ratio)}",
         )
     )
 
     resid = coeff_poly(numer) - coeff_poly(denom) - coeff_poly(pleth)
-    verdicts.append(
-        Verdict(
-            "coefficient",
-            "PASS" if resid.is_zero else "FAIL",
-            "coefficient polynomials agree"
-            if resid.is_zero
-            else f"{resid.n_terms} residual terms",
-        )
-    )
+    verdicts.append(_coefficient("coefficient", resid))
     return CaseReport(
         "bridge",
         "symmetric-square-of-cube ratio identity",

@@ -22,7 +22,7 @@ True
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 STD_GENERATORS = (
     "chi",
@@ -94,13 +94,6 @@ def index(name: str) -> int:
         return _INDEX[name]
     except KeyError:
         raise KeyError(f"unknown character generator {name!r}") from None
-
-
-def make(exps: Iterable[int]) -> FormalCharacter:
-    vec = list(exps)
-    if len(vec) != len(STD_GENERATORS):
-        raise ValueError("exponent vector of wrong length")
-    return _reduced(vec)
 
 
 def gen(name: str, e: int = 1) -> FormalCharacter:

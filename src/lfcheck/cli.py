@@ -35,7 +35,7 @@ from importlib import import_module
 
 from . import InputError, __version__, read_lines
 from .hypotheses import GL2Type, Hypotheses
-from .report import Report, Section, Verdict, digest, render_json, render_text
+from .report import Report, Section, Verdict, check, digest, render_json, render_text
 
 # The names each subcommand takes from the modules it loads.
 _LAZY = {
@@ -132,7 +132,7 @@ def _file_digest(path: str) -> str:
         return digest(fh.read().decode(errors="replace"))
 
 
-_TYPES = {t.name.lower(): t for t in GL2Type}
+_TYPES = {t.value: t for t in GL2Type}
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -313,9 +313,9 @@ def _cmd_scan(args) -> Report:
     lap("scan")
 
     verdicts = [
-        Verdict(
+        check(
             "points",
-            "PASS" if res.checked == len(points) * args.lmax else "FAIL",
+            res.checked == len(points) * args.lmax,
             f"{res.checked} prime-power points over {len(points)} primes "
             f"(ramified skipped: {skipped_txt})",
         )
@@ -326,8 +326,7 @@ def _cmd_scan(args) -> Report:
         (SQUARE_IDENTITY, f"max |direct - square| = {res.max_abs_delta:.3g}"),
     ):
         hit = next((v for v in res.violations if v.kind == kind), None)
-        status, detail = ("PASS", clean) if hit is None else ("FAIL", str(hit))
-        verdicts.append(Verdict(kind, status, detail))
+        verdicts.append(check(kind, hit is None, clean, str(hit)))
     facts = {"min_at": res.min_at, "max_delta_at": res.max_delta_at}
     return Report(cmd, inputs_digest, verdicts, facts=facts, timings=timings)
 

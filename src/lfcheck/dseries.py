@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 from .chargroup import ONE, gen
 from .hypotheses import GENS
-from .report import Verdict
+from .report import Verdict, check
 from .repalg import RepAtom, VirtualRep, ad_atom, rs_product, sym_atom, char_atom
 from .satake import VARS, CoefficientError, LaurentPoly, coeff_poly, satake_point
 
@@ -100,15 +100,11 @@ def sos_closed_form() -> LaurentPoly:
     return w * w.conj()
 
 
-def _verdict(name: str, ok: bool, detail: str) -> Verdict:
-    return Verdict(name, "PASS" if ok else "FAIL", detail)
-
-
 def verify_sos() -> list[Verdict]:
     """Check the square identity and its supporting relations exactly."""
     P, x, z = _polys()
     checks = [
-        _verdict("adjoint coefficient is real", (x.conj() - x).is_zero, "conj(x) = x")
+        check("adjoint coefficient is real", (x.conj() - x).is_zero, "conj(x) = x")
     ]
 
     for base, xx in (("pi", x), ("pi'", coeff_poly(VirtualRep.of(ad_atom("pi'"))))):
@@ -117,7 +113,7 @@ def verify_sos() -> list[Verdict]:
         lhs = xx * xx
         rhs = LaurentPoly.one() + xx + s4
         checks.append(
-            _verdict(
+            check(
                 f"square relation over {base}",
                 (lhs - rhs).is_zero,
                 "x^2 = 1 + x + s4",
@@ -127,17 +123,18 @@ def verify_sos() -> list[Verdict]:
     Q = sos_closed_form()
     diff = P - Q
     checks.append(
-        _verdict(
+        check(
             f"coefficient equals |{_w_text('x', 'z', '')}|^2",
             diff.is_zero,
-            "0 residual" if diff.is_zero else f"{diff.n_terms} residual terms",
+            "0 residual",
+            f"{diff.n_terms} residual terms",
         )
     )
 
     ones = satake_point(1, 1, 1, 1)
     v324 = P.eval(ones)
     checks.append(
-        _verdict(
+        check(
             "degree check at the trivial point",
             abs(v324 - 324) < 1e-9,
             f"value {v324.real:.12g}",
@@ -146,7 +143,7 @@ def verify_sos() -> list[Verdict]:
 
     vneg = P.eval(satake_point(1, 1, 1, 1, {"chi": -1}))
     checks.append(
-        _verdict(
+        check(
             "quadratic character point",
             abs(vneg - 36) < 1e-9,
             f"value {vneg.real:.12g}",
@@ -158,7 +155,7 @@ def verify_sos() -> list[Verdict]:
     sym = P.eval(pt)
     swapped = P.eval({**pt, "chi": pt["chi"].conjugate()})
     checks.append(
-        _verdict(
+        check(
             "conjugate-character symmetry",
             abs(sym - swapped) < 1e-9,
             f"|difference| {abs(sym - swapped):.3g}",

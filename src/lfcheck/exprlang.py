@@ -8,7 +8,9 @@ Grammar (tightest first):
               character products like chi, omega^-2, chi*mu', 1
 Parentheses group, nested at most NEST_MAX deep.  Character names: chi,
 omega, omega', mu, mu', eta, eta', xiF, xiF'; powers with ^, products
-with *.
+with *.  A value's size is the sum of the degrees of its distinct entries,
+the most terms its coefficient polynomial can have; no sum may pass
+SIZE_MAX, and no (x) whose operands' sizes multiply past it is built.
 
 >>> parse_expr("Ad(pi) (x) Ad(pi) tw chi").degree
 9
@@ -22,6 +24,7 @@ import re
 
 from . import InputError
 from .chargroup import ONE, STD_GENERATORS, FormalCharacter, gen
+from .hypotheses import BASES
 from .repalg import (
     OPAQUE,
     VirtualRep,
@@ -49,9 +52,16 @@ CHAR_NAMES = {
     "xiF'": "xiF_pi'",
 }
 
+# the spellings of the trivial character
+TRIVIAL = ("1", "one", "zeta")
+
 # largest m accepted in Sym^m: expanding a same-base Sym^m (x) Sym^m costs
 # about m^2, so without a cap one numeral could make a short expression slow
 SYM_MAX = 64
+
+# largest value size accepted: the single pair Sym^SYM_MAX (x) Sym^SYM_MAX.
+# Without it a short chain of (x) could multiply out to millions of entries
+SIZE_MAX = (SYM_MAX + 1) ** 2
 
 # longest numeral accepted: int() refuses strings past the interpreter's digit
 # limit (4300 by default) with a ValueError, and no meaningful power needs
@@ -121,10 +131,15 @@ class _Parser:
 
     # expr := term { "(+)" term }
     def expr(self) -> VirtualRep:
-        acc = self.term()
+        terms = [self.term()]
         while self.peek() == ("op", "(+)"):
             self.next()
-            acc = acc + self.term()
+            terms.append(self.term())
+        # one build for the whole sum, so n terms cost n log n and not n^2
+        acc = VirtualRep.build(e for t in terms for e in t.entries)
+        size = _size(acc)
+        if size > SIZE_MAX:
+            raise ExprError(f"sum of size {size} exceeds the largest size, {SIZE_MAX}")
         return acc
 
     # term := postfix { "(x)" postfix }
@@ -132,7 +147,13 @@ class _Parser:
         acc = self.postfix()
         while self.peek() == ("op", "(x)"):
             self.next()
-            acc = rs_product(acc, self.postfix())
+            right = self.postfix()
+            a, b = _size(acc), _size(right)
+            if a * b > SIZE_MAX:
+                raise ExprError(
+                    f"(x) of sizes {a} and {b} exceeds the largest size, {SIZE_MAX}"
+                )
+            acc = rs_product(acc, right)
         return acc
 
     # postfix := primary { "~" | "tw" charprod }
@@ -162,13 +183,13 @@ class _Parser:
             self.expect("punct", ")")
             self.depth -= 1
             return inner
-        if v == "1" or v in CHAR_NAMES or v in ("one", "zeta"):
+        if v in TRIVIAL or v in CHAR_NAMES:
             return VirtualRep.of(char_atom(self.charprod()))
         if k != "name":
             raise ExprError(f"expected an atom, got {v or 'end of input'!r}")
         if v in ("Sym", "Ad"):
             return self.lift()
-        if v in ("pi", "pi'"):
+        if v in BASES:
             self.next()
             return VirtualRep.of(sym_atom(v, 1))
         if v in OPAQUE:
@@ -190,8 +211,8 @@ class _Parser:
             m = 2
         self.expect("punct", "(")
         _bk, base = self.next()
-        if base not in ("pi", "pi'"):
-            raise ExprError(f"lift base must be pi or pi', got {base!r}")
+        if base not in BASES:
+            raise ExprError(f"lift base must be {' or '.join(BASES)}, got {base!r}")
         self.expect("punct", ")")
         if head == "Ad":
             return VirtualRep.of(ad_atom(base))
@@ -207,9 +228,7 @@ class _Parser:
 
     def charfac(self) -> FormalCharacter:
         k, v = self.next()
-        if k == "int" and v == "1":
-            base = ONE
-        elif k == "name" and v in ("one", "zeta"):
+        if v in TRIVIAL:
             base = ONE
         elif k == "name" and v in CHAR_NAMES:
             base = gen(CHAR_NAMES[v])
@@ -224,6 +243,10 @@ class _Parser:
                 raise ExprError("character power must be an integer")
             base = base ** int(iv)
         return base
+
+
+def _size(V: VirtualRep) -> int:
+    return sum(k.degree for k, _m in V.entries)
 
 
 def parse_expr(src: str) -> VirtualRep:

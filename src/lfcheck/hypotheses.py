@@ -42,11 +42,9 @@ class Hypotheses(namedtuple("Hypotheses", "type_pi type_pi2 twist_equiv")):
         return super().__new__(cls, type_pi, type_pi2, twist_equiv)
 
     def type_of(self, base: str) -> GL2Type:
-        if base == "pi":
-            return self.type_pi
-        if base == "pi'":
-            return self.type_pi2
-        raise KeyError(f"unknown base {base!r}")
+        if base not in BASES:
+            raise KeyError(f"unknown base {base!r}")
+        return self[BASES.index(base)]
 
 
 def base_name(stem: str, base: str) -> str:

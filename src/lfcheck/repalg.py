@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Union
 from . import InputError
 from .chargroup import ONE, FormalCharacter
 from .hypotheses import (
-    GENS, GL2Type, Hypotheses, Tri, base_name, is_trivial, member_of
+    BASES, GENS, GL2Type, Hypotheses, Tri, base_name, is_trivial, member_of
 )
 
 
@@ -52,10 +52,12 @@ class OpaqueInfo(NamedTuple):
 # central character eta and eta itself a self-twist.  ind is the induced
 # square in the dihedral shape; Ind(theta)~ = Ind(theta) (x) conj(theta|_F).
 OPAQUE: dict[str, OpaqueInfo] = {
-    "nu_pi": OpaqueInfo(2, "pi", GL2Type.OCTAHEDRAL, ONE, (ONE, GENS["pi"].eta)),
-    "nu_pi'": OpaqueInfo(2, "pi'", GL2Type.OCTAHEDRAL, ONE, (ONE, GENS["pi'"].eta)),
-    "ind_pi": OpaqueInfo(2, "pi", GL2Type.DIHEDRAL, GENS["pi"].xiF ** -2),
-    "ind_pi'": OpaqueInfo(2, "pi'", GL2Type.DIHEDRAL, GENS["pi'"].xiF ** -2),
+    name: info
+    for b, g in GENS.items()
+    for name, info in (
+        (base_name("nu", b), OpaqueInfo(2, b, GL2Type.OCTAHEDRAL, ONE, (ONE, g.eta))),
+        (base_name("ind", b), OpaqueInfo(2, b, GL2Type.DIHEDRAL, g.xiF ** -2)),
+    )
 }
 
 
@@ -128,17 +130,20 @@ class RepAtom(NamedTuple):
     def sort_key(self):
         return (0, self.kind, self.base, self.m, self.label, self.twist.exps)
 
+    def head(self) -> tuple[str, FormalCharacter]:
+        """The name a non-character atom is shown under, and the shift from
+        its stored twist to the shown one: Sym^2 tw om^-1 shows as Ad."""
+        if self.kind == "sym" and self.m == 2:
+            return f"Ad({self.base})", GENS[self.base].om
+        if self.kind == "sym":
+            return f"Sym^{self.m}({self.base})", ONE
+        return self.label, ONE
+
     def pretty(self) -> str:
         if self.kind == "char":
             return "zeta" if self.twist.is_one else self.twist.pretty()
-        if self.kind == "sym" and self.m == 2:
-            shown = self.twist * GENS[self.base].om
-            head = f"Ad({self.base})"
-        else:
-            shown = self.twist
-            head = (
-                f"Sym^{self.m}({self.base})" if self.kind == "sym" else self.label
-            )
+        head, shift = self.head()
+        shown = self.twist * shift
         return head if shown.is_one else f"{head} tw {shown.pretty()}"
 
     def __repr__(self):
@@ -150,7 +155,7 @@ def char_atom(c: FormalCharacter) -> RepAtom:
 
 
 def sym_atom(base: str, m: int, twist: FormalCharacter | None = None) -> RepAtom:
-    if base not in ("pi", "pi'"):
+    if base not in BASES:
         raise RepAlgError(f"unknown base {base!r}")
     if m < 0:
         raise RepAlgError("negative symmetric power")
@@ -200,16 +205,9 @@ class RSPair(NamedTuple):
         return (1, self.a.sort_key(), self.b.sort_key(), self.twist.exps)
 
     def pretty(self) -> str:
-        def dress(core: RepAtom) -> tuple[str, FormalCharacter]:
-            if core.kind == "sym" and core.m == 2:
-                return f"Ad({core.base})", GENS[core.base].om.inv()
-            if core.kind == "sym":
-                return f"Sym^{core.m}({core.base})", ONE
-            return core.label, ONE
-
-        na, ca = dress(self.a)
-        nb, cb = dress(self.b)
-        resid = self.twist * ca.inv() * cb.inv()
+        na, sa = self.a.head()
+        nb, sb = self.b.head()
+        resid = self.twist * sa * sb
         inner = f"{na} x {nb}"
         return f"({inner})" if resid.is_one else f"({inner} tw {resid.pretty()})"
 

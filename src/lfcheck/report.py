@@ -24,6 +24,15 @@ class Verdict(NamedTuple):
     detail: str = ""
 
 
+def check(name: str, ok: bool, detail: str, fail_detail: str | None = None) -> Verdict:
+    """The verdict on one condition, the only place a condition becomes a
+    status: PASS with detail when ok holds, else FAIL with fail_detail (or
+    detail when none is given)."""
+    if ok:
+        return Verdict(name, "PASS", detail)
+    return Verdict(name, "FAIL", detail if fail_detail is None else fail_detail)
+
+
 class Section(NamedTuple):
     heading: str
     subheading: str = ""

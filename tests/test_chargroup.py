@@ -77,8 +77,3 @@ def test_unknown_generator_rejected():
         G.gen("nosuch")
     with pytest.raises(KeyError):
         G.from_dict({"nosuch": 1})
-
-
-def test_make_length_checked():
-    with pytest.raises(ValueError):
-        G.make([1, 2])

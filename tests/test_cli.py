@@ -8,6 +8,7 @@ import argparse
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from lfcheck.dseries import (
 from lfcheck.exprlang import (
     NEST_MAX,
     NUMERAL_DIGITS,
+    SIZE_MAX,
     SYM_MAX,
     ExprError,
     parse_expr,
@@ -347,6 +349,29 @@ def test_nesting_cap(capsys, cmd):
         code, out, err = run_cli([cmd[0], nested(depth), *cmd[1:]], capsys)
         assert code == 2 and out == ""
         assert err == f"error: parentheses nest deeper than the largest depth, {NEST_MAX}\n"
+
+
+@pytest.mark.parametrize("cmd", [["expand"], ["poles", "--hyp", HYP]])
+def test_size_cap(capsys, cmd):
+    # the largest value is the largest pair, Sym^SYM_MAX (x) Sym^SYM_MAX
+    top = f"Sym^{SYM_MAX}(pi)"
+    assert SIZE_MAX == (SYM_MAX + 1) ** 2
+    code, out, err = run_cli([cmd[0], f"{top} (x) {top}", *cmd[1:]], capsys)
+    assert code == 0 and err == ""
+    half = (SIZE_MAX + 1) // 2
+    chars = " (+) ".join(f"chi^{i}" for i in range(1, half + 1))
+    for expr, msg in (
+        # one past the cap, by a sum and by a pair
+        (f"{top} (x) {top} (+) chi", f"sum of size {SIZE_MAX + 1}"),
+        (f"pi (x) ({chars})", f"(x) of sizes 2 and {half}"),
+        # fifty factors used to take half a minute
+        (" (x) ".join([top] * 50), f"(x) of sizes {SIZE_MAX} and {SYM_MAX + 1}"),
+    ):
+        with pytest.raises(ExprError, match=re.escape(msg)):
+            parse_expr(expr)
+        code, out, err = run_cli([cmd[0], expr, *cmd[1:]], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {msg} exceeds the largest size, {SIZE_MAX}\n"
 
 
 NOT_UTF8 = os.path.join(FIXTURES, "not_utf8.txt")

@@ -3,9 +3,10 @@
 Every `lfcheck` command starts a fresh interpreter that compiles whatever
 it imports, so the import set is part of a command's cost.  These tests run
 the console entry point (`from lfcheck.cli import main`) in a child process
-and read `sys.modules` once `main` has returned.  A last check keeps each
-module's private names its own, and another that every annotation names
-something its module can resolve.
+and read `sys.modules` once `main` has returned.  Three checks on the
+source close the file: each module's private names stay its own, every
+annotation names something its module can resolve, and the status rule and
+the base names each have one owner.
 """
 
 import ast
@@ -135,3 +136,34 @@ def test_every_annotation_resolves():
             except NameError as e:
                 unresolved.append(f"{name}.{fn.__qualname__}: {e}")
     assert unresolved == []
+
+
+def _strings(node):
+    return {
+        n.value for n in ast.walk(node)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+
+
+def test_one_owner_for_the_status_rule_and_the_bases():
+    # report.check alone turns a condition into PASS or FAIL, and
+    # hypotheses.BASES alone lists the two bases
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "lfcheck", "*.py"))):
+        name = os.path.basename(path)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.IfExp) and name != "report.py":
+                yes, no = _strings(node.body), _strings(node.orelse)
+                if ("PASS" in yes and "FAIL" in no) or ("FAIL" in yes and "PASS" in no):
+                    found.append(f"{name}:{node.lineno}: status by a condition")
+            if (
+                isinstance(node, (ast.Tuple, ast.Set, ast.List))
+                and name != "hypotheses.py"
+                and {"pi", "pi'"} <= {
+                    e.value for e in node.elts if isinstance(e, ast.Constant)
+                }
+            ):
+                found.append(f"{name}:{node.lineno}: the bases spelled out")
+    assert sorted(found) == []

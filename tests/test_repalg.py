@@ -142,9 +142,26 @@ def test_char_absorption():
     )
     assert V == VirtualRep.of(sym_atom("pi'", 2, chi))
     # the trivial character 1 takes a power and joins a product, as one does
-    for text in ("1*chi", "one*chi", "chi*1", "1^2*chi"):
+    for text in ("1*chi", "one*chi", "zeta*chi", "chi*1", "1^2*chi"):
         assert parse_expr(text) == VirtualRep.of(char_atom(chi))
     assert parse_expr("1^2") == parse_expr("1") == VirtualRep.of(char_atom(G.ONE))
+
+
+def test_sum_parses_in_linear_time(monkeypatch):
+    # a build per (+) over the sum so far took about n^2/2 entries
+    n = 2000
+    real = VirtualRep.build
+    received = []
+
+    def spy(pairs):
+        pairs = list(pairs)
+        received.append(len(pairs))
+        return real(pairs)
+
+    monkeypatch.setattr(VirtualRep, "build", staticmethod(spy))
+    V = parse_expr(" (+) ".join(f"pi tw chi^{i}" for i in range(n)))
+    assert len(V.entries) == n
+    assert sum(received) <= 3 * n
 
 
 def test_duality_involution_seeded():
