@@ -35,23 +35,29 @@ def read_lines(path: str) -> list[str]:
 
 _EXPORTS = {
     "chargroup": ("FormalCharacter",),
-    "hypotheses": ("GL2Type", "Hypotheses", "Tri", "classify"),
+    "hypotheses": ("GL2Type", "Hypotheses"),
     "repalg": (
         "RepAtom",
         "RSPair",
         "VirtualRep",
         "ad_atom",
-        "atom_equal",
         "cg_expand",
         "char_atom",
-        "decompose_under",
         "opaque_atom",
         "plethysm_sym2",
         "rs_product",
         "sym_atom",
     ),
-    "casebook": ("CASE_IDS", "run_all", "verify_case", "verify_plethysm_bridge"),
-    "dseries": ("build_D", "scan_positivity", "verify_sos"),
+    "decompose": ("Tri", "atom_equal", "decompose_under"),
+    "casebook": (
+        "CASE_IDS",
+        "classify",
+        "run_all",
+        "verify_case",
+        "verify_plethysm_bridge",
+    ),
+    "dseries": ("build_D", "verify_sos"),
+    "scan": ("scan_positivity",),
     "exprlang": ("parse_expr",),
     "poles": ("PoleInterval", "isobaric_pair_pole", "pole_order"),
 }

@@ -36,17 +36,10 @@ from typing import NamedTuple
 
 from . import InputError
 from .chargroup import gen
+from .decompose import decompose_under
 from .exprlang import parse_expr
-from .hypotheses import BASES, GL2Type, Hypotheses, classify
-from .repalg import (
-    Entry,
-    RepAtom,
-    RSPair,
-    VirtualRep,
-    decompose_under,
-    plethysm_sym2,
-    sym_atom,
-)
+from .hypotheses import BASES, GL2Type, Hypotheses
+from .repalg import Entry, RepAtom, RSPair, VirtualRep, plethysm_sym2, sym_atom
 from .satake import LaurentPoly, coeff_poly
 from .poles import PoleInterval, isobaric_pair_pole, pole_order
 from .dseries import build_D
@@ -55,6 +48,33 @@ from .report import Verdict, check
 
 class CaseError(InputError):
     pass
+
+
+def classify(hyp: Hypotheses) -> str:
+    """Map a hypothesis set to the unique ledger case id covering it."""
+    t1, t2 = hyp.type_pi, hyp.type_pi2
+    dih = (t1 is GL2Type.DIHEDRAL, t2 is GL2Type.DIHEDRAL)
+    if all(dih):
+        return "5.1"
+    if any(dih):
+        return "5.2"
+    if hyp.twist_equiv:
+        return {
+            GL2Type.TETRAHEDRAL: "5.3.1",
+            GL2Type.OCTAHEDRAL: "5.3.2",
+            GL2Type.GENERAL: "5.3.3",
+        }[t1]
+    pair = frozenset((t1, t2))
+    T, O, G = GL2Type.TETRAHEDRAL, GL2Type.OCTAHEDRAL, GL2Type.GENERAL
+    table = {
+        frozenset((T,)): "4.1",
+        frozenset((T, O)): "4.2",
+        frozenset((O,)): "4.3",
+        frozenset((G, T)): "4.4.1",
+        frozenset((G, O)): "4.4.2",
+        frozenset((G,)): "4.4.3",
+    }
+    return table[pair]
 
 
 def _signed(rows: str) -> dict[Entry, int]:

@@ -10,31 +10,33 @@ Subcommands map one-to-one onto the library verifiers:
     scan --form1 .. --form2 ..  numeric positivity scan over prime points
     poles <expr> --hyp <file>   pole-order ledger under declared shapes
 
-Exit status: 0 when every verdict is PASS, 1 on any verification failure,
-2 on usage errors (any `lfcheck.InputError`, or an unreadable file) and
-when the report cannot be written to stdout.
-`--json` switches the report to JSON.  Hypothesis files are `key = value`
-lines: type_pi and type_pi' (dihedral, tetrahedral, octahedral, or
-general), plus the optional boolean twist_equiv.
+Exit status: 0 when every verdict is PASS (and for -h), 1 on any
+verification failure, 2 on usage errors (any `lfcheck.InputError`, a
+malformed command line among them, or an unreadable file) and when the
+report cannot be written to stdout.  `--json`, before the subcommand,
+switches the report to JSON.  `hypfile` reads the hypothesis files.
+
+One table, `_GRAMMAR`, both parses the command line and prints the -h
+usage; no command imports argparse.  Options follow their subcommand, as
+`--flag value` or `--flag=value`, and a unique prefix names a flag.
 
 Every command runs in a fresh interpreter, so this module imports only
-`report` and `hypotheses` up front; each subcommand loads the modules it
-calls on first use (`_load`).  The names they provide stay attributes of
-this module, resolved on first access through `__getattr__`, so callers
-can read or replace them here before `main` runs.
+`report` up front; each subcommand loads the modules it calls on first
+use (`_load`).  The names they provide stay attributes of this module,
+resolved on first access through `__getattr__`, so callers can read or
+replace them here before `main` runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 import time
 from importlib import import_module
+from types import SimpleNamespace
 
-from . import InputError, __version__, read_lines
-from .hypotheses import GL2Type, Hypotheses
+from . import InputError, __version__
 from .report import Report, Section, Verdict, check, digest, render_json, render_text
 
 # The names each subcommand takes from the modules it loads.
@@ -45,14 +47,10 @@ _LAZY = {
         "verify_case",
         "verify_plethysm_bridge",
     ),
-    "dseries": (
-        "NONNEGATIVITY",
-        "REALNESS",
-        "SQUARE_IDENTITY",
-        "scan_positivity",
-        "verify_sos",
-    ),
+    "decompose": ("decompose_under",),
+    "dseries": ("verify_sos",),
     "exprlang": ("parse_expr",),
+    "hypfile": ("parse_hyp_file",),
     "ingest": (
         "BUILTINS",
         "BoundError",
@@ -62,8 +60,8 @@ _LAZY = {
         "prepare_scan_points",
     ),
     "poles": ("pole_order", "self_dual_abelian_entries"),
-    "repalg": ("decompose_under",),
     "satake": ("CoefficientError", "coeff_poly"),
+    "scan": ("NONNEGATIVITY", "REALNESS", "SQUARE_IDENTITY", "scan_positivity"),
 }
 _OWNER = {name: mod for mod, names in _LAZY.items() for name in names}
 
@@ -89,87 +87,151 @@ class UsageError(InputError):
     pass
 
 
-def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="lfcheck",
-        description="verification engine for the degree-324 positivity product",
-    )
-    ap.add_argument("--json", action="store_true", help="emit the report as JSON")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+# the default --tol, which the scan's `command:` line leaves out
+SCAN_TOL = 1e-9
 
-    pv = sub.add_parser("verify", help="run a named verifier")
-    pv.add_argument("what", choices=("sos", "case", "all", "bridge"))
-    pv.add_argument("case_id", nargs="?", default=None)
-    pv.add_argument(
-        "--tamper",
-        type=int,
-        default=None,
-        metavar="N",
-        help="perturb the N-th claimed entry first (detection probe)",
-    )
+# The command line: for "" (what precedes the subcommand) and for each
+# subcommand, the usage that `_bind` parses and the rest of its -h text.  A
+# word in [..] may be left out; an option with =META takes a value, which
+# must be a number if _NUMBERS names its META, and the others are flags.
+_GRAMMAR = {
+    "": ("[--json] COMMAND ...", """\
+verification engine for the degree-324 positivity product
 
-    pe = sub.add_parser("expand", help="normal form of a rep expression")
-    pe.add_argument("expr")
+  COMMAND  verify  run a named verifier
+           expand  normal form of a rep expression
+           scan    numeric positivity scan
+           poles   pole-order ledger for an expression
+  --json   emit the report as JSON"""),
+    "verify": ("WHAT [CASE_ID] [--tamper=N]", """\
+run a named verifier
 
-    ps = sub.add_parser("scan", help="numeric positivity scan")
-    ps.add_argument("--form1", required=True, help="delta, 11a, or a TSV path")
-    ps.add_argument("--form2", required=True, help="delta, 11a, or a TSV path")
-    ps.add_argument(
-        "--char", required=True, help="trivial, kronecker:<d>, or a table path"
-    )
-    ps.add_argument("--xmax", type=int, required=True)
-    ps.add_argument("--lmax", type=int, default=3)
-    ps.add_argument("--tol", type=float, default=1e-9)
+  WHAT        sos, case, all or bridge
+  CASE_ID     the case to verify, for verify case
+  --tamper N  perturb the N-th claimed entry first (detection probe)"""),
+    "expand": ("EXPR", """\
+normal form of a rep expression
 
-    pp = sub.add_parser("poles", help="pole-order ledger for an expression")
-    pp.add_argument("expr")
-    pp.add_argument("--hyp", required=True, help="hypothesis file (key = value)")
-    return ap
+  EXPR  a rep expression, such as Ad(pi) (x) Ad(pi') tw chi"""),
+    "scan": ("--form1=FORM --form2=FORM --char=CHAR --xmax=N [--lmax=L] [--tol=T]",
+             """\
+numeric positivity scan
+
+  --form1 FORM  delta, 11a, or a TSV path
+  --form2 FORM  delta, 11a, or a TSV path
+  --char CHAR   trivial, kronecker:<d>, or a table path
+  --xmax N      scan the primes up to N
+  --lmax L      at their powers p^1 .. p^L (default {lmax})
+  --tol T       tolerance of every check (default {tol})"""),
+    "poles": ("EXPR --hyp=FILE", """\
+pole-order ledger for an expression
+
+  EXPR        a rep expression
+  --hyp FILE  hypothesis file (key = value)"""),
+}
+_DEFAULTS = {"lmax": 3, "tol": SCAN_TOL}
+_INT, _FLOAT = (int, "an integer"), (float, "a number")
+_NUMBERS = {"N": _INT, "L": _INT, "T": _FLOAT}
+
+
+def _is_flag(token: str) -> bool:
+    """Whether a token names an option: it starts with -- or is -h, so a
+    negative number is a value."""
+    return token[:2] == "--" or token == "-h"
+
+
+def _flag(text: str, flags: dict) -> str:
+    """The flag text names, in full or by a unique prefix; -h names --help."""
+    if text == "-h":
+        return "--help"
+    hits = [f for f in (*flags, "--help") if f.startswith(text)] if text != "--" else []
+    if len(hits) != 1:
+        raise UsageError(
+            f"ambiguous option {text} ({' or '.join(hits)})" if hits
+            else f"unknown option {text}"
+        )
+    return hits[0]
+
+
+def _bind(args: SimpleNamespace, level: str, tokens: list[str]) -> list[str]:
+    """Set the fields of one grammar level on args from tokens.  The top
+    level stops at the subcommand and returns the tokens after it; -h puts
+    its level's help text in args.help and stops."""
+    where = f"lfcheck {level}".rstrip()
+    usage, text = _GRAMMAR[level]
+    flags, names, required = {}, [], []
+    for word in usage.split():
+        name, _, meta = word.strip("[]").partition("=")
+        if name == "...":
+            break
+        dest = name.lstrip("-").lower()
+        setattr(args, dest, _DEFAULTS.get(dest))
+        if name[0] == "-":
+            flags[name] = meta
+        else:
+            names.append(dest)
+        if word[0] != "[":
+            required.append(name)
+    i = 0
+    while i < len(tokens):
+        token, i = tokens[i], i + 1
+        if not _is_flag(token):
+            if not names:
+                raise UsageError(f"unexpected argument {token!r}")
+            setattr(args, names.pop(0), token)
+            if not level:
+                return tokens[i:]
+            continue
+        name, eq, value = token.partition("=")
+        name = _flag(name, flags)
+        if name == "--help":
+            args.help = f"usage: {where} [-h] {usage}\n\n{text.format(**_DEFAULTS)}"
+            return []
+        meta = flags[name]
+        if not meta:
+            if eq:
+                raise UsageError(f"{name} takes no value")
+            setattr(args, name[2:], True)
+            continue
+        if not eq:
+            if i == len(tokens) or _is_flag(tokens[i]):
+                raise UsageError(f"{name} needs a value")
+            value, i = tokens[i], i + 1
+        kind, noun = _NUMBERS.get(meta, (str, ""))
+        try:
+            setattr(args, name[2:], kind(value))
+        except ValueError:
+            shown = f"{value[:30]!r}{'...' if len(value) > 30 else ''}"
+            raise UsageError(f"{name} must be {noun}, got {shown}") from None
+    missing = [n for n in required if getattr(args, n.lstrip("-").lower()) is None]
+    if missing:
+        raise UsageError(f"{where}: missing {', '.join(missing)}")
+    return []
+
+
+class _Parser:
+    """The command-line parser `main` asks `_parser` for."""
+
+    def parse_args(self, argv: list[str] | None = None) -> SimpleNamespace:
+        """The fields of argv (sys.argv[1:] by default) by `_GRAMMAR`; for
+        -h, `help` holds the usage text.  A grammar error raises
+        UsageError."""
+        args = SimpleNamespace(help=None)
+        rest = _bind(args, "", list(sys.argv[1:] if argv is None else argv))
+        if args.help is None:
+            if args.command not in _GRAMMAR or not args.command:
+                raise UsageError(f"unknown command {args.command!r}")
+            _bind(args, args.command, rest)
+        return args
+
+
+def _parser() -> _Parser:
+    return _Parser()
 
 
 def _file_digest(path: str) -> str:
     with open(path, "rb") as fh:
         return digest(fh.read().decode(errors="replace"))
-
-
-_TYPES = {t.value: t for t in GL2Type}
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def parse_hyp_file(path: str) -> Hypotheses:
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(read_lines(path), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key in fields:
-            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
-        fields[key] = val
-    for req in ("type_pi", "type_pi'"):
-        if req not in fields:
-            raise UsageError(f"{path}: missing required key {req!r}")
-    kwargs = {}
-    for key, dest in (("type_pi", "type_pi"), ("type_pi'", "type_pi2")):
-        val = fields.pop(key).lower()
-        if val not in _TYPES:
-            raise UsageError(
-                f"{path}: {key} must be one of {', '.join(_TYPES)}; got {val!r}"
-            )
-        kwargs[dest] = _TYPES[val]
-    if "twist_equiv" in fields:
-        val = fields.pop("twist_equiv").lower()
-        if val not in _BOOLS:
-            raise UsageError(f"{path}: twist_equiv must be a boolean, got {val!r}")
-        kwargs["twist_equiv"] = _BOOLS[val]
-    if fields:
-        raise UsageError(f"{path}: unknown keys: {', '.join(sorted(fields))}")
-    try:
-        return Hypotheses(**kwargs)
-    except ValueError as e:
-        raise UsageError(f"{path}: {e}") from None
 
 
 def _case_section(cr) -> Section:
@@ -178,6 +240,8 @@ def _case_section(cr) -> Section:
 
 
 def _cmd_verify(args) -> Report:
+    if args.what not in ("sos", "case", "all", "bridge"):
+        raise UsageError(f"verify takes sos, case, all or bridge, not {args.what!r}")
     _load("dseries" if args.what == "sos" else "casebook")
     if args.what == "case":
         if args.case_id is None:
@@ -273,6 +337,8 @@ def _cmd_scan(args) -> Report:
         f"scan --form1 {args.form1} --form2 {args.form2} --char {args.char} "
         f"--xmax {args.xmax} --lmax {args.lmax}"
     )
+    if args.tol != SCAN_TOL:  # a FAIL must name the tolerance to reproduce
+        cmd += f" --tol {args.tol!r}"
     # seconds per stage, reported by --json alone; a stage's time includes
     # loading the modules it is the first to call
     timings = {}
@@ -308,7 +374,7 @@ def _cmd_scan(args) -> Report:
             f"--xmax {args.xmax} leaves no unramified prime to scan "
             f"(ramified skipped: {skipped_txt})"
         )
-    _load("dseries")
+    _load("scan")
     res = scan_positivity(points, args.lmax, args.tol)
     lap("scan")
 
@@ -332,7 +398,7 @@ def _cmd_scan(args) -> Report:
 
 
 def _cmd_poles(args) -> Report:
-    _load("exprlang", "repalg", "poles")
+    _load("exprlang", "hypfile", "decompose", "poles")
     hyp = parse_hyp_file(args.hyp)
     V = parse_expr(args.expr)
     dec = decompose_under(V, hyp)
@@ -350,15 +416,29 @@ def _cmd_poles(args) -> Report:
     return Report(f"poles {args.expr!r} --hyp {args.hyp}", dig, verdicts)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    start = time.perf_counter()
+def _emit(text: str, status: int) -> int:
+    """Print text and return status, or 2 when stdout cannot take it."""
     try:
-        if args.cmd == "verify":
+        print(text, flush=True)
+    except OSError as e:  # stdout is closed or failing, say a pipe with no reader
+        # the interpreter flushes stdout again at exit; give that flush a sink
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    return status
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = _parser().parse_args(argv)
+        if args.help is not None:
+            return _emit(args.help, 0)
+        start = time.perf_counter()
+        if args.command == "verify":
             rep = _cmd_verify(args)
-        elif args.cmd == "expand":
+        elif args.command == "expand":
             rep = _cmd_expand(args)
-        elif args.cmd == "scan":
+        elif args.command == "scan":
             rep = _cmd_scan(args)
         else:
             rep = _cmd_poles(args)
@@ -366,14 +446,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     rep = rep._replace(elapsed_s=time.perf_counter() - start)
-    try:
-        print(render_json(rep) if args.json else render_text(rep), flush=True)
-    except OSError as e:  # stdout is closed or failing, say a pipe with no reader
-        # the interpreter flushes stdout again at exit; give that flush a sink
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    return rep.exit_status
+    return _emit(render_json(rep) if args.json else render_text(rep), rep.exit_status)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
-"""The degree-324 auxiliary product: construction, the sum-of-squares
-identity for its prime-power coefficients, and a numeric positivity scan.
+"""The degree-324 auxiliary product: construction and the sum-of-squares
+identity for its prime-power coefficients.  The numeric positivity scan of
+those coefficients lives in `scan`.
 
 The product D is defined by its square root.  At an unramified prime its
 coefficient is |w|^2 with
@@ -14,14 +15,12 @@ the closed square form and the scan's square all read it.
 from __future__ import annotations
 
 from collections import Counter
-from math import inf
-from typing import NamedTuple, Sequence
 
 from .chargroup import ONE, gen
 from .hypotheses import GENS
 from .report import Verdict, check
 from .repalg import RepAtom, VirtualRep, ad_atom, rs_product, sym_atom, char_atom
-from .satake import VARS, CoefficientError, LaurentPoly, coeff_poly, satake_point
+from .satake import VARS, LaurentPoly, coeff_poly, satake_point
 
 # w as (power of x, power of z) -> coefficient, its terms in the order the
 # scan adds them
@@ -31,7 +30,7 @@ W = {(1, 0): 2, (1, 1): 1, (0, 1): 1}
 _X, _Z = ad_atom("pi"), ad_atom("pi'", gen("chi"))
 
 
-def _w_text(x: str, z: str, sep: str) -> str:
+def w_text(x: str, z: str, sep: str) -> str:
     """w written in the names x and z, the factors of each term joined by
     sep and the terms in W order."""
     return " + ".join(
@@ -79,7 +78,7 @@ def build_D() -> VirtualRep:
 _CACHE: dict[str, LaurentPoly] = {}
 
 
-def _polys() -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+def coeff_polys() -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     """(full coefficient polynomial, x, z), cached."""
     if "P" not in _CACHE:
         _CACHE["P"] = coeff_poly(build_D())
@@ -90,7 +89,7 @@ def _polys() -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
 
 def sos_closed_form() -> LaurentPoly:
     """|w|^2 with w built from W as a polynomial in x and z."""
-    _P, x, z = _polys()
+    _P, x, z = coeff_polys()
     w = LaurentPoly.zero()
     for (i, j), c in W.items():
         term = LaurentPoly({(0,) * len(VARS): c})
@@ -102,7 +101,7 @@ def sos_closed_form() -> LaurentPoly:
 
 def verify_sos() -> list[Verdict]:
     """Check the square identity and its supporting relations exactly."""
-    P, x, z = _polys()
+    P, x, z = coeff_polys()
     checks = [
         check("adjoint coefficient is real", (x.conj() - x).is_zero, "conj(x) = x")
     ]
@@ -124,7 +123,7 @@ def verify_sos() -> list[Verdict]:
     diff = P - Q
     checks.append(
         check(
-            f"coefficient equals |{_w_text('x', 'z', '')}|^2",
+            f"coefficient equals |{w_text('x', 'z', '')}|^2",
             diff.is_zero,
             "0 residual",
             f"{diff.n_terms} residual terms",
@@ -166,241 +165,5 @@ def verify_sos() -> list[Verdict]:
 
 def a_D_value(point: dict[str, complex]) -> complex:
     """Direct evaluation of the full coefficient polynomial."""
-    P, _x, _z = _polys()
+    P, _x, _z = coeff_polys()
     return P.eval(point)
-
-
-def _power_name(j: int, e: int) -> str:
-    """The name the scan loop binds to u<j> ** e."""
-    return f"w{j}_{e}" if e > 0 else f"w{j}_m{-e}"
-
-
-def _power_lines(j: int, exps) -> list[str]:
-    """Statements binding _power_name(j, e) to u<j> ** e for each nonzero e
-    of exps, by the operations CPython's complex power performs for an
-    integer exponent (c_powi): ONE, the complex 1+0j, times the squares
-    u<j> ** 2^b over the set bits b of |e| in ascending order, and ONE
-    divided by that when e < 0.  The squares are shared by all of exps, and
-    e < 0 divides into the chain of -e when exps holds -e too."""
-    top = max(map(abs, exps)).bit_length()
-    sq = [f"u{j}"] + [f"u{j}_{1 << b}" for b in range(1, top)]
-    lines = [f"{sq[b]} = {sq[b - 1]} * {sq[b - 1]}" for b in range(1, top)]
-    for e in sorted(exps, key=lambda e: (e < 0, abs(e))):
-        m = abs(e)
-        chain = "ONE" + "".join(f" * {sq[b]}" for b in range(top) if m >> b & 1)
-        if e > 0:
-            rhs = chain
-        elif m in exps:
-            rhs = f"ONE / {_power_name(j, m)}"
-        else:
-            rhs = f"ONE / ({chain})"
-        lines.append(f"{_power_name(j, e)} = {rhs}")
-    return lines
-
-
-# the variables of a prepared point, in its order: the four Satake slots and
-# chi lead VARS; P, x and z read no other
-_POINT_VARS = VARS[: VARS.index("chi") + 1]
-
-
-def _compile(polys):
-    """(generator function, coefficients): the scan loop over `polys`,
-    which are P, x and z.
-
-    fn(bases, lmax, tol, c0, c1, c2), where c<k> is `coefficients[k]`, the
-    values of polys[k] in dict order, evaluates each row (p, l) for each
-    (p, values) of `bases` and l = 1..lmax: the direct value s0, P at the
-    point values ** l, and the closed square sq = |w|^2 there.  Each
-    coefficient is unpacked from c<k> into a local once per call, so the
-    source names only variables, exponents and indices, never a
-    coefficient.  values holds the point's variables, the first
-    len(_POINT_VARS) of VARS; variable j is bound from it as v<j> once per
-    p and raised to l as u<j>, if some polynomial uses it.
-
-    The loop yields (p, l, s0, sq) only for a row that may change the
-    scan's result.  With r = s0.real, d = |r - sq|, lo the smallest r and
-    hi the largest d of the rows before it, that is a row where r <
-    max(lo, -tol), d > min(hi, tol) or |s0.imag| > tol, or where one of
-    them is NaN; the first row always.  A negative tol thus yields every
-    row.  The generator returns the number of rows it evaluated.
-
-    Each distinct power u ** e is computed once and shared by every
-    polynomial, by the operations CPython's own u ** e performs
-    (_power_lines).  Every term starts from its coefficient, multiplies
-    its factors in VARS order and is added to its sum in dict order; a
-    product of a coefficient value and leading factors that two or more
-    terms start with is computed once.  These are the floating-point
-    operations of term-by-term evaluation on the same inputs, so every
-    value is bit-identical to it; tests check the power chain against
-    u ** e, signed zeros included.  One statement per term keeps long
-    polynomials inside the compiler's nesting limit.
-    """
-    exps: dict[int, set[int]] = {}  # j -> the exponents e of u<j> ** e
-    coefs = tuple(tuple(complex(v) for v in q.c.values()) for q in polys)
-    terms = []  # (k, i, coefficient value, power names in VARS order)
-    uses: dict[tuple, int] = {}  # (value, leading powers) -> terms sharing it
-    for k, q in enumerate(polys):
-        for i, key in enumerate(q.c):
-            for j, e in enumerate(key):
-                if e:
-                    exps.setdefault(j, set()).add(e)
-            ws = tuple(_power_name(j, e) for j, e in enumerate(key) if e)
-            cv = coefs[k][i]
-            terms.append((k, i, cv, ws))
-            for n in range(1, len(ws) + 1):
-                uses[cv, ws[:n]] = uses.get((cv, ws[:n]), 0) + 1
-    used = sorted(exps)
-    assert all(j < len(_POINT_VARS) for j in used), "a variable no point holds"
-    lines = []
-    for j in used:
-        lines += [f"u{j} = v{j} ** l", *_power_lines(j, exps[j])]
-    temps: dict[tuple, str] = {}  # shared prefix -> its t<n>
-    sums: list[list[str]] = [[] for _ in polys]
-    for k, i, cv, ws in terms:
-        head, n = f"c{k}_{i}", 0
-        while n < len(ws) and uses[cv, ws[: n + 1]] > 1:
-            n += 1
-            if (cv, ws[:n]) not in temps:
-                temps[cv, ws[:n]] = f"t{len(temps)}"
-                lines.append(f"{temps[cv, ws[:n]]} = {head} * {ws[n - 1]}")
-            head = temps[cv, ws[:n]]
-        sums[k].append(f"s{k} += {head}" + "".join(f" * {w}" for w in ws[n:]))
-    for k, body in enumerate(sums):
-        lines += [f"s{k} = 0j", *body]
-    # lo and hi hold max(smallest r, -tol) and min(largest d, tol), so one
-    # comparison each tells whether a row can move an extreme or fail
-    lines += [
-        f"sq = abs({_w_text('s1', 's2', ' * ')}) ** 2",
-        "n += 1",
-        "r = s0.real",
-        "d = abs(r - sq)",
-        "if r >= lo and d <= hi and abs(s0.imag) <= tol:",
-        "    continue",
-        "lo = min(lo, max(r, -tol))",
-        "hi = max(hi, min(d, tol))",
-        "yield p, l, s0, sq",
-    ]
-    point = ", ".join(
-        f"v{j}" if j in exps else "_" for j in range(len(_POINT_VARS))
-    )
-    src = "".join(
-        [
-            "def _f(bases, lmax, tol, c0, c1, c2):\n",
-            "    ONE = 1 + 0j\n",
-            *(
-                f"    [{', '.join(f'c{k}_{i}' for i in range(len(cs)))}] = c{k}\n"
-                for k, cs in enumerate(coefs)
-            ),
-            "    n, lo, hi = 0, inf, -inf\n",
-            f"    for p, ({point}) in bases:\n",
-            "        for l in range(1, lmax + 1):\n",
-            *(f"            {line}\n" for line in lines),
-            "    return n\n",
-        ]
-    )
-    ns: dict = {"inf": inf}
-    exec(compile(src, "<scan loop>", "exec"), ns)
-    return ns["_f"], coefs
-
-
-# Violation kinds, each named after the scan verdict it fails
-NONNEGATIVITY = "nonnegativity"
-REALNESS = "realness"
-SQUARE_IDENTITY = "square identity"
-
-
-class Violation(NamedTuple):
-    """A failed check at the point (p, l): `value` is the direct coefficient
-    there and `square` the closed square form |w|^2."""
-
-    kind: str
-    p: int
-    l: int
-    value: complex
-    square: float
-
-    def __str__(self) -> str:
-        head = f"p={self.p} l={self.l}: "
-        if self.kind == REALNESS:
-            return head + f"coefficient not real ({self.value.imag:.3g})"
-        if self.kind == NONNEGATIVITY:
-            return head + f"negative coefficient ({self.value.real:.3g})"
-        return head + (
-            f"direct/square mismatch ({self.value.real:.12g} vs {self.square:.12g})"
-        )
-
-
-class ScanResult(NamedTuple):
-    """Scan totals: `min_at` is the first (p, l) with the smallest direct
-    coefficient and `max_delta_at` the first with the largest gap between
-    it and the closed square; both None when nothing was checked."""
-
-    checked: int = 0
-    min_value: float = inf
-    min_at: tuple[int, int] | None = None
-    max_abs_delta: float = 0.0
-    max_delta_at: tuple[int, int] | None = None
-    violations: Sequence[Violation] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.checked > 0 and not self.violations
-
-
-def _bases(points):
-    """(p, values) in p order, where values holds the point's five values
-    in _POINT_VARS order, each checked to be of unit modulus."""
-    for p, vals in sorted(points.items()):
-        if len(vals) != len(_POINT_VARS):
-            raise CoefficientError(
-                f"point at p={p} has {len(vals)} values, not {len(_POINT_VARS)}"
-            )
-        values = tuple(map(complex, vals))
-        for name, v in zip(_POINT_VARS, values):
-            if not abs(abs(v) - 1.0) <= 1e-6:  # a NaN fails too
-                raise CoefficientError(f"{name} is not unit modulus: {v!r}")
-        yield p, values
-
-
-def scan_positivity(
-    points: dict[int, tuple[complex, complex, complex, complex, complex]],
-    lmax: int = 3,
-    tol: float = 1e-9,
-) -> ScanResult:
-    """Check non-negativity and the square identity for each prepared prime
-    point and each prime-power exponent up to lmax, in (p, l) order.
-
-    points maps p to (alpha1, beta1, alpha2, beta2, chi(p)).  The compiled
-    loop evaluates every row but yields only those that can fail a check or
-    move an extreme (_compile); the bookkeeping below runs on those, so it
-    names the same violations and the same first (p, l) of each extreme as
-    it would on every row.  `checked` is the loop's own count of the rows
-    it evaluated.
-    """
-    min_value, min_at, max_abs_delta, max_delta_at = inf, None, 0.0, None
-    violations = []
-    fn, coefs = _compile(_polys())
-    rows = fn(_bases(points), lmax, tol, *coefs)
-    while True:
-        try:
-            p, ell, direct, sos = next(rows)
-        except StopIteration as stop:
-            checked = stop.value
-            break
-        delta = abs(direct.real - sos)
-        if min_at is None or direct.real < min_value:
-            min_value, min_at = direct.real, (p, ell)
-        if max_delta_at is None or delta > max_abs_delta:
-            max_abs_delta, max_delta_at = delta, (p, ell)
-        if abs(direct.imag) > tol:
-            kind = REALNESS
-        elif direct.real < -tol:
-            kind = NONNEGATIVITY
-        elif delta > tol:
-            kind = SQUARE_IDENTITY
-        else:
-            continue
-        violations.append(Violation(kind, p, ell, direct, sos))
-    return ScanResult(
-        checked, min_value, min_at, max_abs_delta, max_delta_at, violations
-    )

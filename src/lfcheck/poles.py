@@ -16,8 +16,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import InputError
-from .hypotheses import GL2Type, Hypotheses, Tri, is_trivial
-from .repalg import Entry, RepAtom, RSPair, VirtualRep, atom_equal, opaque_info
+from .hypotheses import GL2Type, Hypotheses
+from .decompose import Tri, atom_equal, is_trivial
+from .repalg import Entry, RepAtom, RSPair, VirtualRep, opaque_info
 
 
 class PoleError(InputError):

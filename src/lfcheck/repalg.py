@@ -8,9 +8,9 @@ character).  Constructors canonicalize: same-base symmetric-power products
 expand by Clebsch-Gordan, GL(1) factors collapse into twists, pair members
 are sorted and the twist is pooled, and every twist is the least of its
 coset modulo the twists that fix its atom (`selftwists`; for a pair, the
-product of both members' groups, reduced in `_pair`).  So multiset equality
-of built values is the identity test; decompose_under also reduces modulo
-the declared groups.
+product of both members' groups, reduced in `rs_pair`).  So multiset equality
+of built values is the identity test; `decompose.decompose_under` also
+reduces modulo the declared groups.
 
 The unramified coefficient conventions: a twist multiplies coefficients, an
 isobaric sum adds them, a Rankin-Selberg pair multiplies them, and the
@@ -24,9 +24,7 @@ from typing import Iterable, NamedTuple, Union
 
 from . import InputError
 from .chargroup import ONE, FormalCharacter
-from .hypotheses import (
-    BASES, GENS, GL2Type, Hypotheses, Tri, base_name, is_trivial, member_of
-)
+from .hypotheses import BASES, GENS, GL2Type, Hypotheses, base_name
 
 
 class RepAlgError(InputError):
@@ -86,9 +84,10 @@ def selftwists(
     return (ONE,)
 
 
-def _canon_twist(
+def canon_twist(
     twist: FormalCharacter, subgroup: tuple[FormalCharacter, ...]
 ) -> FormalCharacter:
+    """The least character of the coset twist * subgroup."""
     return min((twist * s for s in subgroup), key=lambda c: c.sort_key())
 
 
@@ -168,7 +167,7 @@ def sym_atom(base: str, m: int, twist: FormalCharacter | None = None) -> RepAtom
 def opaque_atom(label: str, twist: FormalCharacter | None = None) -> RepAtom:
     core = RepAtom("op", "", 0, label, ONE)
     t = twist if twist is not None else ONE
-    return core._replace(twist=_canon_twist(t, selftwists(core)))
+    return core._replace(twist=canon_twist(t, selftwists(core)))
 
 
 def ad_atom(base: str, twist: FormalCharacter | None = None) -> RepAtom:
@@ -195,11 +194,11 @@ class RSPair(NamedTuple):
         return self.a.degree * self.b.degree
 
     def twisted(self, c: FormalCharacter) -> "RSPair":
-        return _pair(self.a, self.b, self.twist * c)
+        return rs_pair(self.a, self.b, self.twist * c)
 
     def dual(self) -> "RSPair":
         da, db = self.a.dual(), self.b.dual()
-        return _pair(da.core(), db.core(), self.twist.conj() * da.twist * db.twist)
+        return rs_pair(da.core(), db.core(), self.twist.conj() * da.twist * db.twist)
 
     def sort_key(self):
         return (1, self.a.sort_key(), self.b.sort_key(), self.twist.exps)
@@ -218,14 +217,14 @@ class RSPair(NamedTuple):
 Entry = Union[RepAtom, RSPair]
 
 
-def _pair(
+def rs_pair(
     x: RepAtom, y: RepAtom, twist: FormalCharacter, hyp: Hypotheses | None = None
 ) -> RSPair:
     """The pair of two cores, its twist reduced modulo the product of the
     members' self-twist groups (declared ones too, under hyp)."""
     a, b = sorted((x, y), key=lambda k: k.sort_key())
     sub = [s * t for s in selftwists(a, hyp) for t in selftwists(b, hyp)]
-    return RSPair(a, b, _canon_twist(twist, sub))
+    return RSPair(a, b, canon_twist(twist, sub))
 
 
 def cg_expand(j: int, k: int) -> list[tuple[int, int]]:
@@ -279,7 +278,7 @@ def _rs_atoms(x: RepAtom, y: RepAtom) -> list[tuple[Entry, int]]:
         return [
             (sym_atom(x.base, d, t * om**r), 1) for d, r in cg_expand(x.m, y.m)
         ]
-    return [(_pair(x.core(), y.core(), x.twist * y.twist), 1)]
+    return [(rs_pair(x.core(), y.core(), x.twist * y.twist), 1)]
 
 
 class VirtualRep(NamedTuple):
@@ -358,119 +357,3 @@ def rs_product(A: VirtualRep, B: VirtualRep) -> VirtualRep:
             for key, mult in _rs_atoms(ka, kb):
                 out.append((key, mult * ma * mb))
     return VirtualRep.build(out)
-
-
-def _decompose_atom(atom: RepAtom, hyp: Hypotheses) -> list[tuple[RepAtom, int]] | None:
-    if atom.kind != "sym":
-        return None
-    t = hyp.type_of(atom.base)
-    om = GENS[atom.base].om
-    c = atom.twist
-    if atom.m == 2 and t is GL2Type.DIHEDRAL:
-        return [
-            (opaque_atom(base_name("ind", atom.base), c), 1),
-            (char_atom(GENS[atom.base].xiF * c), 1),
-        ]
-    if atom.m == 4 and t is GL2Type.TETRAHEDRAL:
-        mu = GENS[atom.base].mu
-        return [
-            (sym_atom(atom.base, 2, c * om), 1),
-            (char_atom(mu * c * om**2), 1),
-            (char_atom(mu * mu * c * om**2), 1),
-        ]
-    if atom.m == 4 and t is GL2Type.OCTAHEDRAL:
-        eta = GENS[atom.base].eta
-        return [
-            (opaque_atom(base_name("nu", atom.base), c * om**2), 1),
-            (sym_atom(atom.base, 2, eta * c * om), 1),
-        ]
-    return None
-
-
-def _decompose_entry(
-    key: Entry, hyp: Hypotheses
-) -> list[tuple[Entry, int]] | None:
-    if isinstance(key, RepAtom):
-        return _decompose_atom(key, hyp)
-    da = _decompose_atom(key.a, hyp)
-    db = _decompose_atom(key.b.twisted(key.twist), hyp)
-    if da is None and db is None:
-        return None
-    left = VirtualRep.build(da or [(key.a, 1)])
-    right = VirtualRep.build(db or [(key.b.twisted(key.twist), 1)])
-    return list(rs_product(left, right).entries)
-
-
-def _hyp_canon(key: Entry, hyp: Hypotheses) -> Entry:
-    if isinstance(key, RSPair):
-        return _pair(key.a, key.b, key.twist, hyp)
-    return key._replace(twist=_canon_twist(key.twist, selftwists(key, hyp)))
-
-
-def decompose_under(V: VirtualRep, hyp: Hypotheses) -> VirtualRep:
-    """Rewrite to the declared decomposition of every degenerate atom, then
-    canonicalize twists modulo the declared self-twist subgroups."""
-    entries = list(V.entries)
-    while True:
-        changed = False
-        out: list[tuple[Entry, int]] = []
-        for key, mult in entries:
-            dec = _decompose_entry(key, hyp)
-            if dec is None:
-                out.append((key, mult))
-            else:
-                changed = True
-                out.extend((k, m * mult) for k, m in dec)
-        entries = out
-        if not changed:
-            break
-    return VirtualRep.build((_hyp_canon(k, hyp), m) for k, m in entries)
-
-
-def atom_equal(x: RepAtom, y: RepAtom, hyp: Hypotheses) -> Tri:
-    """Three-valued equality of atoms as automorphic representations.
-
-    Decisions use only declared data: degrees, the character orders, the
-    declared self-twist sets, and (for cross-base adjoints) the chain
-    pole => cubic central-character match => common self-twist => adjoint
-    multiplicity one, which makes cross-base adjoint atoms unequal whenever
-    the forms are declared twist-inequivalent.
-    """
-    if x == y:
-        return Tri.YES
-    if x.degree != y.degree:
-        return Tri.NO
-    if x.kind == "char" and y.kind == "char":
-        return is_trivial(x.twist * y.twist.inv(), hyp)
-    if x.kind != y.kind:
-        return Tri.UNKNOWN
-    if x.kind == "op":
-        if x.label != y.label:
-            return Tri.UNKNOWN
-        return member_of(y.twist * x.twist.inv(), selftwists(x), hyp)
-    # symmetric-power atoms of equal degree
-    if x.m != y.m:
-        return Tri.UNKNOWN
-    if x.base == y.base:
-        xi = y.twist * x.twist.inv()
-        if x.m == 2:
-            return member_of(xi, selftwists(x, hyp), hyp)
-        if xi.is_one:
-            return Tri.YES
-        if x.m == 4 and is_trivial(xi**5, hyp) is Tri.NO:
-            # a self-twist of a degree-five atom is quintic
-            return Tri.NO
-        return Tri.UNKNOWN
-    # distinct bases
-    if x.m == 1:
-        # equality would make the bases twist-equivalent
-        return Tri.UNKNOWN if hyp.twist_equiv else Tri.NO
-    if x.m == 2:
-        if not hyp.twist_equiv:
-            return Tri.NO
-        # adjoints coincide; compare as same-base atoms over pi
-        u = x.twist * GENS[x.base].om
-        v = y.twist * GENS[y.base].om
-        return member_of(v * u.inv(), selftwists(sym_atom("pi", 2), hyp), hyp)
-    # no multiplicity-one input is declared for higher symmetric powers
-    return Tri.UNKNOWN

@@ -22,7 +22,7 @@ from lfcheck.casebook import (
 )
 from lfcheck import chargroup as G
 from lfcheck.cli import main
-from lfcheck.dseries import a_D_value, scan_positivity, verify_sos
+from lfcheck.dseries import a_D_value, verify_sos
 from lfcheck.ingest import (
     builtin_form,
     parse_char_spec,
@@ -38,6 +38,7 @@ from lfcheck.repalg import (
     sym_atom,
 )
 from lfcheck.satake import coeff_poly, satake_point
+from lfcheck.scan import scan_positivity
 from test_ingest import eta24_series, naive_product_series, tau
 
 TOL = 1e-9

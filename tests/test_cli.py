@@ -4,7 +4,6 @@ Golden transcripts live in tests/goldens/; regenerate with
 python3 tests/goldens/regen.py after an intentional output change.
 """
 
-import argparse
 import importlib
 import json
 import os
@@ -12,12 +11,13 @@ import re
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from lfcheck import cli, dseries, ingest
+from lfcheck import cli, ingest, scan
 from lfcheck.cli import main
-from lfcheck.dseries import (
+from lfcheck.scan import (
     NONNEGATIVITY,
     REALNESS,
     SQUARE_IDENTITY,
@@ -304,7 +304,7 @@ def test_scan_points_verdict_reads_the_loops_count(monkeypatch, capsys):
     # `checked` is what the compiled loop counts, so a loop that evaluates
     # one row more than it reports turns the points verdict, and it alone,
     # red
-    real = dseries._compile
+    real = scan._compile
 
     def short_compile(polys):
         fn, coefs = real(polys)
@@ -314,7 +314,7 @@ def test_scan_points_verdict_reads_the_loops_count(monkeypatch, capsys):
 
         return loop, coefs
 
-    monkeypatch.setattr(dseries, "_compile", short_compile)
+    monkeypatch.setattr(scan, "_compile", short_compile)
     code, out, _err = run_cli(GOLDEN_COMMANDS["scan_small"], capsys)
     assert code == 1
     fails = [ln.strip() for ln in out.splitlines() if "[FAIL]" in ln]
@@ -439,7 +439,7 @@ def test_scan_caps_are_inclusive():
     # a scan at the caps runs for minutes, so only the check is run here
     assert (cli.SCAN_XMAX, cli.SCAN_LMAX) == (10**6, 64)  # as documented
     cli._check_scan_args(
-        argparse.Namespace(tol=1e-9, xmax=cli.SCAN_XMAX, lmax=cli.SCAN_LMAX)
+        SimpleNamespace(tol=1e-9, xmax=cli.SCAN_XMAX, lmax=cli.SCAN_LMAX)
     )
 
 
@@ -499,17 +499,105 @@ def test_unknown_case_exit_two(capsys):
 
 
 def test_usage_errors(tmp_path, capsys):
+    scan = GOLDEN_COMMANDS["scan_small"]
+    long = "9" * 5000
     checks = [
         ["verify", "sos", "4.1"],
         ["verify", "case"],
         ["verify", "all", "--tamper", "0"],
         ["expand", "Sym^4(pi"],
         ["poles", "Ad(pi)", "--hyp", str(tmp_path / "none.hyp")],
+        # the grammar: main returns these as exit 2, it raises no SystemExit
+        [],
+        ["--json"],
+        ["frobnicate"],
+        ["verify", "everything"],
+        ["verify"],
+        ["scan", *scan[3:]],  # no --form1
+        [*scan[:7], *scan[9:]],  # no --xmax
+        ["poles", "Ad(pi)"],  # no --hyp
+        ["expand"],
+        [*scan, "--xmax", "sixty"],
+        [*scan, "--xmax", long],
+        [*scan, "--lmax", "2.5"],
+        [*scan, "--lmax", long],
+        ["verify", "case", "4.1", "--tamper", "five"],
+        ["verify", "case", "4.1", f"--tamper={long}"],
+        [*scan, "--tol", "tiny"],
+        [*scan, "--tol"],
+        ["verify", "sos", "--bogus"],
+        [*scan, "--f", "delta"],  # an ambiguous prefix
+        ["verify", "sos", "--json"],  # --json goes before the subcommand
+        ["--json=yes", "verify", "sos"],
+        ["expand", "pi", "pi'"],
+        ["poles", "Ad(pi)", "Ad(pi')", "--hyp", HYP],
     ]
     for argv in checks:
-        code, _out, err = run_cli(argv, capsys)
+        code, out, err = run_cli(argv, capsys)
         assert code == 2, argv
-        assert err, argv
+        assert out == "" and err.startswith("error: "), argv
+    # a long numeral is named by its head, not printed whole
+    assert len(run_cli([*scan, "--xmax", long], capsys)[2]) < 200
+    err = run_cli(["verify", "everything"], capsys)[2]
+    assert err == "error: verify takes sos, case, all or bridge, not 'everything'\n"
+
+
+HELP = {
+    (): (["verify", "expand", "scan", "poles"], ["--json"]),
+    ("verify",): (["sos", "case", "all", "bridge"], ["--tamper"]),
+    ("expand",): (["EXPR"], []),
+    ("scan",): ([], ["--form1", "--form2", "--char", "--xmax", "--lmax", "--tol"]),
+    ("poles",): (["EXPR"], ["--hyp"]),
+}
+
+
+@pytest.mark.parametrize("level", sorted(HELP))
+def test_help_names_every_option(level, capsys):
+    words, flags = HELP[level]
+    for ask in ("-h", "--help", "--he"):
+        code, out, err = run_cli([*level, ask], capsys)
+        assert code == 0 and err == ""
+        usage, _, body = out.partition("\n")
+        assert usage.startswith(f"usage: {' '.join(['lfcheck', *level])} [-h] ")
+        for word in words:
+            assert word in body, (level, word)
+        for flag in flags:
+            # in the usage line, and first on its own line of the body
+            assert flag in usage and f"\n  {flag} " in body, (level, flag)
+
+
+@pytest.mark.parametrize(
+    "xmax", [["--xmax=60"], ["--xm", "60"], ["--xmax", "060"]]
+)
+def test_option_spellings_parse_alike(xmax, capsys, monkeypatch):
+    # --flag=value and a unique prefix name the option as --flag value does
+    monkeypatch.chdir(FIXTURES)
+    argv = GOLDEN_COMMANDS["scan_small"]
+    i = argv.index("--xmax")
+    code, out, err = run_cli([*argv[:i], *xmax, *argv[i + 2:]], capsys)
+    with open(os.path.join(GOLDENS, "scan_small.txt")) as fh:
+        assert fh.readline().strip() == f"# exit {code}"
+        assert normalize(out) == fh.read()
+    assert err == ""
+
+
+def test_scan_failure_names_its_tolerance(capsys):
+    # a FAIL at a tolerance other than the default reproduces from the
+    # command it prints, in text and in JSON
+    argv = ["scan", "--form1", "delta", "--form2", "11a", "--char", "kronecker:-4",
+            "--xmax", "200", "--lmax", "2", "--tol", "1e-16"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    assert "[FAIL] realness: p=3 l=1: coefficient not real" in out
+    command = out.splitlines()[0]
+    assert command == "command: " + " ".join(argv)
+    again, out2, _ = run_cli(command.split()[1:], capsys)
+    assert (again, normalize(out2)) == (code, normalize(out))
+    code, out, _ = run_cli(["--json", *argv], capsys)
+    assert json.loads(out)["command"] == " ".join(argv)
+    # the default tolerance, named or not, leaves the command as it was
+    code, out, _ = run_cli([*argv[:-1], "1e-9"], capsys)
+    assert out.splitlines()[0] == "command: " + " ".join(argv[:-2])
 
 
 @pytest.mark.parametrize(

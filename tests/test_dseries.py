@@ -6,17 +6,15 @@ import random
 
 import pytest
 
-from lfcheck import dseries
-from lfcheck.dseries import (
+from lfcheck import dseries, scan
+from lfcheck.dseries import a_D_value, build_D, verify_sos
+from lfcheck.scan import (
     NONNEGATIVITY,
     REALNESS,
     SQUARE_IDENTITY,
     ScanResult,
     Violation,
-    a_D_value,
-    build_D,
     scan_positivity,
-    verify_sos,
 )
 from lfcheck.ingest import (
     builtin_form,
@@ -78,7 +76,7 @@ PROFILE = (6, 4, 4, 7, 2, 2, 2, 5, 2, 3, 3, 1, 2, 2, 1)
 def sos_value(point):
     """The closed square |2x + xz + z|^2 at one point, with x and z
     evaluated term by term: the per-point reference for the scan."""
-    _P, x, z = dseries._polys()
+    _P, x, z = dseries.coeff_polys()
     xv = oracle_eval(x, point)
     zv = oracle_eval(z, point)
     return abs(2 * xv + xv * zv + zv) ** 2
@@ -87,7 +85,7 @@ def sos_value(point):
 def reference_rows(points, lmax):
     """(p, l, direct, square) at every scan point, one point at a time:
     the direct value term by term and, checked equal to it, a_D_value."""
-    P = dseries._polys()[0]
+    P = dseries.coeff_polys()[0]
     out = []
     for p, (a1, b1, a2, b2, cv) in sorted(points.items()):
         base = satake_point(a1, b1, a2, b2, {"chi": cv})
@@ -105,7 +103,7 @@ def scanned_rows(monkeypatch, points, lmax, loop_tol=-1.0):
     makes it yield every row, or the scan's own tol when loop_tol is None;
     the scan's own checks keep their default tol."""
     rows = []
-    compile_loop = dseries._compile
+    compile_loop = scan._compile
 
     def spy(polys):
         fn, coefs = compile_loop(polys)
@@ -123,7 +121,7 @@ def scanned_rows(monkeypatch, points, lmax, loop_tol=-1.0):
         return tee, coefs
 
     with monkeypatch.context() as m:  # so a second call spies on the real loop
-        m.setattr(dseries, "_compile", spy)
+        m.setattr(scan, "_compile", spy)
         return scan_positivity(points, lmax), rows
 
 
@@ -244,8 +242,8 @@ def test_loop_yields_few_rows_and_the_same_result(monkeypatch):
 
 def test_loop_with_negative_tol_yields_every_row():
     points = _small_points()
-    fn, coefs = dseries._compile(dseries._polys())
-    loop = fn(dseries._bases(points), 3, -1e-300, *coefs)
+    fn, coefs = scan._compile(dseries.coeff_polys())
+    loop = fn(scan._bases(points), 3, -1e-300, *coefs)
     rows = []
     with pytest.raises(StopIteration) as stop:
         while True:
@@ -264,7 +262,7 @@ def test_every_failing_row_is_a_violation(monkeypatch, shift, kind):
     # shifted every row fails, though few rows move an extreme, so a loop
     # that yielded only new extremes, or skipped the imaginary part, would
     # drop nearly all of them
-    P = dseries._polys()[0]
+    P = dseries.coeff_polys()[0]
     shifted = dict(P.c)
     shifted[(0,) * len(VARS)] += shift
     monkeypatch.setitem(dseries._CACHE, "P", LaurentPoly(shifted))
@@ -316,8 +314,8 @@ def test_kernel_is_built_once_and_holds_no_coefficient(monkeypatch):
         sources.append(src)
         return compile(src, *args, **kwargs)
 
-    monkeypatch.setattr(dseries, "compile", counting_compile, raising=False)
-    P = dseries._polys()[0]
+    monkeypatch.setattr(scan, "compile", counting_compile, raising=False)
+    P = dseries.coeff_polys()[0]
     big = {**P.c, next(iter(P.c)): 10**20 + 1}
     monkeypatch.setitem(dseries._CACHE, "P", LaurentPoly(big))
     points = _small_points()
@@ -334,7 +332,7 @@ def test_power_chain_is_bit_equal_to_complex_power():
     # the loop's u ** e is CPython's own chain of products, whose order
     # matters: repr tells -0.0 from 0.0, which == does not.  Each exponent
     # is checked alone and beside its negative, whose chain it then shares.
-    P = dseries._polys()[0]
+    P = dseries.coeff_polys()[0]
     top = max(abs(e) for key in P.c for e in key)
     exps = (set(range(-8, 9)) | {top, -top}) - {0}
     rng = random.Random(27182)
@@ -342,12 +340,12 @@ def test_power_chain_is_bit_equal_to_complex_power():
     values += [complex(a, b) for a in (0.0, -0.0) for b in (1.0, -1.0)]
     values += [complex(a, b) for a in (1.0, -1.0) for b in (0.0, -0.0)]
     for group in [exps, *({e} for e in exps)]:
-        code = compile("\n".join(dseries._power_lines(0, group)), "<chain>", "exec")
+        code = compile("\n".join(scan._power_lines(0, group)), "<chain>", "exec")
         for v in values:
             ns = {"ONE": 1 + 0j, "u0": v}
             exec(code, ns)
             for e in group:
-                got = ns[dseries._power_name(0, e)]
+                got = ns[scan._power_name(0, e)]
                 assert repr(got) == repr(v**e), (v, e)
 
 
@@ -395,7 +393,7 @@ def test_scan_violations_are_records(monkeypatch):
 
         return scan, ()
 
-    monkeypatch.setattr(dseries, "_compile", fake_compile)
+    monkeypatch.setattr(scan, "_compile", fake_compile)
     res = scan_positivity(points, lmax=4, tol=1e-9)
     assert res.violations == [
         Violation(REALNESS, 3, 1, -1 + 1j, sq),
@@ -405,7 +403,7 @@ def test_scan_violations_are_records(monkeypatch):
     assert [str(v) for v in res.violations] == [
         "p=3 l=1: coefficient not real (1)",
         "p=3 l=2: negative coefficient (-1)",
-        "p=3 l=3: direct/square mismatch (2.5 vs 1.23456789012)",
+        "p=3 l=3: direct/square mismatch (2.5 vs 1.23456789012, gap 1.27)",
     ]
     assert not res.ok
     # l = 1 and 2 tie on both extremes; the first is named
@@ -416,7 +414,7 @@ def test_direct_path_evaluates_the_built_polynomial(monkeypatch):
     # negative control: change one coefficient of build_D's polynomial and the
     # square-identity check must go red, which it could not if the direct
     # value came from the closed square form
-    P = dseries._polys()[0]
+    P = dseries.coeff_polys()[0]
     points, _ = prepare_scan_points(
         builtin_form("delta", 30), builtin_form("11a", 30),
         parse_char_spec("kronecker:-4"), 30,
@@ -437,7 +435,7 @@ def _chi_poly(e):
 
 def _add_to_P(*extra):
     def mutate(monkeypatch):
-        P = dseries._polys()[0]
+        P = dseries.coeff_polys()[0]
         for q in extra:
             P = P + q
         monkeypatch.setitem(dseries._CACHE, "P", P)
@@ -446,7 +444,7 @@ def _add_to_P(*extra):
 
 
 def _twist_x(monkeypatch):
-    dseries._polys()
+    dseries.coeff_polys()
     x = coeff_poly(VirtualRep.of(ad_atom("pi", gen("chi"))))
     monkeypatch.setitem(dseries._CACHE, "x", x)
 

@@ -2,8 +2,9 @@
 eigenvalue tables and character tables built from near-valid pieces.
 
 Every run must end with exit status 0, 1 or 2, never with a traceback, and
-within a fixed wall-clock bound.  argparse signals its own usage errors with
-SystemExit(2), which counts as exit status 2 like any other usage error.
+within a fixed wall-clock bound.  `main` returns every usage error, the
+command line's grammar errors among them, as exit status 2; it raises no
+SystemExit, so one would fail the run.
 """
 
 import math
@@ -116,10 +117,7 @@ def rand_char_table(rng):
 
 def run_main(argv, capsys):
     start = time.perf_counter()
-    try:
-        code = main(argv)
-    except SystemExit as e:
-        code = e.code
+    code = main(argv)
     elapsed = time.perf_counter() - start
     capsys.readouterr()
     return code, elapsed

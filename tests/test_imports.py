@@ -3,7 +3,8 @@
 Every `lfcheck` command starts a fresh interpreter that compiles whatever
 it imports, so the import set is part of a command's cost.  These tests run
 the console entry point (`from lfcheck.cli import main`) in a child process
-and read `sys.modules` once `main` has returned.  Three checks on the
+and read `sys.modules` once `main` has returned: each subcommand loads
+exactly its own lfcheck modules, and none loads argparse.  Three checks on the
 source close the file: each module's private names stay its own, every
 annotation names something its module can resolve, and the status rule and
 the base names each have one owner.
@@ -32,15 +33,29 @@ LAUNCH = (
 
 SCAN = ["scan", "--form1", "delta", "--form2", "11a",
         "--char", "kronecker:-4", "--xmax", "60", "--lmax", "2"]
-NOT_SYMBOLIC = {"lfcheck.casebook", "lfcheck.dseries", "lfcheck.ingest"}
+# the lfcheck modules each subcommand loads, exactly
+SYMBOLIC = {"lfcheck", "lfcheck.cli", "lfcheck.report", "lfcheck.chargroup",
+            "lfcheck.hypotheses", "lfcheck.repalg"}
+CASEBOOK = SYMBOLIC | {"lfcheck.casebook", "lfcheck.decompose", "lfcheck.dseries",
+                       "lfcheck.exprlang", "lfcheck.poles", "lfcheck.satake"}
 COMMANDS = {
-    "expand": (["expand", "Ad(pi) (x) Ad(pi') tw chi"], NOT_SYMBOLIC),
+    "expand": (["expand", "Ad(pi) (x) Ad(pi') tw chi"],
+               SYMBOLIC | {"lfcheck.exprlang", "lfcheck.satake"}),
     "poles": (["poles", "Sym^4(pi) tw omega^-2 (x) Ad(pi')", "--hyp", HYP],
-              NOT_SYMBOLIC),
-    "scan": (SCAN, {"lfcheck.casebook", "lfcheck.exprlang", "lfcheck.poles"}),
-    "verify sos": (["verify", "sos"], {"lfcheck.casebook", "lfcheck.ingest"}),
-    "verify case": (["verify", "case", "4.1"], {"lfcheck.ingest"}),
-    "verify bridge": (["verify", "bridge"], {"lfcheck.ingest"}),
+              SYMBOLIC | {"lfcheck.decompose", "lfcheck.exprlang", "lfcheck.hypfile",
+                          "lfcheck.poles"}),
+    "scan": (SCAN, SYMBOLIC | {"lfcheck.dseries", "lfcheck.ingest", "lfcheck.satake",
+                               "lfcheck.scan"}),
+    "verify sos": (["verify", "sos"],
+                   SYMBOLIC | {"lfcheck.dseries", "lfcheck.satake"}),
+    "verify case": (["verify", "case", "4.1"], CASEBOOK),
+    "verify all": (["verify", "all"], CASEBOOK),
+    "verify bridge": (["verify", "bridge"], CASEBOOK),
+}
+# the two modules split off by stage, and the subcommands that run them
+SPLIT = {
+    "lfcheck.decompose": {"poles", "verify case", "verify all", "verify bridge"},
+    "lfcheck.scan": {"scan"},
 }
 
 
@@ -61,10 +76,13 @@ def modules_after(argv):
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_subcommand_loads_only_its_modules(name):
-    argv, absent = COMMANDS[name]
+    argv, want = COMMANDS[name]
     loaded = modules_after(argv)
-    assert "lfcheck.report" in loaded
-    assert not loaded & absent
+    assert {m for m in loaded if m.split(".")[0] == "lfcheck"} == want
+    for mod, users in SPLIT.items():
+        assert (mod in loaded) == (name in users), mod
+    # the command line is parsed without argparse and what it pulls in
+    assert not loaded & {"argparse", "gettext", "locale"}
     assert "dataclasses" not in loaded
     assert "json" not in loaded
     if importlib.util.find_spec("_sha256") is not None:
@@ -82,6 +100,7 @@ def test_package_names_resolve_lazily():
         "before = {m for m in sys.modules if m.startswith('lfcheck.')}; "
         "got = [getattr(lfcheck, n) for n in lfcheck.__all__]; "
         "from lfcheck import build_D, verify_case, parse_expr, pole_order; "
+        "from lfcheck import atom_equal, decompose_under, scan_positivity; "
         "from lfcheck.dseries import build_D as direct; "
         "print(len(got), sorted(before), build_D is direct)"
     )

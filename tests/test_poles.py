@@ -6,7 +6,7 @@ import random
 import pytest
 
 from lfcheck import chargroup as G
-from lfcheck.hypotheses import GL2Type, Hypotheses, Tri
+from lfcheck.hypotheses import GL2Type, Hypotheses
 from lfcheck.poles import (
     MAYBE,
     ONE,
@@ -19,14 +19,13 @@ from lfcheck.poles import (
     pole_order,
     self_dual_abelian_entries,
 )
+from lfcheck.decompose import Tri, _decompose_atom, decompose_under
 from lfcheck.exprlang import parse_expr
 from lfcheck.repalg import (
     OPAQUE,
     VirtualRep,
-    _decompose_atom,
     ad_atom,
     char_atom,
-    decompose_under,
     opaque_atom,
     rs_product,
     sym_atom,

@@ -13,7 +13,8 @@ import pytest
 
 from lfcheck import chargroup as G
 from lfcheck.exprlang import parse_expr
-from lfcheck.hypotheses import GL2Type, Hypotheses, Tri
+from lfcheck.decompose import Tri, atom_equal, decompose_under
+from lfcheck.hypotheses import GL2Type, Hypotheses
 from lfcheck.repalg import (
     OPAQUE,
     PairOperandError,
@@ -21,10 +22,8 @@ from lfcheck.repalg import (
     RSPair,
     VirtualRep,
     ad_atom,
-    atom_equal,
     cg_expand,
     char_atom,
-    decompose_under,
     opaque_atom,
     plethysm_sym2,
     rs_product,
