@@ -10,6 +10,11 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+# the tolerance of every numeric check, and the slack within which a value
+# read from a table or handed to the scan must have modulus one
+TOL = 1e-9
+UNIT_SLACK = 1e-6
+
 
 class InputError(ValueError):
     """Malformed or out-of-range input; the command line exits 2 on it."""
@@ -63,7 +68,7 @@ _EXPORTS = {
 }
 _OWNER = {name: mod for mod, names in _EXPORTS.items() for name in names}
 
-__all__ = [*_OWNER, "InputError", "__version__"]
+__all__ = [*_OWNER, "InputError", "TOL", "UNIT_SLACK", "__version__"]
 
 
 def __getattr__(name):

@@ -443,10 +443,7 @@ class CaseReport(NamedTuple):
 
 
 def _fmt_delta(delta: dict[Entry, int]) -> str:
-    parts = [
-        f"{'+' if m > 0 else ''}{m} {k.pretty()}"
-        for k, m in sorted(delta.items(), key=lambda km: km[0].sort_key())
-    ]
+    parts = [f"{'+' if m > 0 else ''}{m} {k.pretty()}" for k, m in delta.items()]
     return "; ".join(parts) if parts else "none"
 
 

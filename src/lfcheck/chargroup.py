@@ -73,9 +73,6 @@ class FormalCharacter(NamedTuple):
     def support(self) -> tuple[tuple[str, int], ...]:
         return tuple((g, e) for g, e in zip(STD_GENERATORS, self.exps) if e)
 
-    def sort_key(self) -> tuple[int, ...]:
-        return self.exps
-
     def pretty(self) -> str:
         parts = []
         for g, e in self.support():

@@ -36,7 +36,7 @@ import time
 from importlib import import_module
 from types import SimpleNamespace
 
-from . import InputError, __version__
+from . import TOL, InputError, __version__
 from .report import Report, Section, Verdict, check, digest, render_json, render_text
 
 # The names each subcommand takes from the modules it loads.
@@ -87,9 +87,6 @@ class UsageError(InputError):
     pass
 
 
-# the default --tol, which the scan's `command:` line leaves out
-SCAN_TOL = 1e-9
-
 # The command line: for "" (what precedes the subcommand) and for each
 # subcommand, the usage that `_bind` parses and the rest of its -h text.  A
 # word in [..] may be left out; an option with =META takes a value, which
@@ -129,7 +126,7 @@ pole-order ledger for an expression
   EXPR        a rep expression
   --hyp FILE  hypothesis file (key = value)"""),
 }
-_DEFAULTS = {"lmax": 3, "tol": SCAN_TOL}
+_DEFAULTS = {"lmax": 3, "tol": TOL}
 _INT, _FLOAT = (int, "an integer"), (float, "a number")
 _NUMBERS = {"N": _INT, "L": _INT, "T": _FLOAT}
 
@@ -337,7 +334,7 @@ def _cmd_scan(args) -> Report:
         f"scan --form1 {args.form1} --form2 {args.form2} --char {args.char} "
         f"--xmax {args.xmax} --lmax {args.lmax}"
     )
-    if args.tol != SCAN_TOL:  # a FAIL must name the tolerance to reproduce
+    if args.tol != TOL:  # a FAIL must name the tolerance to reproduce
         cmd += f" --tol {args.tol!r}"
     # seconds per stage, reported by --json alone; a stage's time includes
     # loading the modules it is the first to call
@@ -392,7 +389,8 @@ def _cmd_scan(args) -> Report:
         (SQUARE_IDENTITY, f"max |direct - square| = {res.max_abs_delta:.3g}"),
     ):
         hit = next((v for v in res.violations if v.kind == kind), None)
-        verdicts.append(check(kind, hit is None, clean, str(hit)))
+        fail = hit and f"{hit} ({hit.count} of {res.checked} points)"
+        verdicts.append(check(kind, hit is None, clean, fail))
     facts = {"min_at": res.min_at, "max_delta_at": res.max_delta_at}
     return Report(cmd, inputs_digest, verdicts, facts=facts, timings=timings)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from . import TOL
 from .chargroup import ONE, gen
 from .hypotheses import GENS
 from .report import Verdict, check
@@ -135,7 +136,7 @@ def verify_sos() -> list[Verdict]:
     checks.append(
         check(
             "degree check at the trivial point",
-            abs(v324 - 324) < 1e-9,
+            abs(v324 - 324) < TOL,
             f"value {v324.real:.12g}",
         )
     )
@@ -144,7 +145,7 @@ def verify_sos() -> list[Verdict]:
     checks.append(
         check(
             "quadratic character point",
-            abs(vneg - 36) < 1e-9,
+            abs(vneg - 36) < TOL,
             f"value {vneg.real:.12g}",
         )
     )
@@ -156,7 +157,7 @@ def verify_sos() -> list[Verdict]:
     checks.append(
         check(
             "conjugate-character symmetry",
-            abs(sym - swapped) < 1e-9,
+            abs(sym - swapped) < TOL,
             f"|difference| {abs(sym - swapped):.3g}",
         )
     )

@@ -5,12 +5,14 @@ Grammar (tightest first):
     (x)       Rankin-Selberg pairing
     (+)       isobaric sum
     atoms     pi, pi', Sym^m(pi), Ad(pi), nu_pi, ind_pi (and primed forms),
-              character products like chi, omega^-2, chi*mu', 1
-Parentheses group, nested at most NEST_MAX deep.  Character names: chi,
-omega, omega', mu, mu', eta, eta', xiF, xiF'; powers with ^, products
-with *.  A value's size is the sum of the degrees of its distinct entries,
-the most terms its coefficient polynomial can have; no sum may pass
-SIZE_MAX, and no (x) whose operands' sizes multiply past it is built.
+              character products like chi, omega^-2, chi*mu', om_pi, 1
+Parentheses group, nested at most NEST_MAX deep.  A character name is a
+generator's own (chi, om_pi, mu_pi', ...) or a short one (omega, omega',
+mu, mu', eta, eta', xiF, xiF'), each accepted wherever a character is
+(CHARACTERS); powers with ^, products with *.  A value's size is the sum
+of the degrees of its distinct entries, the most terms its coefficient
+polynomial can have; no sum may pass SIZE_MAX, and no (x) whose
+operands' sizes multiply past it is built.
 
 >>> parse_expr("Ad(pi) (x) Ad(pi) tw chi").degree
 9
@@ -40,20 +42,20 @@ class ExprError(InputError):
     pass
 
 
-CHAR_NAMES = {
-    "chi": "chi",
-    "omega": "om_pi",
-    "omega'": "om_pi'",
-    "mu": "mu_pi",
-    "mu'": "mu_pi'",
-    "eta": "eta_pi",
-    "eta'": "eta_pi'",
-    "xiF": "xiF_pi",
-    "xiF'": "xiF_pi'",
+# every spelling of a character: each generator's own name, the short
+# names, and the three of the trivial character
+CHARACTERS: dict[str, FormalCharacter] = {
+    **{g: gen(g) for g in STD_GENERATORS},
+    "omega": gen("om_pi"),
+    "omega'": gen("om_pi'"),
+    "mu": gen("mu_pi"),
+    "mu'": gen("mu_pi'"),
+    "eta": gen("eta_pi"),
+    "eta'": gen("eta_pi'"),
+    "xiF": gen("xiF_pi"),
+    "xiF'": gen("xiF_pi'"),
+    **dict.fromkeys(("1", "one", "zeta"), ONE),
 }
-
-# the spellings of the trivial character
-TRIVIAL = ("1", "one", "zeta")
 
 # largest m accepted in Sym^m: expanding a same-base Sym^m (x) Sym^m costs
 # about m^2, so without a cap one numeral could make a short expression slow
@@ -183,7 +185,7 @@ class _Parser:
             self.expect("punct", ")")
             self.depth -= 1
             return inner
-        if v in TRIVIAL or v in CHAR_NAMES:
+        if v in CHARACTERS:
             return VirtualRep.of(char_atom(self.charprod()))
         if k != "name":
             raise ExprError(f"expected an atom, got {v or 'end of input'!r}")
@@ -227,15 +229,10 @@ class _Parser:
         return c
 
     def charfac(self) -> FormalCharacter:
-        k, v = self.next()
-        if v in TRIVIAL:
-            base = ONE
-        elif k == "name" and v in CHAR_NAMES:
-            base = gen(CHAR_NAMES[v])
-        elif k == "name" and v in STD_GENERATORS:
-            base = gen(v)
-        else:
+        _k, v = self.next()
+        if v not in CHARACTERS:
             raise ExprError(f"expected a character name, got {v!r}")
+        base = CHARACTERS[v]
         if self.peek() == ("punct", "^"):
             self.next()
             ik, iv = self.next()

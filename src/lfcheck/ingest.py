@@ -26,7 +26,7 @@ from bisect import bisect_right
 from itertools import compress, islice
 from typing import NamedTuple
 
-from . import InputError, read_lines
+from . import UNIT_SLACK, InputError, read_lines
 
 
 class IngestError(InputError):
@@ -438,7 +438,7 @@ def parse_char_spec(spec: str) -> CharacterData:
             raise IngestError(f"{spec}:{lineno}: bad number") from None
         # written so that a NaN part fails too: a NaN value would make
         # every check at its point pass
-        if not abs(abs(v) - 1) <= 1e-6:
+        if not abs(abs(v) - 1) <= UNIT_SLACK:
             raise IngestError(f"{spec}:{lineno}: character value not unit modulus")
         table[p] = v
     if not table:

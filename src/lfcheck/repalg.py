@@ -88,7 +88,7 @@ def canon_twist(
     twist: FormalCharacter, subgroup: tuple[FormalCharacter, ...]
 ) -> FormalCharacter:
     """The least character of the coset twist * subgroup."""
-    return min((twist * s for s in subgroup), key=lambda c: c.sort_key())
+    return min(twist * s for s in subgroup)
 
 
 class RepAtom(NamedTuple):
@@ -125,9 +125,6 @@ class RepAtom(NamedTuple):
             om = GENS[self.base].om
             return RepAtom("sym", self.base, self.m, "", c * om ** (-self.m))
         return opaque_atom(self.label, c * opaque_info(self.label).dual_twist)
-
-    def sort_key(self):
-        return (0, self.kind, self.base, self.m, self.label, self.twist.exps)
 
     def head(self) -> tuple[str, FormalCharacter]:
         """The name a non-character atom is shown under, and the shift from
@@ -200,9 +197,6 @@ class RSPair(NamedTuple):
         da, db = self.a.dual(), self.b.dual()
         return rs_pair(da.core(), db.core(), self.twist.conj() * da.twist * db.twist)
 
-    def sort_key(self):
-        return (1, self.a.sort_key(), self.b.sort_key(), self.twist.exps)
-
     def pretty(self) -> str:
         na, sa = self.a.head()
         nb, sb = self.b.head()
@@ -217,12 +211,18 @@ class RSPair(NamedTuple):
 Entry = Union[RepAtom, RSPair]
 
 
+def _in_order(pairs: Iterable[tuple[Entry, int]]) -> list[tuple[Entry, int]]:
+    """(entry, multiplicity) pairs in the order of entries: atoms before
+    pairs, and each kind by its fields in turn."""
+    return sorted(pairs, key=lambda km: (isinstance(km[0], RSPair), km[0]))
+
+
 def rs_pair(
     x: RepAtom, y: RepAtom, twist: FormalCharacter, hyp: Hypotheses | None = None
 ) -> RSPair:
     """The pair of two cores, its twist reduced modulo the product of the
     members' self-twist groups (declared ones too, under hyp)."""
-    a, b = sorted((x, y), key=lambda k: k.sort_key())
+    a, b = sorted((x, y))
     sub = [s * t for s in selftwists(a, hyp) for t in selftwists(b, hyp)]
     return RSPair(a, b, canon_twist(twist, sub))
 
@@ -294,13 +294,7 @@ class VirtualRep(NamedTuple):
         for key, mult in acc.items():
             if mult < 0:
                 raise RepAlgError(f"negative multiplicity for {key!r}")
-        items = tuple(
-            sorted(
-                ((k, m) for k, m in acc.items() if m),
-                key=lambda km: km[0].sort_key(),
-            )
-        )
-        return VirtualRep(items)
+        return VirtualRep(tuple(_in_order((k, m) for k, m in acc.items() if m)))
 
     @staticmethod
     def of(*entries: Entry) -> "VirtualRep":
@@ -331,10 +325,11 @@ class VirtualRep(NamedTuple):
         return VirtualRep.build((k.twisted(c), m) for k, m in self.entries)
 
     def delta(self, other: "VirtualRep") -> dict[Entry, int]:
-        """Signed multiset difference self minus other (zeros dropped)."""
+        """Signed multiset difference self minus other (zeros dropped), in
+        the order of entries."""
         d = self.counter()
         d.subtract(other.counter())
-        return {k: v for k, v in d.items() if v}
+        return dict(_in_order((k, v) for k, v in d.items() if v))
 
     def pretty_lines(self) -> list[str]:
         return [f"{m} * {k.pretty()}" for k, m in self.entries]

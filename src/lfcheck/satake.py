@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from operator import add, neg
 
+from . import TOL
 from .chargroup import FormalCharacter, STD_GENERATORS, STD_ORDERS
 from .hypotheses import BASES, base_name
 from .repalg import RepAtom, VirtualRep
@@ -197,7 +198,7 @@ def satake_point(
     Satake slots must be unit modulus (tempered normalization); finite-order
     character values must satisfy their declared order; remaining character
     generators default to 1, and any other name is refused.  Each holds to
-    within 1e-9.
+    within TOL.
     """
     slots = (alpha_pi, beta_pi, alpha_pi2, beta_pi2)
     vals: dict[str, complex] = dict(zip(VARS[:4], map(complex, slots)))
@@ -207,9 +208,9 @@ def satake_point(
     if rest:
         raise CoefficientError(f"unknown character name {next(iter(rest))!r}")
     for n, v in vals.items():
-        if not abs(abs(v) - 1.0) <= 1e-9:  # a NaN fails too
+        if not abs(abs(v) - 1.0) <= TOL:  # a NaN fails too
             raise CoefficientError(f"{n} is not unit modulus: {v!r}")
         order = STD_ORDERS.get(n, 0)
-        if order and abs(v**order - 1.0) > 1e-9:
+        if order and abs(v**order - 1.0) > TOL:
             raise CoefficientError(f"{n} does not have order dividing {order}")
     return vals

@@ -13,6 +13,7 @@ from __future__ import annotations
 from math import inf
 from typing import NamedTuple, Sequence
 
+from . import TOL, UNIT_SLACK
 from .dseries import coeff_polys, w_text
 from .satake import VARS, CoefficientError
 
@@ -157,14 +158,16 @@ SQUARE_IDENTITY = "square identity"
 
 
 class Violation(NamedTuple):
-    """A failed check at the point (p, l): `value` is the direct coefficient
-    there and `square` the closed square form |w|^2."""
+    """The first failure of one check, at the point (p, l), and `count`, the
+    number of points that fail it: `value` is the direct coefficient at
+    (p, l) and `square` the closed square form |w|^2."""
 
     kind: str
     p: int
     l: int
     value: complex
     square: float
+    count: int
 
     def __str__(self) -> str:
         head = f"p={self.p} l={self.l}: "
@@ -183,7 +186,8 @@ class Violation(NamedTuple):
 class ScanResult(NamedTuple):
     """Scan totals: `min_at` is the first (p, l) with the smallest direct
     coefficient and `max_delta_at` the first with the largest gap between
-    it and the closed square; both None when nothing was checked."""
+    it and the closed square, both None when nothing was checked, and
+    `violations` holds one record per failed check."""
 
     checked: int = 0
     min_value: float = inf
@@ -207,15 +211,15 @@ def _bases(points):
             )
         values = tuple(map(complex, vals))
         for name, v in zip(_POINT_VARS, values):
-            if not abs(abs(v) - 1.0) <= 1e-6:  # a NaN fails too
+            if not abs(abs(v) - 1.0) <= UNIT_SLACK:  # a NaN fails too
                 raise CoefficientError(f"{name} is not unit modulus: {v!r}")
         yield p, values
 
 
 def scan_positivity(
     points: dict[int, tuple[complex, complex, complex, complex, complex]],
-    lmax: int = 3,
-    tol: float = 1e-9,
+    lmax: int,
+    tol: float = TOL,
 ) -> ScanResult:
     """Check non-negativity and the square identity for each prepared prime
     point and each prime-power exponent up to lmax, in (p, l) order.
@@ -223,12 +227,14 @@ def scan_positivity(
     points maps p to (alpha1, beta1, alpha2, beta2, chi(p)).  The compiled
     loop evaluates every row but yields only those that can fail a check or
     move an extreme (_compile); the bookkeeping below runs on those, so it
-    names the same violations and the same first (p, l) of each extreme as
-    it would on every row.  `checked` is the loop's own count of the rows
-    it evaluated.
+    finds the same failures and the same first (p, l) of each extreme as it
+    would on every row.  Each check is made on every row, and each failed
+    check keeps one Violation: its first row and its count of failing rows.
+    `checked` is the loop's own count of the rows it evaluated.
     """
     min_value, min_at, max_abs_delta, max_delta_at = inf, None, 0.0, None
-    violations = []
+    first: dict[str, tuple] = {}  # kind -> its first failing row
+    counts: dict[str, int] = {}
     fn, coefs = _compile(coeff_polys())
     rows = fn(_bases(points), lmax, tol, *coefs)
     while True:
@@ -242,15 +248,15 @@ def scan_positivity(
             min_value, min_at = direct.real, (p, ell)
         if max_delta_at is None or delta > max_abs_delta:
             max_abs_delta, max_delta_at = delta, (p, ell)
-        if abs(direct.imag) > tol:
-            kind = REALNESS
-        elif direct.real < -tol:
-            kind = NONNEGATIVITY
-        elif delta > tol:
-            kind = SQUARE_IDENTITY
-        else:
-            continue
-        violations.append(Violation(kind, p, ell, direct, sos))
+        for kind, failed in (
+            (REALNESS, abs(direct.imag) > tol),
+            (NONNEGATIVITY, direct.real < -tol),
+            (SQUARE_IDENTITY, delta > tol),
+        ):
+            if failed:
+                first.setdefault(kind, (p, ell, direct, sos))
+                counts[kind] = counts.get(kind, 0) + 1
+    violations = tuple(Violation(k, *row, counts[k]) for k, row in first.items())
     return ScanResult(
         checked, min_value, min_at, max_abs_delta, max_delta_at, violations
     )

@@ -15,7 +15,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from lfcheck import cli, ingest, scan
+from lfcheck import cli, dseries, ingest, scan
+from lfcheck.satake import VARS, LaurentPoly
 from lfcheck.cli import main
 from lfcheck.scan import (
     NONNEGATIVITY,
@@ -47,6 +48,12 @@ GOLDEN_COMMANDS = {
     "verify_all": ["verify", "all"],
     "bridge": ["verify", "bridge"],
     "expand": ["expand", "Ad(pi) (x) Ad(pi) tw chi"],
+    # the order of entries: characters, opaque, Sym^m and Ad atoms, then pairs
+    "expand_order": [
+        "expand",
+        "Sym^3(pi') tw mu (+) nu_pi (+) chi^2 (+) Ad(pi) (x) Ad(pi') tw chi"
+        " (+) pi (x) pi' tw chi^-1 (+) omega^2 (+) Sym^2(pi) tw mu'",
+    ],
     "scan_small": [
         "scan", "--form1", "delta", "--form2", "11a",
         "--char", "kronecker:-4", "--xmax", "60", "--lmax", "2",
@@ -269,7 +276,7 @@ def test_scan_verdicts_follow_violation_kind(monkeypatch, capsys, kind):
         return ScanResult(
             checked=len(points) * lmax,
             min_value=0.0,
-            violations=[Reworded(kind, 3, 1, 0j, 0.0)],
+            violations=[Reworded(kind, 3, 1, 0j, 0.0, 4)],
         )
 
     monkeypatch.setattr(cli, "scan_positivity", scan)
@@ -280,7 +287,28 @@ def test_scan_verdicts_follow_violation_kind(monkeypatch, capsys, kind):
     )
     assert code == 1
     fails = [ln.strip() for ln in out.splitlines() if "[FAIL]" in ln]
-    assert fails == [f"[FAIL] {kind}: p=3 l=1: reworded"]
+    # 7 primes up to 20 (11 ramified) at 3 powers each
+    assert fails == [f"[FAIL] {kind}: p=3 l=1: reworded (4 of 21 points)"]
+
+
+def test_scan_fails_every_check_a_row_fails(monkeypatch, capsys):
+    # P's constant term shifted by -1000 makes every row negative and off
+    # its square; a scan that gave each row only its first failing check
+    # would PASS the square identity
+    P = dseries.coeff_polys()[0]
+    shifted = {**P.c, (0,) * len(VARS): P.c[(0,) * len(VARS)] - 1000}
+    monkeypatch.setitem(dseries._CACHE, "P", LaurentPoly(shifted))
+    code, out, _err = run_cli(GOLDEN_COMMANDS["scan_small"], capsys)
+    assert code == 1
+    verdicts = [ln for ln in out.splitlines() if ln.startswith("[")]
+    assert [ln.split(":")[0] for ln in verdicts] == [
+        "[PASS] points",
+        "[FAIL] nonnegativity",
+        "[PASS] realness",
+        "[FAIL] square identity",
+    ]
+    counted = [ln.endswith(" (30 of 30 points)") for ln in verdicts]
+    assert counted == [False, True, False, True]
 
 
 def test_scan_points_verdict_counts_every_point(monkeypatch, capsys):
@@ -579,6 +607,28 @@ def test_option_spellings_parse_alike(xmax, capsys, monkeypatch):
         assert fh.readline().strip() == f"# exit {code}"
         assert normalize(out) == fh.read()
     assert err == ""
+
+
+def test_scan_help_names_every_builtin(capsys):
+    # the help spells the built-in forms out, so a new one must be added there
+    code, out, _ = run_cli(["scan", "-h"], capsys)
+    assert code == 0
+    forms = [ln for ln in out.splitlines() if ln.startswith("  --form")]
+    assert len(forms) == 2
+    for line in forms:
+        for name in ingest.BUILTINS:
+            assert re.search(rf"\b{re.escape(name)}\b", line), (name, line)
+
+
+README_FORM = "om_pi^3 (+) Ad(pi) tw om_pi^3 (+) Sym^4(pi) tw om_pi (+) Sym^6(pi)"
+
+
+def test_expand_reads_its_own_normal_form(capsys):
+    # the normal form of Sym^3(pi) (x) Sym^3(pi), as the README shows it
+    code, out, _ = run_cli(["expand", "Sym^3(pi) (x) Sym^3(pi)"], capsys)
+    assert code == 0 and f"[PASS] normal form: 4 kinds: {README_FORM}\n" in out
+    code, again, _ = run_cli(["expand", README_FORM], capsys)
+    assert code == 0 and f"[PASS] normal form: 4 kinds: {README_FORM}\n" in again
 
 
 def test_scan_failure_names_its_tolerance(capsys):

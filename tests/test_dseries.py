@@ -250,18 +250,24 @@ def test_loop_with_negative_tol_yields_every_row():
             rows.append(next(loop))
     assert stop.value.value == len(rows) == 3 * len(points)
     assert [r[:2] for r in rows] == [(p, l) for p in sorted(points) for l in (1, 2, 3)]
-    # through the scan, where a negative tol fails every realness check
+    # through the scan, where a negative tol fails every row's realness and
+    # square identity, and its nonnegativity where the value is below 1
     res = scan_positivity(points, lmax=3, tol=-1.0)
-    assert res.checked == len(res.violations) == 3 * len(points)
-    assert {v.kind for v in res.violations} == {REALNESS}
+    below = sum(r[2].real < 1 for r in reference_rows(points, 3))
+    assert 0 < below < res.checked == 3 * len(points)
+    assert {v.kind: v.count for v in res.violations} == {
+        REALNESS: res.checked, NONNEGATIVITY: below, SQUARE_IDENTITY: res.checked
+    }
 
 
 @pytest.mark.parametrize("shift, kind", [(-1000, NONNEGATIVITY), (1j, REALNESS)])
 def test_every_failing_row_is_a_violation(monkeypatch, shift, kind):
-    # negative controls for the loop's filter: with P's constant term
-    # shifted every row fails, though few rows move an extreme, so a loop
-    # that yielded only new extremes, or skipped the imaginary part, would
-    # drop nearly all of them
+    # negative controls for the loop's filter and the checks: with P's
+    # constant term shifted every row fails `kind`, though few rows move an
+    # extreme, so a loop that yielded only new extremes, or skipped the
+    # imaginary part, would miss nearly all of them.  A real shift moves the
+    # value off its square too, which a scan that gave each row only its
+    # first failing check would miss.
     P = dseries.coeff_polys()[0]
     shifted = dict(P.c)
     shifted[(0,) * len(VARS)] += shift
@@ -269,8 +275,12 @@ def test_every_failing_row_is_a_violation(monkeypatch, shift, kind):
     points = _small_points()
     res = scan_positivity(points, lmax=4)
     assert res.checked == 4 * len(points)
-    assert len(res.violations) == res.checked
-    assert {v.kind for v in res.violations} == {kind}
+    want = {kind: res.checked}
+    if shift.real:
+        want[SQUARE_IDENTITY] = res.checked
+    # one record per failed check: its first row and its count of rows
+    assert {v.kind: v.count for v in res.violations} == want
+    assert {(v.p, v.l) for v in res.violations} == {(min(points), 1)}
 
 
 def test_kernel_is_bit_equal_on_seeded_tables(monkeypatch, tmp_path):
@@ -377,9 +387,10 @@ def test_scan_empty_not_ok():
 
 
 def test_scan_violations_are_records(monkeypatch):
-    # one failing check per (p, l): realness first, then sign, then the gap
+    # each check on every row: l = 1 fails the gap, l = 2 the sign too and
+    # l = 3 all three; each check keeps its first row and counts its rows
     sq = 1.23456789012345
-    direct = {1: -1 + 1j, 2: -1 + 0j, 3: 2.5 + 0j, 4: sq + 0j}
+    direct = {1: 2.5 + 0j, 2: -1 + 0j, 3: -1 + 1j, 4: sq + 0j}
     points = {3: (1, 1, 1, 1, 1)}
 
     def fake_compile(polys):
@@ -395,19 +406,19 @@ def test_scan_violations_are_records(monkeypatch):
 
     monkeypatch.setattr(scan, "_compile", fake_compile)
     res = scan_positivity(points, lmax=4, tol=1e-9)
-    assert res.violations == [
-        Violation(REALNESS, 3, 1, -1 + 1j, sq),
-        Violation(NONNEGATIVITY, 3, 2, -1 + 0j, sq),
-        Violation(SQUARE_IDENTITY, 3, 3, 2.5 + 0j, sq),
-    ]
+    assert res.violations == (
+        Violation(SQUARE_IDENTITY, 3, 1, 2.5 + 0j, sq, 3),
+        Violation(NONNEGATIVITY, 3, 2, -1 + 0j, sq, 2),
+        Violation(REALNESS, 3, 3, -1 + 1j, sq, 1),
+    )
     assert [str(v) for v in res.violations] == [
-        "p=3 l=1: coefficient not real (1)",
+        "p=3 l=1: direct/square mismatch (2.5 vs 1.23456789012, gap 1.27)",
         "p=3 l=2: negative coefficient (-1)",
-        "p=3 l=3: direct/square mismatch (2.5 vs 1.23456789012, gap 1.27)",
+        "p=3 l=3: coefficient not real (1)",
     ]
     assert not res.ok
-    # l = 1 and 2 tie on both extremes; the first is named
-    assert (res.min_at, res.max_delta_at) == ((3, 1), (3, 1))
+    # l = 2 and 3 tie on both extremes; the first is named
+    assert (res.min_at, res.max_delta_at) == ((3, 2), (3, 2))
 
 
 def test_direct_path_evaluates_the_built_polynomial(monkeypatch):
@@ -425,8 +436,7 @@ def test_direct_path_evaluates_the_built_polynomial(monkeypatch):
     monkeypatch.setitem(dseries._CACHE, "P", LaurentPoly(bad))
     res = scan_positivity(points, lmax=2)
     assert res.checked > 0 and not res.ok
-    assert {v.kind for v in res.violations} == {SQUARE_IDENTITY}
-    assert len(res.violations) == res.checked
+    assert {v.kind: v.count for v in res.violations} == {SQUARE_IDENTITY: res.checked}
 
 
 def _chi_poly(e):

@@ -6,8 +6,9 @@ the console entry point (`from lfcheck.cli import main`) in a child process
 and read `sys.modules` once `main` has returned: each subcommand loads
 exactly its own lfcheck modules, and none loads argparse.  Three checks on the
 source close the file: each module's private names stay its own, every
-annotation names something its module can resolve, and the status rule and
-the base names each have one owner.
+annotation names something its module can resolve, and the status rule,
+the base names and the tolerances each have one owner, with no sort_key
+restating the order of a value's fields.
 """
 
 import ast
@@ -165,8 +166,10 @@ def _strings(node):
 
 
 def test_one_owner_for_the_status_rule_and_the_bases():
-    # report.check alone turns a condition into PASS or FAIL, and
-    # hypotheses.BASES alone lists the two bases
+    # report.check alone turns a condition into PASS or FAIL,
+    # hypotheses.BASES alone lists the two bases, lfcheck.TOL and
+    # lfcheck.UNIT_SLACK alone hold the tolerances, and values order by
+    # their fields, with no sort_key restating them
     found = []
     for path in sorted(glob.glob(os.path.join(SRC, "lfcheck", "*.py"))):
         name = os.path.basename(path)
@@ -185,4 +188,13 @@ def test_one_owner_for_the_status_rule_and_the_bases():
                 }
             ):
                 found.append(f"{name}:{node.lineno}: the bases spelled out")
+            if (
+                isinstance(node, ast.Constant)
+                and node.value in (1e-9, 1e-6)
+                and type(node.value) is float
+                and name != "__init__.py"
+            ):
+                found.append(f"{name}:{node.lineno}: a tolerance spelled out")
+            if isinstance(node, ast.FunctionDef) and node.name == "sort_key":
+                found.append(f"{name}:{node.lineno}: a sort_key")
     assert sorted(found) == []

@@ -287,6 +287,28 @@ def test_entry_order_is_canonical():
     assert a.entries == b.entries
 
 
+def test_printed_atoms_parse_back():
+    # an atom's printed form is an expression for it: pretty() prints
+    # generator names, and those start an atom as well as a twist
+    rng = random.Random(52183)
+    names = list(G.STD_GENERATORS)
+    for _ in range(300):
+        tw = G.ONE
+        for _k in range(rng.randrange(4)):
+            tw = tw * G.gen(rng.choice(names), rng.randrange(-3, 4))
+        base = rng.choice(["pi", "pi'"])
+        atom = rng.choice([
+            char_atom(tw),
+            sym_atom(base, rng.randrange(1, 7), tw),
+            ad_atom(base, tw),
+            opaque_atom(rng.choice(list(OPAQUE)), tw),
+        ])
+        assert parse_expr(atom.pretty()) == VirtualRep.of(atom), atom.pretty()
+    # expand's printed normal form of Sym^3(pi) (x) Sym^3(pi)
+    form = "om_pi^3 (+) Ad(pi) tw om_pi^3 (+) Sym^4(pi) tw om_pi (+) Sym^6(pi)"
+    assert parse_expr(form) == parse_expr("Sym^3(pi) (x) Sym^3(pi)")
+
+
 def test_selftwists_are_groups():
     # tests-only closure oracle: every group selftwists hands out lists
     # ONE first, no element twice, and is closed under products
