@@ -35,10 +35,10 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import InputError
-from .chargroup import gen
+from .chargroup import BASES, gen
 from .decompose import decompose_under
 from .exprlang import parse_expr
-from .hypotheses import BASES, GL2Type, Hypotheses
+from .hypotheses import GENS, GL2Type, Hypotheses
 from .repalg import Entry, RepAtom, RSPair, VirtualRep, plethysm_sym2, sym_atom
 from .satake import LaurentPoly, coeff_poly
 from .poles import PoleInterval, isobaric_pair_pole, pole_order
@@ -606,7 +606,7 @@ def verify_plethysm_bridge() -> CaseReport:
         check("weight peel", tags == [(6, 0), (2, 2)], f"Sym^2(Sym^3) tags: {tags}")
     ]
 
-    chi, om = gen("chi"), gen("om_pi")
+    chi, om = gen("chi"), GENS["pi"].om
     pleth = VirtualRep.build(
         (sym_atom("pi", d, chi * om ** (r - 3)), 1) for d, r in tags
     )

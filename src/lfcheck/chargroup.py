@@ -1,7 +1,8 @@
 """The character group of the two-form setting, with exact arithmetic.
 
 Every character lfcheck handles is a word in nine fixed generators
-(STD_GENERATORS): the outer twist chi, the central characters om_*, the
+(STD_GENERATORS), each but chi one of the STEMS over one of the two
+BASES: the outer twist chi, the central characters om_*, the
 cubic characters mu_* and quadratic characters eta_* of the two degenerate
 shapes, and the restrictions xiF_* of the inducing character in the
 dihedral shape.  A character is its exponent vector over them.  mu_* and
@@ -24,19 +25,24 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-STD_GENERATORS = (
-    "chi",
-    "om_pi",
-    "om_pi'",
-    "mu_pi",
-    "mu_pi'",
-    "eta_pi",
-    "eta_pi'",
-    "xiF_pi",
-    "xiF_pi'",
-)
+BASES = ("pi", "pi'")
 
-STD_ORDERS = {"mu_pi": 3, "mu_pi'": 3, "eta_pi": 2, "eta_pi'": 2}
+# the stems of the generators over each base, in generator order, with the
+# order of each finite one (0 for free): the central character om, the
+# cubic mu and quadratic eta of the tetrahedral and octahedral shapes, and
+# the xiF of the dihedral one
+STEMS = {"om": 0, "mu": 3, "eta": 2, "xiF": 0}
+
+
+def base_name(stem: str, base: str) -> str:
+    """The name of the generator or opaque atom `stem` over `base`: mu_pi
+    over pi and mu_pi' over pi'."""
+    return f"{stem}_{base}"
+
+
+STD_GENERATORS = ("chi", *(base_name(s, b) for s in STEMS for b in BASES))
+
+STD_ORDERS = {base_name(s, b): n for s, n in STEMS.items() if n for b in BASES}
 
 _INDEX = {g: i for i, g in enumerate(STD_GENERATORS)}
 # the slots that can wrap, with their orders; every other exponent is free

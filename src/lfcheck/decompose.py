@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import enum
 
-from .chargroup import STD_ORDERS, FormalCharacter
-from .hypotheses import BASES, GENS, GL2Type, Hypotheses, base_name
+from .chargroup import BASES, STD_ORDERS, FormalCharacter, base_name
+from .hypotheses import GENS, GL2Type, Hypotheses
 from .repalg import (
     Entry,
     RepAtom,

@@ -131,24 +131,16 @@ def verify_sos() -> list[Verdict]:
         )
     )
 
-    ones = satake_point(1, 1, 1, 1)
-    v324 = P.eval(ones)
+    # exact values: at the trivial point every monomial is 1, and at
+    # chi = -1 each is signed by the parity of its chi exponent
+    v324 = sum(P.c.values())
     checks.append(
-        check(
-            "degree check at the trivial point",
-            abs(v324 - 324) < TOL,
-            f"value {v324.real:.12g}",
-        )
+        check("degree check at the trivial point", v324 == 324, f"value {v324}")
     )
 
-    vneg = P.eval(satake_point(1, 1, 1, 1, {"chi": -1}))
-    checks.append(
-        check(
-            "quadratic character point",
-            abs(vneg - 36) < TOL,
-            f"value {vneg.real:.12g}",
-        )
-    )
+    ichi = VARS.index("chi")
+    vneg = sum(-v if k[ichi] % 2 else v for k, v in P.c.items())
+    checks.append(check("quadratic character point", vneg == 36, f"value {vneg}"))
 
     chibar = {"chi": 0.6 + 0.8j}
     pt = satake_point(1j, -1j, 0.8 + 0.6j, 0.8 - 0.6j, chibar)

@@ -25,8 +25,15 @@ from __future__ import annotations
 import re
 
 from . import InputError
-from .chargroup import ONE, STD_GENERATORS, FormalCharacter, gen
-from .hypotheses import BASES
+from .chargroup import (
+    BASES,
+    ONE,
+    STD_GENERATORS,
+    STEMS,
+    FormalCharacter,
+    base_name,
+    gen,
+)
 from .repalg import (
     OPAQUE,
     VirtualRep,
@@ -43,17 +50,15 @@ class ExprError(InputError):
 
 
 # every spelling of a character: each generator's own name, the short
-# names, and the three of the trivial character
+# names (the stem over pi, primed over pi', with om spelled omega), and the
+# three of the trivial character
 CHARACTERS: dict[str, FormalCharacter] = {
     **{g: gen(g) for g in STD_GENERATORS},
-    "omega": gen("om_pi"),
-    "omega'": gen("om_pi'"),
-    "mu": gen("mu_pi"),
-    "mu'": gen("mu_pi'"),
-    "eta": gen("eta_pi"),
-    "eta'": gen("eta_pi'"),
-    "xiF": gen("xiF_pi"),
-    "xiF'": gen("xiF_pi'"),
+    **{
+        {"om": "omega"}.get(s, s) + mark: gen(base_name(s, b))
+        for s in STEMS
+        for b, mark in zip(BASES, ("", "'"))
+    },
     **dict.fromkeys(("1", "one", "zeta"), ONE),
 }
 
@@ -209,8 +214,6 @@ class _Parser:
             m = int(iv)
             if m > SYM_MAX:
                 raise ExprError(f"Sym^{m} exceeds the largest power, Sym^{SYM_MAX}")
-        else:
-            m = 2
         self.expect("punct", "(")
         _bk, base = self.next()
         if base not in BASES:

@@ -7,6 +7,7 @@ plus the optional boolean twist_equiv; `#` starts a comment.  Only the
 from __future__ import annotations
 
 from . import InputError, read_lines
+from .chargroup import BASES, base_name
 from .hypotheses import GL2Type, Hypotheses
 
 
@@ -16,6 +17,8 @@ class HypFileError(InputError):
 
 _TYPES = {t.value: t for t in GL2Type}
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+# the required keys, type_pi and type_pi', and the Hypotheses field each sets
+_KEYS = {base_name("type", b): f for b, f in zip(BASES, Hypotheses._fields)}
 
 
 def parse_hyp_file(path: str) -> Hypotheses:
@@ -30,11 +33,11 @@ def parse_hyp_file(path: str) -> Hypotheses:
         if key in fields:
             raise HypFileError(f"{path}:{lineno}: duplicate key {key!r}")
         fields[key] = val
-    for req in ("type_pi", "type_pi'"):
+    for req in _KEYS:
         if req not in fields:
             raise HypFileError(f"{path}: missing required key {req!r}")
     kwargs = {}
-    for key, dest in (("type_pi", "type_pi"), ("type_pi'", "type_pi2")):
+    for key, dest in _KEYS.items():
         val = fields.pop(key).lower()
         if val not in _TYPES:
             raise HypFileError(

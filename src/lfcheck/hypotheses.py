@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from typing import NamedTuple
 
-from .chargroup import FormalCharacter, gen
+from .chargroup import BASES, STEMS, base_name, gen
 
 
 class GL2Type(enum.Enum):
@@ -23,9 +22,6 @@ class GL2Type(enum.Enum):
     TETRAHEDRAL = "tetrahedral"    # Ad cuspidal, Sym^3 non-cuspidal
     OCTAHEDRAL = "octahedral"      # Sym^3 cuspidal, Sym^4 non-cuspidal
     GENERAL = "general"            # Sym^3 and Sym^4 cuspidal
-
-
-BASES = ("pi", "pi'")
 
 
 class Hypotheses(namedtuple("Hypotheses", "type_pi type_pi2 twist_equiv")):
@@ -42,25 +38,13 @@ class Hypotheses(namedtuple("Hypotheses", "type_pi type_pi2 twist_equiv")):
         return self[BASES.index(base)]
 
 
-def base_name(stem: str, base: str) -> str:
-    """The name of the generator or opaque atom `stem` over `base`: mu_pi
-    over pi and mu_pi' over pi'."""
-    return f"{stem}_{base}"
-
-
-class BaseGens(NamedTuple):
-    """The character generators over one base: its central character om,
-    and the mu, eta and xiF that its tetrahedral, octahedral and dihedral
-    shapes introduce."""
-
-    om: FormalCharacter
-    mu: FormalCharacter
-    eta: FormalCharacter
-    xiF: FormalCharacter
-
+# the character generators over one base, a field per stem: its central
+# character om, and the mu, eta and xiF that its tetrahedral, octahedral and
+# dihedral shapes introduce
+BaseGens = namedtuple("BaseGens", STEMS)
 
 # the generators of each base, built once
 GENS = {
-    base: BaseGens(*(gen(base_name(stem, base)) for stem in BaseGens._fields))
+    base: BaseGens(*(gen(base_name(stem, base)) for stem in STEMS))
     for base in BASES
 }

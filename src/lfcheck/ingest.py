@@ -56,30 +56,14 @@ def sieve(n: int) -> list[int]:
 
 _FLOAT_MAX = int(sys.float_info.max)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Miller-Rabin with the first k bases is exact below _MR_BOUNDS[k - 1]: the
-# smallest strong pseudoprime to all of them (OEIS A014233)
-_MR_BOUNDS = (
-    2047,
-    1373653,
-    25326001,
-    3215031751,
-    2152302898747,
-    3474749660383,
-    341550071728321,
-    341550071728321,
-    3825123056546413051,
-    3825123056546413051,
-    3825123056546413051,
-    318665857834031151167461,
-    3317044064679887385961981,
-)
-MR_LIMIT = _MR_BOUNDS[-1]
+# Miller-Rabin with these 13 bases is exact below the smallest strong
+# pseudoprime to all of them (OEIS A014233)
+MR_LIMIT = 3317044064679887385961981
 _BASES_PRODUCT = math.prod(_MR_BASES)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < MR_LIMIT.
-    Uses the shortest prefix of the bases that is exact below n."""
+    """Deterministic Miller-Rabin primality test, exact for n < MR_LIMIT."""
     if n < 2:
         return False
     if math.gcd(n, _BASES_PRODUCT) != 1:
@@ -90,7 +74,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES[: bisect_right(_MR_BOUNDS, n) + 1]:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

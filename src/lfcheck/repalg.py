@@ -23,8 +23,8 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Union
 
 from . import InputError
-from .chargroup import ONE, FormalCharacter
-from .hypotheses import BASES, GENS, GL2Type, Hypotheses, base_name
+from .chargroup import BASES, ONE, FormalCharacter, base_name
+from .hypotheses import GENS, GL2Type, Hypotheses
 
 
 class RepAlgError(InputError):

@@ -20,8 +20,7 @@ from __future__ import annotations
 from operator import add, neg
 
 from . import TOL
-from .chargroup import FormalCharacter, STD_GENERATORS, STD_ORDERS
-from .hypotheses import BASES, base_name
+from .chargroup import BASES, STD_GENERATORS, STD_ORDERS, FormalCharacter, base_name
 from .repalg import RepAtom, VirtualRep
 
 

@@ -91,6 +91,18 @@ def test_ghl_budget_checks_ell_against_D(monkeypatch):
     ]
 
 
+def test_ghl_budget_needs_twice_ell_above_k(monkeypatch):
+    # with k = 8 recorded, 4.3's ell = 4 gives 2*ell = k: the budget fails
+    # while the pole interval [6, 7] still sits below k
+    monkeypatch.setitem(CASES, "4.3", CASES["4.3"]._replace(k=8))
+    rep = verify_case("4.3")
+    assert [(v.name, v.status, v.detail) for v in rep.verdicts if v.status != "PASS"] == [
+        ("ghl budget", "FAIL", "2*ell = 8 <= k = 8")
+    ]
+    (v,) = _by_name(rep, "entirety")
+    assert v.detail == "upper bound 7 <= k = 8"
+
+
 def test_pole_ledgers():
     for cid, iv in EXPECTED_POLES.items():
         rep = verify_case(cid)

@@ -12,11 +12,41 @@ def exponent_of(c, name):
     return c.exps[G.index(name)]
 
 
+# the roster spelled out once, here, against the one that chargroup builds
+# from its bases and stems: generator order decides the order of entries
+ROSTER = (
+    "chi",
+    "om_pi", "om_pi'",
+    "mu_pi", "mu_pi'",
+    "eta_pi", "eta_pi'",
+    "xiF_pi", "xiF_pi'",
+)
+ORDERS = [("mu_pi", 3), ("mu_pi'", 3), ("eta_pi", 2), ("eta_pi'", 2)]
+SHORT = {
+    "omega": "om_pi", "omega'": "om_pi'",
+    "mu": "mu_pi", "mu'": "mu_pi'",
+    "eta": "eta_pi", "eta'": "eta_pi'",
+    "xiF": "xiF_pi", "xiF'": "xiF_pi'",
+}
+
+
 def test_generator_roster():
-    assert len(STD_GENERATORS) == 9
+    assert STD_GENERATORS == ROSTER
+    assert list(G.STD_ORDERS.items()) == ORDERS
+    assert G.BASES == ("pi", "pi'")
     for i, name in enumerate(STD_GENERATORS):
         assert G.index(name) == i
         assert G.gen(name).support() == ((name, 1),)
+
+
+def test_short_character_names():
+    from lfcheck.exprlang import CHARACTERS
+
+    short = {k: v for k, v in CHARACTERS.items() if k not in ROSTER}
+    assert {k: v for k, v in short.items() if not v.is_one} == {
+        k: G.gen(g) for k, g in SHORT.items()
+    }
+    assert list(short) == [*SHORT, "1", "one", "zeta"]
 
 
 def test_declared_orders():

@@ -463,6 +463,16 @@ def test_scan_vacuous_arguments_exit_two(tmp_path, capsys, option, value):
     assert err.startswith(f"error: {option} must be") and "missing" not in err
 
 
+def test_long_bad_option_value_is_cut(capsys):
+    # a bad value is shown by its first 30 characters
+    value = "x" * 40
+    argv = ["scan", "--form1", "delta", "--form2", "11a", "--char", "trivial",
+            "--xmax", value]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --xmax must be an integer, got {'x' * 30!r}...\n")
+
+
 def test_scan_caps_are_inclusive():
     # a scan at the caps runs for minutes, so only the check is run here
     assert (cli.SCAN_XMAX, cli.SCAN_LMAX) == (10**6, 64)  # as documented

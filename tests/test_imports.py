@@ -8,7 +8,8 @@ exactly its own lfcheck modules, and none loads argparse.  Three checks on the
 source close the file: each module's private names stay its own, every
 annotation names something its module can resolve, and the status rule,
 the base names and the tolerances each have one owner, with no sort_key
-restating the order of a value's fields.
+restating the order of a value's fields and no name over a base spelled
+out.
 """
 
 import ast
@@ -17,6 +18,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -165,16 +167,31 @@ def _strings(node):
     }
 
 
+def _docstrings(tree):
+    return {
+        id(n.body[0].value) for n in ast.walk(tree)
+        if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and n.body and isinstance(n.body[0], ast.Expr)
+        and isinstance(n.body[0].value, ast.Constant)
+    }
+
+
+# a generator, atom or key name over one base, like mu_pi or type_pi'
+BASE_NAME = re.compile(r"^\w+_pi'?$")
+
+
 def test_one_owner_for_the_status_rule_and_the_bases():
     # report.check alone turns a condition into PASS or FAIL,
-    # hypotheses.BASES alone lists the two bases, lfcheck.TOL and
-    # lfcheck.UNIT_SLACK alone hold the tolerances, and values order by
-    # their fields, with no sort_key restating them
+    # chargroup.BASES alone lists the two bases and chargroup.base_name
+    # alone spells a name over one, lfcheck.TOL and lfcheck.UNIT_SLACK alone
+    # hold the tolerances, and values order by their fields, with no
+    # sort_key restating them
     found = []
     for path in sorted(glob.glob(os.path.join(SRC, "lfcheck", "*.py"))):
         name = os.path.basename(path)
         with open(path) as fh:
             tree = ast.parse(fh.read(), path)
+        docs = _docstrings(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.IfExp) and name != "report.py":
                 yes, no = _strings(node.body), _strings(node.orelse)
@@ -182,12 +199,19 @@ def test_one_owner_for_the_status_rule_and_the_bases():
                     found.append(f"{name}:{node.lineno}: status by a condition")
             if (
                 isinstance(node, (ast.Tuple, ast.Set, ast.List))
-                and name != "hypotheses.py"
+                and name != "chargroup.py"
                 and {"pi", "pi'"} <= {
                     e.value for e in node.elts if isinstance(e, ast.Constant)
                 }
             ):
                 found.append(f"{name}:{node.lineno}: the bases spelled out")
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docs
+                and BASE_NAME.match(node.value)
+            ):
+                found.append(f"{name}:{node.lineno}: {node.value} spelled out")
             if (
                 isinstance(node, ast.Constant)
                 and node.value in (1e-9, 1e-6)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -477,26 +478,48 @@ def test_is_prime_agrees_with_sieve_below_1e5():
     assert [n for n in range(100000) if is_prime(n)] == sieve(99999)
 
 
+# OEIS A014233: entry k is the smallest strong pseudoprime to all of the
+# first k prime bases, so is_prime, which tests all 13, must refuse each
+# one below MR_LIMIT, the 13th
+A014233 = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
 def test_miller_rabin_bounds_are_the_first_pseudoprimes_of_each_prefix():
-    bounds, bases = ingest._MR_BOUNDS, ingest._MR_BASES
-    assert len(bounds) == len(bases) and bounds[-1] == MR_LIMIT
-    assert list(bounds) == sorted(bounds)
+    bases = ingest._MR_BASES
+    assert len(A014233) == len(bases) and A014233[-1] == MR_LIMIT
+    assert list(A014233) == sorted(A014233)
     assert bases == FIRST_PRIMES[: len(bases)]
-    for k, bound in enumerate(bounds, 1):
-        # composite (some base witnesses it), yet it passes the k bases
-        # that are meant to be exact below it, so a mistyped bound goes red
+    for k, bound in enumerate(A014233, 1):
+        # composite (some base witnesses it), yet it passes the first k
+        # bases, so a mistyped value goes red
         assert not all(_strong_probable_prime(bound, a) for a in FIRST_PRIMES)
         assert all(_strong_probable_prime(bound, a) for a in bases[:k]), bound
         if bound < MR_LIMIT:
             assert not is_prime(bound), bound
-    # and the first bound is the smallest one: no odd composite below 2047
+    # and the first value is the smallest one: no odd composite below 2047
     # is a strong pseudoprime to base 2
     odd_composites = set(range(9, 2047, 2)) - set(sieve(2047))
     assert not any(_strong_probable_prime(n, 2) for n in odd_composites)
 
 
 def test_is_prime_on_each_side_of_every_bound():
-    for bound in sorted(set(ingest._MR_BOUNDS)):
+    # the nearest primes around each pseudoprime are accepted, and every
+    # number between them is refused
+    for bound in sorted(set(A014233)):
         below = next(n for n in range(bound - 1, 0, -1) if _oracle_prime(n))
         above = next(n for n in range(bound + 1, 2 * bound) if _oracle_prime(n))
         assert is_prime(below), below
@@ -629,6 +652,10 @@ def test_parse_char_spec(tmp_path):
             parse_char_spec(bad)
     with pytest.raises(IngestError, match="discriminant is too long"):
         parse_char_spec(f"kronecker:-{LONG}")
+    # one digit past the limit: the sign is not counted as a digit
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(IngestError, match=f"[(]{limit + 1} digits, limit {limit}[)]"):
+        parse_char_spec("kronecker:-" + "9" * (limit + 1))
     # rows follow the rules of an eigenvalue table's rows
     for text, frag in (
         (f"{LONG}\t1.0\t0.0\n", "char.tsv:1: p is too long"),
