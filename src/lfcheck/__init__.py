@@ -40,8 +40,8 @@ def read_lines(path: str) -> list[str]:
 
 _EXPORTS = {
     "chargroup": ("FormalCharacter",),
-    "hypotheses": ("GL2Type", "Hypotheses"),
     "repalg": (
+        "GL2Type",
         "RepAtom",
         "RSPair",
         "VirtualRep",
@@ -53,7 +53,7 @@ _EXPORTS = {
         "rs_product",
         "sym_atom",
     ),
-    "decompose": ("Tri", "atom_equal", "decompose_under"),
+    "decompose": ("Hypotheses", "Tri", "atom_equal", "decompose_under"),
     "casebook": (
         "CASE_IDS",
         "classify",

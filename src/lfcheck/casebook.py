@@ -35,11 +35,10 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import InputError
-from .chargroup import BASES, gen
-from .decompose import decompose_under
+from .chargroup import BASES, GENS, gen
+from .decompose import Hypotheses, decompose_under
 from .exprlang import parse_expr
-from .hypotheses import GENS, GL2Type, Hypotheses
-from .repalg import Entry, RepAtom, RSPair, VirtualRep, plethysm_sym2, sym_atom
+from .repalg import Entry, GL2Type, RepAtom, RSPair, VirtualRep, plethysm_sym2, sym_atom
 from .satake import LaurentPoly, coeff_poly
 from .poles import PoleInterval, isobaric_pair_pole, pole_order
 from .dseries import build_D
@@ -50,31 +49,37 @@ class CaseError(InputError):
     pass
 
 
+T, O, D, GEN = (
+    GL2Type.TETRAHEDRAL,
+    GL2Type.OCTAHEDRAL,
+    GL2Type.DIHEDRAL,
+    GL2Type.GENERAL,
+)
+
+# the case of each non-dihedral declaration, keyed by twist equivalence and
+# the set of the two shapes (twist-equivalent forms share theirs)
+_NON_DIHEDRAL = {
+    (False, frozenset((T,))): "4.1",
+    (False, frozenset((T, O))): "4.2",
+    (False, frozenset((O,))): "4.3",
+    (False, frozenset((GEN, T))): "4.4.1",
+    (False, frozenset((GEN, O))): "4.4.2",
+    (False, frozenset((GEN,))): "4.4.3",
+    (True, frozenset((T,))): "5.3.1",
+    (True, frozenset((O,))): "5.3.2",
+    (True, frozenset((GEN,))): "5.3.3",
+}
+
+
 def classify(hyp: Hypotheses) -> str:
     """Map a hypothesis set to the unique ledger case id covering it."""
     t1, t2 = hyp.type_pi, hyp.type_pi2
-    dih = (t1 is GL2Type.DIHEDRAL, t2 is GL2Type.DIHEDRAL)
+    dih = (t1 is D, t2 is D)
     if all(dih):
         return "5.1"
     if any(dih):
         return "5.2"
-    if hyp.twist_equiv:
-        return {
-            GL2Type.TETRAHEDRAL: "5.3.1",
-            GL2Type.OCTAHEDRAL: "5.3.2",
-            GL2Type.GENERAL: "5.3.3",
-        }[t1]
-    pair = frozenset((t1, t2))
-    T, O, G = GL2Type.TETRAHEDRAL, GL2Type.OCTAHEDRAL, GL2Type.GENERAL
-    table = {
-        frozenset((T,)): "4.1",
-        frozenset((T, O)): "4.2",
-        frozenset((O,)): "4.3",
-        frozenset((G, T)): "4.4.1",
-        frozenset((G, O)): "4.4.2",
-        frozenset((G,)): "4.4.3",
-    }
-    return table[pair]
+    return _NON_DIHEDRAL[hyp.twist_equiv, frozenset((t1, t2))]
 
 
 def _signed(rows: str) -> dict[Entry, int]:
@@ -331,14 +336,6 @@ def _aux_case(case_id, title, t1, t2, ell, k, pole, claimed, known_delta=None):
         k=k,
         expected_pole=pole,
     )
-
-
-T, O, D, GEN = (
-    GL2Type.TETRAHEDRAL,
-    GL2Type.OCTAHEDRAL,
-    GL2Type.DIHEDRAL,
-    GL2Type.GENERAL,
-)
 
 
 def _build_cases() -> dict[str, CaseSpec]:

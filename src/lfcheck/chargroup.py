@@ -110,3 +110,8 @@ def from_dict(d: Mapping[str, int]) -> FormalCharacter:
     for name, e in d.items():
         vec[index(name)] += e
     return _reduced(vec)
+
+
+# the generators over each base, built once, a field per stem
+BaseGens = NamedTuple("BaseGens", [(s, FormalCharacter) for s in STEMS])
+GENS = {b: BaseGens(*(gen(base_name(s, b)) for s in STEMS)) for b in BASES}

@@ -1,34 +1,52 @@
-"""What the declared shapes decide about formal values: the three-valued
-facts about characters (`is_trivial`, `member_of`), `decompose_under`,
+"""What the declared shapes decide about formal values.  A `Hypotheses`
+value declares each base's shape and whether the forms are twist-equivalent;
+nothing is inferred.  From it come the three-valued facts about characters
+(`is_trivial`, `member_of`), `declared_selftwists`, the only code that
+widens a self-twist group because of a declared shape, `decompose_under`,
 which rewrites every atom the hypotheses make degenerate into its declared
 pieces, and `atom_equal`, which decides as far as the declarations allow
 whether two atoms are the same automorphic representation.
 
-The constructors of `repalg` canonicalize without hypotheses; this module
-is their declared-data layer.  Answers the declarations do not settle are
-UNKNOWN, and the pole bookkeeping widens accordingly.  `poles` and
-`casebook` run it; `expand`, `scan` and `verify sos` never load it.
+The constructors of `repalg` canonicalize without hypotheses.  Answers the
+declarations do not settle are UNKNOWN, and the pole bookkeeping widens
+accordingly.  `poles` and `casebook` run it; `expand`, `scan` and
+`verify sos` never load it.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 
-from .chargroup import BASES, STD_ORDERS, FormalCharacter, base_name
-from .hypotheses import GENS, GL2Type, Hypotheses
+from .chargroup import BASES, GENS, ONE, STD_ORDERS, FormalCharacter, base_name
 from .repalg import (
     Entry,
+    GL2Type,
     RepAtom,
     RSPair,
     VirtualRep,
     canon_twist,
     char_atom,
     opaque_atom,
-    rs_pair,
+    pair_selftwists,
     rs_product,
     selftwists,
     sym_atom,
 )
+
+
+class Hypotheses(namedtuple("Hypotheses", "type_pi type_pi2 twist_equiv")):
+    __slots__ = ()
+
+    def __new__(cls, type_pi: GL2Type, type_pi2: GL2Type, twist_equiv: bool = False):
+        if twist_equiv and type_pi != type_pi2:
+            raise ValueError("twist-equivalent forms must share a type")
+        return super().__new__(cls, type_pi, type_pi2, twist_equiv)
+
+    def type_of(self, base: str) -> GL2Type:
+        if base not in BASES:
+            raise KeyError(f"unknown base {base!r}")
+        return self[BASES.index(base)]
 
 
 class Tri(enum.Enum):
@@ -126,10 +144,24 @@ def _decompose_entry(
     return list(rs_product(left, right).entries)
 
 
+def declared_selftwists(core: RepAtom, hyp: Hypotheses) -> tuple[FormalCharacter, ...]:
+    """`repalg.selftwists` widened by the declarations: the adjoint of a
+    tetrahedral base also has {1, mu, mu^2}."""
+    if core.kind == "sym" and core.m == 2:
+        if hyp.type_of(core.base) is GL2Type.TETRAHEDRAL:
+            mu = GENS[core.base].mu
+            return (ONE, mu, mu * mu)
+    return selftwists(core)
+
+
 def _hyp_canon(key: Entry, hyp: Hypotheses) -> Entry:
     if isinstance(key, RSPair):
-        return rs_pair(key.a, key.b, key.twist, hyp)
-    return key._replace(twist=canon_twist(key.twist, selftwists(key, hyp)))
+        group = pair_selftwists(
+            declared_selftwists(key.a, hyp), declared_selftwists(key.b, hyp)
+        )
+    else:
+        group = declared_selftwists(key, hyp)
+    return key._replace(twist=canon_twist(key.twist, group))
 
 
 def decompose_under(V: VirtualRep, hyp: Hypotheses) -> VirtualRep:
@@ -173,15 +205,11 @@ def atom_equal(x: RepAtom, y: RepAtom, hyp: Hypotheses) -> Tri:
         if x.label != y.label:
             return Tri.UNKNOWN
         return member_of(y.twist * x.twist.inv(), selftwists(x), hyp)
-    # symmetric-power atoms of equal degree
-    if x.m != y.m:
-        return Tri.UNKNOWN
+    # symmetric-power atoms of equal degree, so of equal m
     if x.base == y.base:
         xi = y.twist * x.twist.inv()
         if x.m == 2:
-            return member_of(xi, selftwists(x, hyp), hyp)
-        if xi.is_one:
-            return Tri.YES
+            return member_of(xi, declared_selftwists(x, hyp), hyp)
         if x.m == 4 and is_trivial(xi**5, hyp) is Tri.NO:
             # a self-twist of a degree-five atom is quintic
             return Tri.NO
@@ -196,6 +224,6 @@ def atom_equal(x: RepAtom, y: RepAtom, hyp: Hypotheses) -> Tri:
         # adjoints coincide; compare as same-base atoms over pi
         u = x.twist * GENS[x.base].om
         v = y.twist * GENS[y.base].om
-        return member_of(v * u.inv(), selftwists(sym_atom("pi", 2), hyp), hyp)
+        return member_of(v * u.inv(), declared_selftwists(sym_atom("pi", 2), hyp), hyp)
     # no multiplicity-one input is declared for higher symmetric powers
     return Tri.UNKNOWN

@@ -17,8 +17,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import TOL
-from .chargroup import ONE, gen
-from .hypotheses import GENS
+from .chargroup import GENS, ONE, gen
 from .report import Verdict, check
 from .repalg import RepAtom, VirtualRep, ad_atom, rs_product, sym_atom, char_atom
 from .satake import VARS, LaurentPoly, coeff_poly, satake_point

@@ -102,15 +102,13 @@ def _tokenize(src: str) -> list[tuple[str, str]]:
                 break
             raise ExprError(f"cannot read expression at {rest[:20]!r}")
         pos = m.end()
-        for kind in ("op", "punct", "int", "name"):
-            val = m.group(kind)
-            if val is not None:
-                if kind == "int" and len(val.lstrip("-")) > NUMERAL_DIGITS:
-                    raise ExprError(
-                        f"numeral {val[:12]}... has more than {NUMERAL_DIGITS} digits"
-                    )
-                toks.append((kind, val))
-                break
+        kind = m.lastgroup
+        val = m.group(kind)
+        if kind == "int" and len(val.lstrip("-")) > NUMERAL_DIGITS:
+            raise ExprError(
+                f"numeral {val[:12]}... has more than {NUMERAL_DIGITS} digits"
+            )
+        toks.append((kind, val))
     toks.append(("end", ""))
     return toks
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from . import InputError, read_lines
 from .chargroup import BASES, base_name
-from .hypotheses import GL2Type, Hypotheses
+from .decompose import Hypotheses
+from .repalg import GL2Type
 
 
 class HypFileError(InputError):

@@ -281,9 +281,9 @@ def x0_11_eigenvalues(xmax: int) -> dict[int, int]:
     return {p: product[p - 1] for p in sieve(xmax) if p != 11}
 
 
-def deligne_ok(ap: int, p: int, k: int) -> bool:
-    """Exact integer check a_p^2 <= 4 p^(k-1)."""
-    return ap * ap <= 4 * p ** (k - 1)
+def deligne_ok(ap: int, pw: int) -> bool:
+    """Exact integer check a_p^2 <= 4 p^(k-1), given pw = p^(k-1)."""
+    return ap * ap <= 4 * pw
 
 
 def _satake_alpha(ap: int, p: int, k: int) -> complex:
@@ -326,7 +326,7 @@ def builtin_form(name: str, xmax: int) -> NewformData:
     k, level, eigenvalues = BUILTINS[name]
     form = NewformData(k, level, eigenvalues(xmax), f"builtin:{name}")
     for p, ap in form.ap.items():
-        if not deligne_ok(ap, p, k):
+        if not deligne_ok(ap, p ** (k - 1)):
             raise _bound_error(form.source, ap, p, k)
     return form
 
@@ -361,7 +361,7 @@ def load_eigenvalue_file(path: str) -> NewformData:
             raise IngestError(
                 f"{path}:{lineno}: p^(k-1) = {p}^{w} is too large for a float"
             )
-        if N % p != 0 and ap * ap > 4 * pw:  # deligne_ok on the one p^(k-1)
+        if N % p != 0 and not deligne_ok(ap, pw):
             raise _bound_error(f"{path}:{lineno}", ap, p, k)
         table[p] = ap
     if not table:

@@ -16,9 +16,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import InputError
-from .hypotheses import GL2Type, Hypotheses
-from .decompose import Tri, atom_equal, is_trivial
-from .repalg import Entry, RepAtom, RSPair, VirtualRep, opaque_info
+from .decompose import Hypotheses, Tri, atom_equal, is_trivial
+from .repalg import Entry, GL2Type, RepAtom, RSPair, VirtualRep, opaque_info
 
 
 class PoleError(InputError):

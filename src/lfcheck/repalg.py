@@ -7,10 +7,12 @@ formal Rankin-Selberg pair of two atom cores with one combined twist
 character).  Constructors canonicalize: same-base symmetric-power products
 expand by Clebsch-Gordan, GL(1) factors collapse into twists, pair members
 are sorted and the twist is pooled, and every twist is the least of its
-coset modulo the twists that fix its atom (`selftwists`; for a pair, the
-product of both members' groups, reduced in `rs_pair`).  So multiset equality
-of built values is the identity test; `decompose.decompose_under` also
-reduces modulo the declared groups.
+coset modulo the twists that fix its atom (`selftwists`; for a pair,
+`pair_selftwists`, the product of both members' groups).  So multiset
+equality of built values is the identity test.  No constructor reads a
+declaration; `decompose.decompose_under` also reduces modulo the groups
+the declared shapes widen.  GL2Type names those shapes, and each opaque
+atom records the one its base must have.
 
 The unramified coefficient conventions: a twist multiplies coefficients, an
 isobaric sum adds them, a Rankin-Selberg pair multiplies them, and the
@@ -19,12 +21,21 @@ contragredient inverts every weight.
 
 from __future__ import annotations
 
+import enum
 from collections import Counter
 from typing import Iterable, NamedTuple, Union
 
 from . import InputError
-from .chargroup import BASES, ONE, FormalCharacter, base_name
-from .hypotheses import GENS, GL2Type, Hypotheses
+from .chargroup import BASES, GENS, ONE, FormalCharacter, base_name
+
+
+class GL2Type(enum.Enum):
+    """Degeneracy shape of a degree-two form, in the usual polyhedral names."""
+
+    DIHEDRAL = "dihedral"          # Ad non-cuspidal
+    TETRAHEDRAL = "tetrahedral"    # Ad cuspidal, Sym^3 non-cuspidal
+    OCTAHEDRAL = "octahedral"      # Sym^3 cuspidal, Sym^4 non-cuspidal
+    GENERAL = "general"            # Sym^3 and Sym^4 cuspidal
 
 
 class RepAlgError(InputError):
@@ -66,22 +77,20 @@ def opaque_info(label: str) -> OpaqueInfo:
         raise RepAlgError(f"unknown opaque atom {label!r}") from None
 
 
-def selftwists(
-    core: RepAtom, hyp: Hypotheses | None = None
-) -> tuple[FormalCharacter, ...]:
-    """The characters whose twist fixes the atom, ONE first.
-
-    An opaque atom carries its own group.  Under hyp, the adjoint of a
-    tetrahedral base also has the declared {1, mu, mu^2}.  The group does
-    not depend on the atom's twist.
-    """
+def selftwists(core: RepAtom) -> tuple[FormalCharacter, ...]:
+    """The characters whose twist fixes the atom without any declaration,
+    ONE first: an opaque atom carries its own group, every other atom has
+    the trivial one.  The group does not depend on the atom's twist."""
     if core.kind == "op":
         return opaque_info(core.label).selftwists
-    if hyp is not None and core.kind == "sym" and core.m == 2:
-        if hyp.type_of(core.base) is GL2Type.TETRAHEDRAL:
-            mu = GENS[core.base].mu
-            return (ONE, mu, mu * mu)
     return (ONE,)
+
+
+def pair_selftwists(
+    ga: tuple[FormalCharacter, ...], gb: tuple[FormalCharacter, ...]
+) -> tuple[FormalCharacter, ...]:
+    """A pair's self-twist group: the product of its members' groups."""
+    return tuple(s * t for s in ga for t in gb)
 
 
 def canon_twist(
@@ -217,13 +226,11 @@ def _in_order(pairs: Iterable[tuple[Entry, int]]) -> list[tuple[Entry, int]]:
     return sorted(pairs, key=lambda km: (isinstance(km[0], RSPair), km[0]))
 
 
-def rs_pair(
-    x: RepAtom, y: RepAtom, twist: FormalCharacter, hyp: Hypotheses | None = None
-) -> RSPair:
-    """The pair of two cores, its twist reduced modulo the product of the
-    members' self-twist groups (declared ones too, under hyp)."""
+def rs_pair(x: RepAtom, y: RepAtom, twist: FormalCharacter) -> RSPair:
+    """The pair of two cores, its twist reduced modulo the pair's
+    self-twist group."""
     a, b = sorted((x, y))
-    sub = [s * t for s in selftwists(a, hyp) for t in selftwists(b, hyp)]
+    sub = pair_selftwists(selftwists(a), selftwists(b))
     return RSPair(a, b, canon_twist(twist, sub))
 
 

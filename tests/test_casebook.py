@@ -13,8 +13,8 @@ from lfcheck.casebook import (
     verify_case,
     verify_plethysm_bridge,
 )
-from lfcheck.hypotheses import GL2Type, Hypotheses
-from lfcheck.repalg import VirtualRep, sym_atom
+from lfcheck.decompose import Hypotheses
+from lfcheck.repalg import GL2Type, VirtualRep, sym_atom
 from lfcheck.satake import char_poly
 
 

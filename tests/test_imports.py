@@ -4,7 +4,8 @@ Every `lfcheck` command starts a fresh interpreter that compiles whatever
 it imports, so the import set is part of a command's cost.  These tests run
 the console entry point (`from lfcheck.cli import main`) in a child process
 and read `sys.modules` once `main` has returned: each subcommand loads
-exactly its own lfcheck modules, and none loads argparse.  Three checks on the
+exactly its own lfcheck modules, and none loads argparse; `repalg` loads
+only the character group and takes no declaration.  Three checks on the
 source close the file: each module's private names stay its own, every
 annotation names something its module can resolve, and the status rule,
 the base names and the tolerances each have one owner, with no sort_key
@@ -38,7 +39,7 @@ SCAN = ["scan", "--form1", "delta", "--form2", "11a",
         "--char", "kronecker:-4", "--xmax", "60", "--lmax", "2"]
 # the lfcheck modules each subcommand loads, exactly
 SYMBOLIC = {"lfcheck", "lfcheck.cli", "lfcheck.report", "lfcheck.chargroup",
-            "lfcheck.hypotheses", "lfcheck.repalg"}
+            "lfcheck.repalg"}
 CASEBOOK = SYMBOLIC | {"lfcheck.casebook", "lfcheck.decompose", "lfcheck.dseries",
                        "lfcheck.exprlang", "lfcheck.poles", "lfcheck.satake"}
 COMMANDS = {
@@ -95,6 +96,21 @@ def test_subcommand_loads_only_its_modules(name):
 def test_json_output_loads_json():
     # the counterpart of the check above: JSON output does load it
     assert "json" in modules_after(["--json", *COMMANDS["expand"][0]])
+
+
+def test_repalg_reads_no_declaration():
+    # the formal calculus stands on the character group alone: it loads no
+    # other lfcheck module, and no function of it takes a declaration
+    code = "import sys, lfcheck.repalg; print(*sorted(sys.modules))"
+    loaded = {m for m in run_child(code).split() if m.split(".")[0] == "lfcheck"}
+    assert loaded == {"lfcheck", "lfcheck.chargroup", "lfcheck.repalg"}
+    from lfcheck import repalg
+
+    takes_hyp = [
+        fn.__qualname__ for fn in _functions(repalg)
+        if "hyp" in inspect.signature(fn).parameters
+    ]
+    assert takes_hyp == []
 
 
 def test_package_names_resolve_lazily():

@@ -294,10 +294,10 @@ def test_packed_square_product_is_exact_up_to_the_slot_width():
 
 
 def test_deligne_exact():
-    assert deligne_ok(tau(5), 5, 12)
+    assert deligne_ok(tau(5), 5**11)
     # 4 * 5^11 = 195312500; isqrt gives the edge
-    assert deligne_ok(13975, 5, 12)
-    assert not deligne_ok(13976, 5, 12)
+    assert deligne_ok(13975, 5**11)
+    assert not deligne_ok(13976, 5**11)
 
 
 def delta_pairs(xmax):

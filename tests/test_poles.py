@@ -6,7 +6,6 @@ import random
 import pytest
 
 from lfcheck import chargroup as G
-from lfcheck.hypotheses import GL2Type, Hypotheses
 from lfcheck.poles import (
     MAYBE,
     ONE,
@@ -19,10 +18,11 @@ from lfcheck.poles import (
     pole_order,
     self_dual_abelian_entries,
 )
-from lfcheck.decompose import Tri, _decompose_atom, decompose_under
+from lfcheck.decompose import Hypotheses, Tri, _decompose_atom, decompose_under
 from lfcheck.exprlang import parse_expr
 from lfcheck.repalg import (
     OPAQUE,
+    GL2Type,
     VirtualRep,
     ad_atom,
     char_atom,

@@ -13,10 +13,16 @@ import pytest
 
 from lfcheck import chargroup as G
 from lfcheck.exprlang import parse_expr
-from lfcheck.decompose import Tri, atom_equal, decompose_under
-from lfcheck.hypotheses import GL2Type, Hypotheses
+from lfcheck.decompose import (
+    Hypotheses,
+    Tri,
+    atom_equal,
+    declared_selftwists,
+    decompose_under,
+)
 from lfcheck.repalg import (
     OPAQUE,
+    GL2Type,
     PairOperandError,
     RepAlgError,
     RSPair,
@@ -271,6 +277,21 @@ def test_atom_equal_three_values():
     assert atom_equal(A, char_atom(chi), hyp) is Tri.NO  # degree mismatch
     # cross-base adjoints under twist-inequivalence never match
     assert atom_equal(A, ad_atom("pi'"), hyp) is Tri.NO
+    # two characters are equal when their quotient is trivial: mu is
+    # declared nontrivial, chi is not
+    assert atom_equal(char_atom(mu), char_atom(G.ONE), hyp) is Tri.NO
+    assert atom_equal(char_atom(chi), char_atom(G.ONE), hyp) is Tri.UNKNOWN
+    # opaque atoms of equal degree but different labels are not compared
+    assert atom_equal(opaque_atom("nu_pi"), opaque_atom("ind_pi"), hyp) is Tri.UNKNOWN
+    # same-base symmetric powers past the adjoint: a self-twist of Sym^4 is
+    # quintic, so the quadratic eta, declared nontrivial, is none; nothing
+    # is declared for Sym^3
+    hypO = Hypotheses(GL2Type.OCTAHEDRAL, GL2Type.GENERAL)
+    eta = G.gen("eta_pi")
+    S4 = sym_atom("pi", 4)
+    assert atom_equal(S4, sym_atom("pi", 4, eta), hypO) is Tri.NO
+    assert atom_equal(S4, sym_atom("pi", 4, chi), hypO) is Tri.UNKNOWN
+    assert atom_equal(sym_atom("pi", 3), sym_atom("pi", 3, eta), hypO) is Tri.UNKNOWN
 
 
 def test_atom_equal_twist_equivalent_cross_base():
@@ -310,14 +331,15 @@ def test_printed_atoms_parse_back():
 
 
 def test_selftwists_are_groups():
-    # tests-only closure oracle: every group selftwists hands out lists
-    # ONE first, no element twice, and is closed under products
+    # tests-only closure oracle: every group selftwists hands out, and every
+    # group a declaration widens it to, lists ONE first, no element twice,
+    # and is closed under products
     atoms = [char_atom(chi), *(opaque_atom(label) for label in OPAQUE)]
     atoms += [sym_atom(b, m) for b in ("pi", "pi'") for m in range(1, 7)]
     hyps = [None] + [Hypotheses(t1, t2) for t1, t2 in itertools.product(GL2Type, repeat=2)]
     sizes = set()
     for atom, hyp in itertools.product(atoms, hyps):
-        group = selftwists(atom, hyp)
+        group = selftwists(atom) if hyp is None else declared_selftwists(atom, hyp)
         assert group[0] == G.ONE
         assert len(set(group)) == len(group)
         assert {s * t for s in group for t in group} <= set(group), (atom, hyp)
