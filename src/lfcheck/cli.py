@@ -282,7 +282,7 @@ def _cmd_expand(args) -> Report:
     form = " (+) ".join(
         f"{k.pretty()}" if m == 1 else f"{m} * {k.pretty()}"
         for k, m in V.entries
-    ) or "0"
+    )
     try:
         poly = Verdict("coefficient polynomial", "PASS", coeff_poly(V).pretty())
     except CoefficientError as e:

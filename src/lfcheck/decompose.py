@@ -101,8 +101,6 @@ def member_of(
     return Tri.UNKNOWN if Tri.UNKNOWN in found else Tri.NO
 
 
-
-
 def _decompose_atom(atom: RepAtom, hyp: Hypotheses) -> list[tuple[RepAtom, int]] | None:
     if atom.kind != "sym":
         return None
@@ -130,15 +128,14 @@ def _decompose_atom(atom: RepAtom, hyp: Hypotheses) -> list[tuple[RepAtom, int]]
     return None
 
 
-def _decompose_entry(
-    key: Entry, hyp: Hypotheses
-) -> list[tuple[Entry, int]] | None:
+def _decompose_entry(key: Entry, hyp: Hypotheses) -> list[tuple[Entry, int]]:
+    """The declared pieces of one entry; an entry no rule rewrites is its own."""
     if isinstance(key, RepAtom):
-        return _decompose_atom(key, hyp)
+        return _decompose_atom(key, hyp) or [(key, 1)]
     da = _decompose_atom(key.a, hyp)
     db = _decompose_atom(key.b.twisted(key.twist), hyp)
     if da is None and db is None:
-        return None
+        return [(key, 1)]
     left = VirtualRep.build(da or [(key.a, 1)])
     right = VirtualRep.build(db or [(key.b.twisted(key.twist), 1)])
     return list(rs_product(left, right).entries)
@@ -166,22 +163,13 @@ def _hyp_canon(key: Entry, hyp: Hypotheses) -> Entry:
 
 def decompose_under(V: VirtualRep, hyp: Hypotheses) -> VirtualRep:
     """Rewrite to the declared decomposition of every degenerate atom, then
-    canonicalize twists modulo the declared self-twist subgroups."""
-    entries = list(V.entries)
-    while True:
-        changed = False
-        out: list[tuple[Entry, int]] = []
-        for key, mult in entries:
-            dec = _decompose_entry(key, hyp)
-            if dec is None:
-                out.append((key, mult))
-            else:
-                changed = True
-                out.extend((k, m * mult) for k, m in dec)
-        entries = out
-        if not changed:
-            break
-    return VirtualRep.build((_hyp_canon(k, hyp), m) for k, m in entries)
+    canonicalize twists modulo the declared self-twist subgroups.  One pass
+    suffices: no rule's pieces, nor a pair of them, rewrite again."""
+    return VirtualRep.build(
+        (_hyp_canon(k, hyp), m * mult)
+        for key, mult in V.entries
+        for k, m in _decompose_entry(key, hyp)
+    )
 
 
 def atom_equal(x: RepAtom, y: RepAtom, hyp: Hypotheses) -> Tri:

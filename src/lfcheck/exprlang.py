@@ -96,7 +96,7 @@ def _tokenize(src: str) -> list[tuple[str, str]]:
     pos = 0
     while pos < len(src):
         m = _TOKEN.match(src, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             rest = src[pos:].lstrip()
             if not rest:
                 break

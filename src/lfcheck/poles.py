@@ -51,6 +51,15 @@ ONE = PoleInterval(1, 1)
 MAYBE = PoleInterval(0, 1)
 _BY_TRI = {Tri.YES: ONE, Tri.NO: ZERO, Tri.UNKNOWN: MAYBE}
 
+# the least symmetric power of a base of each shape that is not known to be
+# cuspidal; no shape declares anything past Sym^4
+FIRST_NONCUSPIDAL = {
+    GL2Type.DIHEDRAL: 2,
+    GL2Type.TETRAHEDRAL: 3,
+    GL2Type.OCTAHEDRAL: 4,
+    GL2Type.GENERAL: 5,
+}
+
 
 def cuspidality(atom: RepAtom, hyp: Hypotheses) -> Tri:
     """Whether the atom names a cuspidal representation under the declared
@@ -65,14 +74,11 @@ def cuspidality(atom: RepAtom, hyp: Hypotheses) -> Tri:
             raise PoleError(f"{atom.label} needs {info.base} to be {info.shape.value}")
         return Tri.YES
     t = hyp.type_of(atom.base)
-    if t is GL2Type.DIHEDRAL:
-        return Tri.YES if atom.m == 1 else Tri.NO
-    if atom.m in (1, 2):
+    if atom.m < FIRST_NONCUSPIDAL[t]:
         return Tri.YES
-    if atom.m == 3:
-        return Tri.NO if t is GL2Type.TETRAHEDRAL else Tri.YES
-    if atom.m == 4:
-        return Tri.YES if t is GL2Type.GENERAL else Tri.NO
+    # every power past the first of a dihedral base splits into pieces of degree <= 2
+    if atom.m <= 4 or t is GL2Type.DIHEDRAL:
+        return Tri.NO
     return Tri.UNKNOWN
 
 

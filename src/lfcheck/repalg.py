@@ -32,10 +32,10 @@ from .chargroup import BASES, GENS, ONE, FormalCharacter, base_name
 class GL2Type(enum.Enum):
     """Degeneracy shape of a degree-two form, in the usual polyhedral names."""
 
-    DIHEDRAL = "dihedral"          # Ad non-cuspidal
-    TETRAHEDRAL = "tetrahedral"    # Ad cuspidal, Sym^3 non-cuspidal
-    OCTAHEDRAL = "octahedral"      # Sym^3 cuspidal, Sym^4 non-cuspidal
-    GENERAL = "general"            # Sym^3 and Sym^4 cuspidal
+    DIHEDRAL = "dihedral"
+    TETRAHEDRAL = "tetrahedral"
+    OCTAHEDRAL = "octahedral"
+    GENERAL = "general"
 
 
 class RepAlgError(InputError):

@@ -1,0 +1,171 @@
+"""Every verdict of the eleven cases can go red (mutation adequacy).
+
+Each mutation below changes `CASES`, one rewrite rule or the claimed side
+in-process, and names every verdict that then fails to PASS; all the others
+must PASS as before.  A case's verdict that no mutation here and no test
+in `ELSEWHERE` turns red is a blind spot, listed by name in `BLIND_SPOTS`.
+That list may only shrink.
+"""
+
+import pytest
+
+import test_casebook
+import test_cli
+from lfcheck import decompose
+from lfcheck.casebook import CASES, run_all, verify_case
+from lfcheck.cli import main
+from lfcheck.decompose import Hypotheses
+from lfcheck.repalg import GL2Type
+
+
+def _recorded(cid, **fields):
+    def mutate(monkeypatch):
+        monkeypatch.setitem(CASES, cid, CASES[cid]._replace(**fields))
+
+    return mutate
+
+
+def _slip(rows):
+    def mutate(monkeypatch):
+        spec = CASES["4.4.3"]
+        ident = spec.identities[0]._replace(known_delta=rows)
+        monkeypatch.setitem(CASES, "4.4.3", spec._replace(identities=(ident,)))
+
+    return mutate
+
+
+def _without_dihedral_adjoint(monkeypatch):
+    real = decompose._decompose_atom
+
+    def dropped(atom, hyp):
+        if atom.kind == "sym" and atom.m == 2:
+            if hyp.type_of(atom.base) is GL2Type.DIHEDRAL:
+                return None
+        return real(atom, hyp)
+
+    monkeypatch.setattr(decompose, "_decompose_atom", dropped)
+
+
+REFUSED = "(Ad(pi) x Ad(pi') tw chi): member Ad(pi) tw om_pi is non-cuspidal"
+
+# name -> (case, mutation or None, --tamper value, the verdicts that do not
+# PASS as (name, status, detail), where a detail of None is not compared)
+MUTATIONS = {
+    "k below the ledger": (
+        "4.3", _recorded("4.3", k=5), None,
+        [("entirety", "FAIL", "lower bound 6 > k = 5")],
+    ),
+    "k inside the ledger": (
+        "4.1", _recorded("4.1", k=8), None,
+        [("entirety", "UNKNOWN", "interval [6, 10] straddles k = 8")],
+    ),
+    "no dihedral adjoint rule": (
+        "5.1", _without_dihedral_adjoint, None,
+        [
+            ("gl2 structure", "FAIL", "oversized factors: (Ad(pi) x Ad(pi') tw chi)"),
+            ("pole ledger", "FAIL", f"refused: {REFUSED}"),
+        ],
+    ),
+    "other shapes declared": (
+        "4.4.1",
+        _recorded("4.4.1", hyp=Hypotheses(GL2Type.OCTAHEDRAL, GL2Type.TETRAHEDRAL)),
+        None,
+        [("classification", "FAIL", "declared shapes classify as 4.2")],
+    ),
+    "slip recorded as 3": (
+        "4.4.3",
+        _slip("""
+    3  Ad(pi') (x) Sym^4(pi) tw omega^-2
+   -2  Ad(pi') (x) Sym^4(pi) tw chi*omega^-2
+   -2  Ad(pi') (x) Sym^4(pi) tw chi^-1*omega^-2
+"""),
+        None,
+        [
+            ("identity", "FAIL", None),
+            ("discrepancy analysis", "FAIL", "difference does not match the recorded slip"),
+        ],
+    ),
+    "self-product tampered": (
+        "5.3.3", None, 0,
+        [
+            ("degree", "FAIL", "81 vs 82"),
+            ("identity", "FAIL", "claimed minus required: +1 zeta"),
+            ("coefficient", "FAIL", "1 residual terms"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_mutation_turns_its_verdicts_red(monkeypatch, name):
+    cid, mutate, tamper, want = MUTATIONS[name]
+    if mutate is not None:
+        mutate(monkeypatch)
+    got = [v for v in verify_case(cid, tamper).verdicts if v.status != "PASS"]
+    assert [(v.name, v.status) for v in got] == [(n, s) for n, s, _d in want]
+    for v, (_n, _s, detail) in zip(got, want):
+        assert detail is None or v.detail == detail
+
+
+def test_refused_factor_finishes_the_report(monkeypatch, capsys):
+    # a built-in case reads no user input, so a factor the ledger refuses is
+    # a FAIL in a finished report (exit 1), never the usage error (exit 2)
+    _without_dihedral_adjoint(monkeypatch)
+    assert main(["verify", "case", "5.1"]) == 1
+    cap = capsys.readouterr()
+    assert cap.err == "" and f"[FAIL] pole ledger: refused: {REFUSED}" in cap.out
+
+
+def test_refused_factor_skips_entirety(monkeypatch):
+    # entirety compares the ledger's interval with k, and a refusal has none
+    monkeypatch.setattr(decompose, "_decompose_atom", lambda atom, hyp: None)
+    rep = verify_case("4.1")
+    names = [v.name for v in rep.verdicts]
+    assert "entirety" not in names and "ghl budget" in names
+    (ledger,) = [v for v in rep.verdicts if v.name == "pole ledger"]
+    assert ledger.status == "FAIL" and ledger.detail.startswith("refused: ")
+
+
+DISPLAY_CASES = tuple(cid for cid, spec in CASES.items() if spec.identities)
+
+# (test, verdict, cases) for the tests in other files that turn a verdict red
+ELSEWHERE = (
+    (test_casebook.test_tamper_flips_every_display_case, "identity", DISPLAY_CASES),
+    (test_casebook.test_ghl_budget_checks_ell_against_D, "ghl budget", ("4.3",)),
+    # the golden case_4_2_tamper_5
+    (test_cli.test_golden, "degree", ("4.2",)),
+)
+
+# verdict -> the cases in which it appears and nothing turns it red
+BLIND_SPOTS = {
+    "classification": (
+        "4.1", "4.2", "4.3", "4.4.2", "4.4.3", "5.1", "5.2", "5.3.1", "5.3.2",
+        "5.3.3",
+    ),
+    "degree": ("4.1", "4.3", "4.4.1", "4.4.2", "4.4.3", "5.2", "5.3.1", "5.3.2"),
+    "coefficient": ("5.3.1", "5.3.2"),
+    "pole ledger": (
+        "4.1", "4.2", "4.3", "4.4.1", "4.4.2", "4.4.3", "5.2", "5.3.1", "5.3.2",
+        "5.3.3",
+    ),
+    "entirety": ("4.2", "4.4.1", "4.4.2", "4.4.3", "5.3.3"),
+    "ghl budget": ("4.1", "4.2", "4.4.1", "4.4.2", "4.4.3", "5.3.3"),
+}
+
+
+def test_blind_spots_are_exactly_the_verdicts_nothing_turns_red():
+    def base(name):
+        return name.split(" (")[0]
+
+    verdicts = [(r.case_id, v) for r in run_all() for v in r.verdicts]
+    appears = {(cid, base(v.name)) for cid, v in verdicts}
+    passing = {(cid, base(v.name)) for cid, v in verdicts if v.status == "PASS"}
+    killed = {
+        (cid, base(n))
+        for cid, _m, _t, want in MUTATIONS.values()
+        for n, _s, _d in want
+    } & passing
+    killed |= {(cid, name) for _test, name, cids in ELSEWHERE for cid in cids}
+    blind = {(cid, name) for name, cids in BLIND_SPOTS.items() for cid in cids}
+    assert not killed & blind
+    assert killed | blind == appears

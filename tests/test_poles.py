@@ -19,7 +19,7 @@ from lfcheck.poles import (
     self_dual_abelian_entries,
 )
 from lfcheck.decompose import Hypotheses, Tri, _decompose_atom, decompose_under
-from lfcheck.exprlang import parse_expr
+from lfcheck.exprlang import SYM_MAX, parse_expr
 from lfcheck.repalg import (
     OPAQUE,
     GL2Type,
@@ -76,18 +76,24 @@ def test_cuspidal_atom_entire():
     assert pole_order(VirtualRep.of(sym_atom("pi", 4)), GEN2)[0] == ZERO
 
 
+# Sym^1 to Sym^6 of a base of each shape; every higher power reads as Sym^6
+CUSPIDALITY = {
+    GL2Type.DIHEDRAL: "YNNNNN",
+    GL2Type.TETRAHEDRAL: "YYNN??",
+    GL2Type.OCTAHEDRAL: "YYYN??",
+    GL2Type.GENERAL: "YYYY??",
+}
+
+
 def test_cuspidality_taxonomy():
-    hypT = Hypotheses(GL2Type.TETRAHEDRAL, GL2Type.GENERAL)
-    hypO = Hypotheses(GL2Type.OCTAHEDRAL, GL2Type.GENERAL)
-    hypD = Hypotheses(GL2Type.DIHEDRAL, GL2Type.GENERAL)
-    s3, s4 = sym_atom("pi", 3), sym_atom("pi", 4)
-    assert cuspidality(s3, hypT) is Tri.NO
-    assert cuspidality(s3, hypO) is Tri.YES
-    assert cuspidality(s4, hypO) is Tri.NO
-    assert cuspidality(s4, GEN2) is Tri.YES
-    assert cuspidality(sym_atom("pi", 2), hypD) is Tri.NO
-    assert cuspidality(sym_atom("pi", 1), hypD) is Tri.YES
-    assert cuspidality(sym_atom("pi", 6), GEN2) is Tri.UNKNOWN
+    read = {"Y": Tri.YES, "N": Tri.NO, "?": Tri.UNKNOWN}
+    for t, other in itertools.product(GL2Type, repeat=2):
+        for base, hyp in (("pi", Hypotheses(t, other)), ("pi'", Hypotheses(other, t))):
+            for m in range(1, SYM_MAX + 1):
+                want = read[CUSPIDALITY[t][min(m, 6) - 1]]
+                assert cuspidality(sym_atom(base, m, chi), hyp) is want, (base, m, hyp)
+            # a character is cuspidal on GL(1)
+            assert cuspidality(char_atom(chi), hyp) is Tri.YES
 
 
 def test_non_cuspidal_input_rejected():

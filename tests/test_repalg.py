@@ -11,7 +11,9 @@ from collections import Counter
 
 import pytest
 
+from lfcheck import casebook
 from lfcheck import chargroup as G
+from lfcheck.dseries import build_D
 from lfcheck.exprlang import parse_expr
 from lfcheck.decompose import (
     Hypotheses,
@@ -249,6 +251,8 @@ def test_decompose_dihedral_adjoint():
 
 
 def test_decompose_idempotent():
+    # decompose_under makes one pass, so no rule may emit, alone or paired
+    # across the bases, an atom that a rule of the same declarations rewrites
     hyp = Hypotheses(GL2Type.TETRAHEDRAL, GL2Type.OCTAHEDRAL)
     V = rs_product(
         VirtualRep.of(sym_atom("pi", 4, om ** (-2))),
@@ -258,6 +262,26 @@ def test_decompose_idempotent():
     twice = decompose_under(once, hyp)
     assert once == twice
     assert once.degree == V.degree == 25
+
+    cores = [sym_atom(b, m) for b in ("pi", "pi'") for m in range(1, 7)]
+    cores += [opaque_atom(label) for label in OPAQUE]
+    twists = (G.ONE, chi, om ** (-2), G.gen("eta_pi'") * chi)
+    values = [VirtualRep.of(a.twisted(c)) for a in cores for c in twists]
+    values += [
+        rs_product(VirtualRep.of(a), VirtualRep.of(b.twisted(chi)))
+        for a, b in itertools.combinations_with_replacement(cores, 2)
+    ]
+    for spec in casebook.CASES.values():
+        for ident in spec.identities:
+            values.append(build_D() if ident.lhs is None else casebook._rows(ident.lhs))
+            values.append(casebook._rows(ident.rhs))
+    hyps = [Hypotheses(t1, t2) for t1, t2 in itertools.product(GL2Type, repeat=2)]
+    hyps += [Hypotheses(t, t, twist_equiv=True) for t in GL2Type]
+    for hyp in hyps:
+        for V in values:
+            once = decompose_under(V, hyp)
+            assert decompose_under(once, hyp) == once, (V, hyp)
+            assert once.degree == V.degree
 
 
 def test_tetrahedral_selftwist_canonicalized():
@@ -328,6 +352,10 @@ def test_printed_atoms_parse_back():
     # expand's printed normal form of Sym^3(pi) (x) Sym^3(pi)
     form = "om_pi^3 (+) Ad(pi) tw om_pi^3 (+) Sym^4(pi) tw om_pi (+) Sym^6(pi)"
     assert parse_expr(form) == parse_expr("Sym^3(pi) (x) Sym^3(pi)")
+
+
+def test_trailing_blanks_are_ignored():
+    assert parse_expr("Ad(pi)   ") == parse_expr("Ad(pi)")
 
 
 def test_selftwists_are_groups():

@@ -20,6 +20,7 @@ from lfcheck.satake import (
     VARS,
     CoefficientError,
     LaurentPoly,
+    char_poly,
     coeff_poly,
     satake_point,
 )
@@ -167,6 +168,13 @@ def test_arithmetic_ring_axioms():
     assert (x + y) - y == x
     assert x * y == y * x
     assert (x - x).is_zero
+
+
+def test_product_drops_cancelled_terms():
+    x, y = char_poly(chi), char_poly(G.gen("xiF_pi"))
+    prod = (x - y) * (x + y)
+    assert prod.n_terms == 2
+    assert prod == x * x - y * y
 
 
 def test_opaque_atom_has_no_polynomial():
