@@ -555,7 +555,9 @@ def verify_case(case_id: str, tamper: int | None = None) -> CaseReport:
     want = PoleInterval(*spec.expected_pole)
     try:
         if spec.pair_pole is not None:
-            left, right = map(parse_expr, spec.pair_pole)
+            left, right = (
+                decompose_under(parse_expr(e), spec.hyp) for e in spec.pair_pole
+            )
             iv, reasons = isobaric_pair_pole(left, right, spec.hyp)
         else:
             iv, reasons = pole_order(pole_target, spec.hyp)

@@ -1,14 +1,14 @@
 """Pole-order bookkeeping at s = 1 for products of standard and
 Rankin-Selberg L-functions of cuspidal data.
 
-Inputs must be fully decomposed: `cuspidality` calls every atom that the
-declared shapes rewrite non-cuspidal, and such a factor or pair member is
-refused.  For cuspidal data the rules are: a trivial character contributes
-a simple pole, any other cuspidal standard L-function none, and a pair
-contributes a simple pole exactly when the second member twisted by the
-pooled character is the contragredient of the first.  Three-valued answers
-about character triviality and dual matching propagate to interval bounds
-[lo, hi] on the total order.
+Both ledgers, `pole_order` and `isobaric_pair_pole`, take fully decomposed
+values and share one pair rule, `_pair_pole`.  `cuspidality` calls every
+atom that the declared shapes rewrite non-cuspidal, and such a factor or
+pair member is refused.  For cuspidal data: a trivial character contributes
+a simple pole, any other standard L-function none, and a pair a simple pole
+exactly when its second member is the contragredient of the first
+(Jacquet-Shalika).  Three-valued answers about cuspidality, character
+triviality and dual matching propagate to interval bounds [lo, hi].
 """
 
 from __future__ import annotations
@@ -49,7 +49,11 @@ class PoleInterval(namedtuple("PoleInterval", "lo hi")):
 ZERO = PoleInterval(0, 0)
 ONE = PoleInterval(1, 1)
 MAYBE = PoleInterval(0, 1)
-_BY_TRI = {Tri.YES: ONE, Tri.NO: ZERO, Tri.UNKNOWN: MAYBE}
+_DUAL_POLE = {
+    Tri.YES: (ONE, "dual pair, simple pole"),
+    Tri.NO: (ZERO, "members not dual, entire"),
+    Tri.UNKNOWN: (MAYBE, "dual matching undecided"),
+}
 
 # the least symmetric power of a base of each shape that is not known to be
 # cuspidal; no shape declares anything past Sym^4
@@ -82,10 +86,20 @@ def cuspidality(atom: RepAtom, hyp: Hypotheses) -> Tri:
     return Tri.UNKNOWN
 
 
-def _dual_pole(a: RepAtom, b: RepAtom, hyp: Hypotheses) -> PoleInterval:
-    """Pole of the pair of a and b: simple exactly when b is the
-    contragredient of a."""
-    return _BY_TRI[atom_equal(b, a.dual(), hyp)]
+def _pair_pole(
+    a: RepAtom, b: RepAtom, hyp: Hypotheses, name: str
+) -> tuple[PoleInterval, str]:
+    """Pole of the pair of atoms a and b, with its reason; a refusal calls the
+    pair `name`.  For cuspidal members the pole is simple exactly when b is
+    the contragredient of a.  Both are checked for NO before UNKNOWN widens."""
+    cores = (a.core(), b.core())
+    cusp = [cuspidality(c, hyp) for c in cores]
+    for c, cc in zip(cores, cusp):
+        if cc is Tri.NO:
+            raise NonCuspidalError(f"{name}: member {c.pretty()} is non-cuspidal")
+    if Tri.UNKNOWN in cusp:
+        return MAYBE, "member cuspidality undeclared"
+    return _DUAL_POLE[atom_equal(b, a.dual(), hyp)]
 
 
 def _entry_pole(key: Entry, hyp: Hypotheses) -> tuple[PoleInterval, str]:
@@ -106,21 +120,8 @@ def _entry_pole(key: Entry, hyp: Hypotheses) -> tuple[PoleInterval, str]:
             return MAYBE, f"{key.pretty()}: cuspidality undeclared"
         return ZERO, f"{key.pretty()}: cuspidal standard L-function, entire"
     assert isinstance(key, RSPair)
-    # both members are checked for NO before an UNKNOWN one widens
-    cusp = [cuspidality(c, hyp) for c in (key.a, key.b)]
-    for c, cc in zip((key.a, key.b), cusp):
-        if cc is Tri.NO:
-            raise NonCuspidalError(
-                f"{key.pretty()}: member {c.pretty()} is non-cuspidal"
-            )
-    if Tri.UNKNOWN in cusp:
-        return MAYBE, f"{key.pretty()}: member cuspidality undeclared"
-    iv = _dual_pole(key.a, key.b.twisted(key.twist), hyp)
-    if iv == ONE:
-        return iv, f"{key.pretty()}: dual pair, simple pole"
-    if iv == ZERO:
-        return iv, f"{key.pretty()}: members not dual, entire"
-    return iv, f"{key.pretty()}: dual matching undecided"
+    iv, why = _pair_pole(key.a, key.b.twisted(key.twist), hyp, key.pretty())
+    return iv, f"{key.pretty()}: {why}"
 
 
 def pole_order(V: VirtualRep, hyp: Hypotheses) -> tuple[PoleInterval, list[str]]:
@@ -140,22 +141,19 @@ def isobaric_pair_pole(
 ) -> tuple[PoleInterval, list[str]]:
     """Order at s = 1 of the pairing of two isobaric sums: one simple pole
     per constituent pair in which the second is the contragredient of the
-    first, counted with multiplicity.  This needs no cuspidality knowledge
-    beyond the constituents themselves, so it stays sharp where the fully
-    multiplied-out product would contain high symmetric powers of
-    undeclared cuspidality."""
-    for V in (A, B):
-        if not V.is_isobaric():
-            raise PoleError("pair pole rule needs isobaric operands")
+    first, counted with multiplicity; a constituent that the declared shapes
+    make non-cuspidal is refused.  It stays sharp where the multiplied-out
+    product would hold high symmetric powers of undeclared cuspidality."""
+    if not (A.is_isobaric() and B.is_isobaric()):
+        raise PoleError("pair pole rule needs isobaric operands")
     total = ZERO
     reasons = []
     for ka, ma in A.entries:
         for kb, mb in B.entries:
-            iv = _dual_pole(ka, kb, hyp).scale(ma * mb)
+            name = f"{ka.pretty()} against {kb.pretty()}"
+            iv = _pair_pole(ka, kb, hyp, name)[0].scale(ma * mb)
             if iv != ZERO:
-                reasons.append(
-                    f"x{ma * mb} {ka.pretty()} against {kb.pretty()} -> {iv}"
-                )
+                reasons.append(f"x{ma * mb} {name} -> {iv}")
             total = total + iv
     return total, reasons
 

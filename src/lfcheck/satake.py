@@ -180,8 +180,6 @@ def coeff_poly(V: VirtualRep) -> LaurentPoly:
             poly = _core_poly(key.a) * _core_poly(key.b) * char_poly(key.twist)
         for k, v in poly.c.items():
             out[k] = out.get(k, 0) + mult * v
-            if not out[k]:
-                del out[k]
     return _poly(out)
 
 

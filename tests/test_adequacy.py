@@ -66,6 +66,39 @@ MUTATIONS = {
             ("pole ledger", "FAIL", f"refused: {REFUSED}"),
         ],
     ),
+    "dihedral pi declared in 5.1": (
+        "5.1",
+        _recorded("5.1", hyp=Hypotheses(GL2Type.DIHEDRAL, GL2Type.GENERAL)),
+        None,
+        [
+            ("classification", "FAIL", "declared shapes classify as 5.2"),
+            (
+                "gl2 structure", "FAIL",
+                "oversized factors: Ad(pi') tw chi*om_pi^-1*xiF_pi; "
+                "(ind_pi x Ad(pi') tw chi*om_pi^-1)",
+            ),
+            (
+                "pole ledger", "FAIL",
+                "order interval [0, 0], expected [0, 2] (2 factors examined)",
+            ),
+        ],
+    ),
+    "octahedral pair declared in 5.3.3": (
+        "5.3.3",
+        _recorded(
+            "5.3.3",
+            hyp=Hypotheses(GL2Type.OCTAHEDRAL, GL2Type.OCTAHEDRAL, twist_equiv=True),
+        ),
+        None,
+        [
+            ("classification", "FAIL", "declared shapes classify as 5.3.2"),
+            (
+                "pole ledger", "FAIL",
+                "order interval [4, 6], expected [3, 3] (6 factors examined)",
+            ),
+            ("entirety", "FAIL", "lower bound 4 > k = 3"),
+        ],
+    ),
     "other shapes declared": (
         "4.4.1",
         _recorded("4.4.1", hyp=Hypotheses(GL2Type.OCTAHEDRAL, GL2Type.TETRAHEDRAL)),
@@ -138,17 +171,13 @@ ELSEWHERE = (
 
 # verdict -> the cases in which it appears and nothing turns it red
 BLIND_SPOTS = {
-    "classification": (
-        "4.1", "4.2", "4.3", "4.4.2", "4.4.3", "5.1", "5.2", "5.3.1", "5.3.2",
-        "5.3.3",
-    ),
+    "classification": ("4.1", "4.2", "4.3", "4.4.2", "4.4.3", "5.2", "5.3.1", "5.3.2"),
     "degree": ("4.1", "4.3", "4.4.1", "4.4.2", "4.4.3", "5.2", "5.3.1", "5.3.2"),
     "coefficient": ("5.3.1", "5.3.2"),
     "pole ledger": (
         "4.1", "4.2", "4.3", "4.4.1", "4.4.2", "4.4.3", "5.2", "5.3.1", "5.3.2",
-        "5.3.3",
     ),
-    "entirety": ("4.2", "4.4.1", "4.4.2", "4.4.3", "5.3.3"),
+    "entirety": ("4.2", "4.4.1", "4.4.2", "4.4.3"),
     "ghl budget": ("4.1", "4.2", "4.4.1", "4.4.2", "4.4.3", "5.3.3"),
 }
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from lfcheck import chargroup as G
+from lfcheck.casebook import CASES
 from lfcheck.poles import (
     MAYBE,
     ONE,
@@ -226,6 +227,37 @@ def test_isobaric_pair_pole_diagonal():
     iv, reasons = isobaric_pair_pole(Pi, Pi.dual(), hyp)
     assert iv == PoleInterval(3, 3)
     assert len(reasons) == 3
+
+
+def test_isobaric_pair_pole_refuses_a_non_cuspidal_constituent():
+    # the pair rule needs cuspidal constituents: on 5.3.3's operands as
+    # written, a declaration that rewrites one is refused, and any other
+    # gives what the decomposed operands give
+    hyps = [Hypotheses(t1, t2) for t1, t2 in itertools.product(GL2Type, repeat=2)]
+    hyps += [Hypotheses(t, t, twist_equiv=True) for t in GL2Type]
+    left, right = map(parse_expr, CASES["5.3.3"].pair_pole)
+    refused = 0
+    for hyp in hyps:
+        try:
+            raw = isobaric_pair_pole(left, right, hyp)
+        except NonCuspidalError:
+            refused += 1
+            continue
+        dec = (decompose_under(left, hyp), decompose_under(right, hyp))
+        assert raw == isobaric_pair_pole(*dec, hyp), hyp
+        assert raw[0] == PoleInterval(3, 3) and hyp.type_pi is GL2Type.GENERAL
+    assert refused == 15
+
+
+def test_isobaric_pair_pole_of_a_dihedral_adjoint():
+    # Ad(pi) of a dihedral pi is the xiF character plus ind_pi, each
+    # paired with itself: the undecomposed adjoint is refused, not read [1, 1]
+    hyp = Hypotheses(GL2Type.DIHEDRAL, GL2Type.DIHEDRAL)
+    A = VirtualRep.of(ad_atom("pi"))
+    with pytest.raises(NonCuspidalError, match="member Ad\\(pi\\) tw om_pi is"):
+        isobaric_pair_pole(A, A, hyp)
+    D = decompose_under(A, hyp)
+    assert isobaric_pair_pole(D, D, hyp)[0] == PoleInterval(0, 2)
 
 
 def test_isobaric_pair_pole_rejects_pairs():

@@ -301,6 +301,11 @@ def test_atom_equal_three_values():
     assert atom_equal(A, char_atom(chi), hyp) is Tri.NO  # degree mismatch
     # cross-base adjoints under twist-inequivalence never match
     assert atom_equal(A, ad_atom("pi'"), hyp) is Tri.NO
+    # equal Sym^1 atoms over the two bases would make them twist-equivalent
+    gen2 = Hypotheses(GL2Type.GENERAL, GL2Type.GENERAL)
+    teq = Hypotheses(GL2Type.GENERAL, GL2Type.GENERAL, twist_equiv=True)
+    assert atom_equal(sym_atom("pi", 1), sym_atom("pi'", 1), gen2) is Tri.NO
+    assert atom_equal(sym_atom("pi", 1), sym_atom("pi'", 1), teq) is Tri.UNKNOWN
     # two characters are equal when their quotient is trivial: mu is
     # declared nontrivial, chi is not
     assert atom_equal(char_atom(mu), char_atom(G.ONE), hyp) is Tri.NO
