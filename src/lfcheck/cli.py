@@ -250,30 +250,23 @@ def _cmd_verify(args) -> Report:
     if args.tamper is not None and args.what != "case":
         raise UsageError("--tamper applies only to verify case")
 
-    if args.what == "sos":
-        return Report("verify sos", digest("verify sos", __version__), verify_sos())
-    if args.what == "bridge":
-        return Report(
-            "verify bridge",
-            digest("verify bridge", __version__),
-            sections=[_case_section(verify_plethysm_bridge())],
-        )
-    if args.what == "all":
-        return Report(
-            "verify all",
-            digest("verify all", __version__),
-            sections=[_case_section(cr) for cr in run_all()],
-        )
-    cmd = f"verify case {args.case_id}"
+    cmd = f"verify {args.what}"
+    if args.case_id is not None:
+        cmd += f" {args.case_id}"
     parts = [cmd, __version__]
     if args.tamper is not None:
         cmd += f" --tamper {args.tamper}"
         parts.append(str(args.tamper))
-    return Report(
-        cmd,
-        digest(*parts),
-        sections=[_case_section(verify_case(args.case_id, args.tamper))],
-    )
+    inputs = digest(*parts)
+    if args.what == "sos":
+        return Report(cmd, inputs, verify_sos())
+    if args.what == "bridge":
+        crs = [verify_plethysm_bridge()]
+    elif args.what == "all":
+        crs = run_all()
+    else:
+        crs = [verify_case(args.case_id, args.tamper)]
+    return Report(cmd, inputs, sections=[_case_section(cr) for cr in crs])
 
 
 def _cmd_expand(args) -> Report:

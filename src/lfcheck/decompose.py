@@ -4,8 +4,9 @@ nothing is inferred.  From it come the three-valued facts about characters
 (`is_trivial`, `member_of`), `declared_selftwists`, the only code that
 widens a self-twist group because of a declared shape, `decompose_under`,
 which rewrites every atom the hypotheses make degenerate into its declared
-pieces, and `atom_equal`, which decides as far as the declarations allow
-whether two atoms are the same automorphic representation.
+pieces and reduces each twist by `repalg.reduced` modulo those groups, and
+`atom_equal`, which decides as far as the declarations allow whether two
+atoms are the same automorphic representation.
 
 The constructors of `repalg` canonicalize without hypotheses.  Answers the
 declarations do not settle are UNKNOWN, and the pole bookkeeping widens
@@ -23,12 +24,10 @@ from .repalg import (
     Entry,
     GL2Type,
     RepAtom,
-    RSPair,
     VirtualRep,
-    canon_twist,
     char_atom,
     opaque_atom,
-    pair_selftwists,
+    reduced,
     rs_product,
     selftwists,
     sym_atom,
@@ -151,22 +150,12 @@ def declared_selftwists(core: RepAtom, hyp: Hypotheses) -> tuple[FormalCharacter
     return selftwists(core)
 
 
-def _hyp_canon(key: Entry, hyp: Hypotheses) -> Entry:
-    if isinstance(key, RSPair):
-        group = pair_selftwists(
-            declared_selftwists(key.a, hyp), declared_selftwists(key.b, hyp)
-        )
-    else:
-        group = declared_selftwists(key, hyp)
-    return key._replace(twist=canon_twist(key.twist, group))
-
-
 def decompose_under(V: VirtualRep, hyp: Hypotheses) -> VirtualRep:
     """Rewrite to the declared decomposition of every degenerate atom, then
     canonicalize twists modulo the declared self-twist subgroups.  One pass
     suffices: no rule's pieces, nor a pair of them, rewrite again."""
     return VirtualRep.build(
-        (_hyp_canon(k, hyp), m * mult)
+        (reduced(k, lambda core: declared_selftwists(core, hyp)), m * mult)
         for key, mult in V.entries
         for k, m in _decompose_entry(key, hyp)
     )
@@ -192,7 +181,7 @@ def atom_equal(x: RepAtom, y: RepAtom, hyp: Hypotheses) -> Tri:
     if x.kind == "op":
         if x.label != y.label:
             return Tri.UNKNOWN
-        return member_of(y.twist * x.twist.inv(), selftwists(x), hyp)
+        return member_of(y.twist * x.twist.inv(), declared_selftwists(x, hyp), hyp)
     # symmetric-power atoms of equal degree, so of equal m
     if x.base == y.base:
         xi = y.twist * x.twist.inv()

@@ -6,13 +6,14 @@ one of the four opaque atoms of the degenerate shapes) or an RSPair (a
 formal Rankin-Selberg pair of two atom cores with one combined twist
 character).  Constructors canonicalize: same-base symmetric-power products
 expand by Clebsch-Gordan, GL(1) factors collapse into twists, pair members
-are sorted and the twist is pooled, and every twist is the least of its
-coset modulo the twists that fix its atom (`selftwists`; for a pair,
-`pair_selftwists`, the product of both members' groups).  So multiset
-equality of built values is the identity test.  No constructor reads a
-declaration; `decompose.decompose_under` also reduces modulo the groups
-the declared shapes widen.  GL2Type names those shapes, and each opaque
-atom records the one its base must have.
+are sorted and the twist is pooled, and `reduced`, the only code that
+reduces a stored twist, makes it the least of its coset modulo the twists
+that fix the entry (`selftwists` of an atom; for a pair, the products of
+both members' groups).  So multiset equality of built values is the
+identity test.  No constructor reads a declaration;
+`decompose.decompose_under` calls `reduced` with the groups the declared
+shapes widen.  GL2Type names those shapes, and each opaque atom records the
+one its base must have.
 
 The unramified coefficient conventions: a twist multiplies coefficients, an
 isobaric sum adds them, a Rankin-Selberg pair multiplies them, and the
@@ -86,20 +87,6 @@ def selftwists(core: RepAtom) -> tuple[FormalCharacter, ...]:
     return (ONE,)
 
 
-def pair_selftwists(
-    ga: tuple[FormalCharacter, ...], gb: tuple[FormalCharacter, ...]
-) -> tuple[FormalCharacter, ...]:
-    """A pair's self-twist group: the product of its members' groups."""
-    return tuple(s * t for s in ga for t in gb)
-
-
-def canon_twist(
-    twist: FormalCharacter, subgroup: tuple[FormalCharacter, ...]
-) -> FormalCharacter:
-    """The least character of the coset twist * subgroup."""
-    return min(twist * s for s in subgroup)
-
-
 class RepAtom(NamedTuple):
     kind: str  # "char" | "sym" | "op"
     base: str  # "" for char atoms
@@ -118,22 +105,20 @@ class RepAtom(NamedTuple):
     def twisted(self, c: FormalCharacter) -> "RepAtom":
         if c.is_one:
             return self
-        if self.kind == "op":
-            return opaque_atom(self.label, self.twist * c)
-        return RepAtom(self.kind, self.base, self.m, self.label, self.twist * c)
+        return reduced(self._replace(twist=self.twist * c))
 
     def core(self) -> "RepAtom":
         return RepAtom(self.kind, self.base, self.m, self.label, ONE)
 
     def dual(self) -> "RepAtom":
         """Contragredient; inverts the twist and the structural determinant."""
-        c = self.twist.conj()
-        if self.kind == "char":
-            return RepAtom("char", "", 0, "", c)
         if self.kind == "sym":
-            om = GENS[self.base].om
-            return RepAtom("sym", self.base, self.m, "", c * om ** (-self.m))
-        return opaque_atom(self.label, c * opaque_info(self.label).dual_twist)
+            shift = GENS[self.base].om ** (-self.m)
+        elif self.kind == "op":
+            shift = opaque_info(self.label).dual_twist
+        else:
+            shift = ONE
+        return reduced(self._replace(twist=self.twist.conj() * shift))
 
     def head(self) -> tuple[str, FormalCharacter]:
         """The name a non-character atom is shown under, and the shift from
@@ -171,9 +156,8 @@ def sym_atom(base: str, m: int, twist: FormalCharacter | None = None) -> RepAtom
 
 
 def opaque_atom(label: str, twist: FormalCharacter | None = None) -> RepAtom:
-    core = RepAtom("op", "", 0, label, ONE)
     t = twist if twist is not None else ONE
-    return core._replace(twist=canon_twist(t, selftwists(core)))
+    return reduced(RepAtom("op", "", 0, label, t))
 
 
 def ad_atom(base: str, twist: FormalCharacter | None = None) -> RepAtom:
@@ -200,11 +184,12 @@ class RSPair(NamedTuple):
         return self.a.degree * self.b.degree
 
     def twisted(self, c: FormalCharacter) -> "RSPair":
-        return rs_pair(self.a, self.b, self.twist * c)
+        return reduced(self._replace(twist=self.twist * c))
 
     def dual(self) -> "RSPair":
-        da, db = self.a.dual(), self.b.dual()
-        return rs_pair(da.core(), db.core(), self.twist.conj() * da.twist * db.twist)
+        """The members are cores, so dualizing moves only the pooled twist."""
+        shift = self.a.dual().twist * self.b.dual().twist
+        return reduced(self._replace(twist=self.twist.conj() * shift))
 
     def pretty(self) -> str:
         na, sa = self.a.head()
@@ -220,6 +205,17 @@ class RSPair(NamedTuple):
 Entry = Union[RepAtom, RSPair]
 
 
+def reduced(key: Entry, groups=selftwists) -> Entry:
+    """The entry with its twist the least of its coset modulo the entry's
+    self-twist group: `groups(key)` for an atom, and for a pair every
+    product of a group of one member with a group of the other."""
+    if isinstance(key, RSPair):
+        group = [s * t for s in groups(key.a) for t in groups(key.b)]
+    else:
+        group = groups(key)
+    return key._replace(twist=min(key.twist * s for s in group))
+
+
 def _in_order(pairs: Iterable[tuple[Entry, int]]) -> list[tuple[Entry, int]]:
     """(entry, multiplicity) pairs in the order of entries: atoms before
     pairs, and each kind by its fields in turn."""
@@ -227,11 +223,9 @@ def _in_order(pairs: Iterable[tuple[Entry, int]]) -> list[tuple[Entry, int]]:
 
 
 def rs_pair(x: RepAtom, y: RepAtom, twist: FormalCharacter) -> RSPair:
-    """The pair of two cores, its twist reduced modulo the pair's
-    self-twist group."""
+    """The pair of two cores, sorted, its twist reduced."""
     a, b = sorted((x, y))
-    sub = pair_selftwists(selftwists(a), selftwists(b))
-    return RSPair(a, b, canon_twist(twist, sub))
+    return reduced(RSPair(a, b, twist))
 
 
 def cg_expand(j: int, k: int) -> list[tuple[int, int]]:
@@ -309,11 +303,6 @@ class VirtualRep(NamedTuple):
 
     def __add__(self, other: "VirtualRep") -> "VirtualRep":
         return VirtualRep.build(self.entries + other.entries)
-
-    def scale(self, n: int) -> "VirtualRep":
-        if n < 0:
-            raise RepAlgError("negative scale")
-        return VirtualRep.build((k, m * n) for k, m in self.entries)
 
     @property
     def degree(self) -> int:

@@ -10,7 +10,6 @@ That list may only shrink.
 import pytest
 
 import test_casebook
-import test_cli
 from lfcheck import decompose
 from lfcheck.casebook import CASES, run_all, verify_case
 from lfcheck.cli import main
@@ -23,6 +22,15 @@ def _recorded(cid, **fields):
         monkeypatch.setitem(CASES, cid, CASES[cid]._replace(**fields))
 
     return mutate
+
+
+def _declared(cid, type_pi, type_pi2):
+    return _recorded(cid, hyp=Hypotheses(type_pi, type_pi2))
+
+
+T, O, D, GEN = (
+    GL2Type.TETRAHEDRAL, GL2Type.OCTAHEDRAL, GL2Type.DIHEDRAL, GL2Type.GENERAL,
+)
 
 
 def _slip(rows):
@@ -105,6 +113,68 @@ MUTATIONS = {
         None,
         [("classification", "FAIL", "declared shapes classify as 4.2")],
     ),
+    # each case below declared with the shapes of another case
+    "4.1 declared (T, O)": (
+        "4.1", _declared("4.1", T, O), None,
+        [
+            ("classification", "FAIL", "declared shapes classify as 4.2"),
+            ("identity", "FAIL", None),
+            (
+                "pole ledger", "FAIL",
+                "order interval [6, 6], expected [6, 10] (24 factors examined)",
+            ),
+        ],
+    ),
+    "4.2 declared (T, GEN)": (
+        "4.2", _declared("4.2", T, GEN), None,
+        [
+            ("classification", "FAIL", "declared shapes classify as 4.4.1"),
+            ("identity", "FAIL", None),
+        ],
+    ),
+    "4.3 declared (GEN, GEN)": (
+        "4.3", _declared("4.3", GEN, GEN), None,
+        [
+            ("classification", "FAIL", "declared shapes classify as 4.4.3"),
+            ("identity", "FAIL", None),
+        ],
+    ),
+    "4.4.2 declared (T, O)": (
+        "4.4.2", _declared("4.4.2", T, O), None,
+        [
+            ("classification", "FAIL", "declared shapes classify as 4.2"),
+            ("ghl budget", "FAIL", "computed ell = 6, recorded ell = 4"),
+        ],
+    ),
+    "4.4.3 declared (GEN, T)": (
+        "4.4.3", _declared("4.4.3", GEN, T), None,
+        [
+            ("classification", "FAIL", "declared shapes classify as 4.4.1"),
+            ("identity", "FAIL", None),
+            (
+                "pole ledger", "FAIL",
+                "order interval [6, 6], expected [6, 7] (18 factors examined)",
+            ),
+        ],
+    ),
+    "5.2 declared (D, D)": (
+        "5.2", _declared("5.2", D, D), None,
+        [
+            ("classification", "FAIL", "declared shapes classify as 5.1"),
+            (
+                "pole ledger", "FAIL",
+                "order interval [0, 2], expected [0, 0] (4 factors examined)",
+            ),
+        ],
+    ),
+    "5.3.1 declared (T, T) not twist-equivalent": (
+        "5.3.1", _declared("5.3.1", T, T), None,
+        [("classification", "FAIL", "declared shapes classify as 4.1")],
+    ),
+    "5.3.2 declared (O, T)": (
+        "5.3.2", _declared("5.3.2", O, T), None,
+        [("classification", "FAIL", "declared shapes classify as 4.2")],
+    ),
     "slip recorded as 3": (
         "4.4.3",
         _slip("""
@@ -161,24 +231,21 @@ def test_refused_factor_skips_entirety(monkeypatch):
 
 DISPLAY_CASES = tuple(cid for cid, spec in CASES.items() if spec.identities)
 
+TAMPER = test_casebook.test_tamper_flips_every_display_case
+
 # (test, verdict, cases) for the tests in other files that turn a verdict red
 ELSEWHERE = (
-    (test_casebook.test_tamper_flips_every_display_case, "identity", DISPLAY_CASES),
+    (TAMPER, "identity", DISPLAY_CASES),
+    (TAMPER, "degree", DISPLAY_CASES),
+    (TAMPER, "coefficient", ("5.3.1", "5.3.2", "5.3.3")),
     (test_casebook.test_ghl_budget_checks_ell_against_D, "ghl budget", ("4.3",)),
-    # the golden case_4_2_tamper_5
-    (test_cli.test_golden, "degree", ("4.2",)),
 )
 
 # verdict -> the cases in which it appears and nothing turns it red
 BLIND_SPOTS = {
-    "classification": ("4.1", "4.2", "4.3", "4.4.2", "4.4.3", "5.2", "5.3.1", "5.3.2"),
-    "degree": ("4.1", "4.3", "4.4.1", "4.4.2", "4.4.3", "5.2", "5.3.1", "5.3.2"),
-    "coefficient": ("5.3.1", "5.3.2"),
-    "pole ledger": (
-        "4.1", "4.2", "4.3", "4.4.1", "4.4.2", "4.4.3", "5.2", "5.3.1", "5.3.2",
-    ),
+    "pole ledger": ("4.2", "4.3", "4.4.1", "4.4.2", "5.3.1", "5.3.2"),
     "entirety": ("4.2", "4.4.1", "4.4.2", "4.4.3"),
-    "ghl budget": ("4.1", "4.2", "4.4.1", "4.4.2", "4.4.3", "5.3.3"),
+    "ghl budget": ("4.1", "4.2", "4.4.1", "4.4.3", "5.3.3"),
 }
 
 

@@ -136,9 +136,9 @@ def test_factor_roster():
     assert tuple(m for _l, _v, m in facs) == PROFILE
     assert sum(V.degree * m for _l, V, m in facs) == 324
     # D built from w holds exactly the transcribed factors, entry for entry
-    total = VirtualRep.build([])
-    for _label, V, mult in facs:
-        total = total + V.scale(mult)
+    total = VirtualRep.build(
+        (k, m * mult) for _label, V, mult in facs for k, m in V.entries
+    )
     assert build_D() == total
 
 

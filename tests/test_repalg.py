@@ -34,6 +34,7 @@ from lfcheck.repalg import (
     char_atom,
     opaque_atom,
     plethysm_sym2,
+    reduced,
     rs_product,
     selftwists,
     sym_atom,
@@ -141,6 +142,11 @@ def test_pair_grouping_invariance():
     assert x == y
     # a pair twist is reduced modulo both members' self-twist groups
     assert parse_expr("nu_pi (x) nu_pi' tw eta*eta'") == parse_expr("nu_pi (x) nu_pi'")
+    # and so by either member's group alone
+    nu, nu2 = opaque_atom("nu_pi"), opaque_atom("nu_pi'")
+    eta, eta2 = G.gen("eta_pi"), G.gen("eta_pi'")
+    for t in (eta, eta2, eta * eta2):
+        assert reduced(RSPair(nu, nu2, t)) == RSPair(nu, nu2, G.ONE)
 
 
 def test_char_absorption():
@@ -310,6 +316,11 @@ def test_atom_equal_three_values():
     # declared nontrivial, chi is not
     assert atom_equal(char_atom(mu), char_atom(G.ONE), hyp) is Tri.NO
     assert atom_equal(char_atom(chi), char_atom(G.ONE), hyp) is Tri.UNKNOWN
+    # nu_pi tw eta_pi' is nu_pi tw eta_pi*eta_pi', which is nu_pi when the
+    # two quadratic characters coincide, and nothing declared rules that out
+    octs = Hypotheses(GL2Type.OCTAHEDRAL, GL2Type.OCTAHEDRAL)
+    nu = opaque_atom("nu_pi")
+    assert atom_equal(nu, nu.twisted(G.gen("eta_pi'")), octs) is Tri.UNKNOWN
     # opaque atoms of equal degree but different labels are not compared
     assert atom_equal(opaque_atom("nu_pi"), opaque_atom("ind_pi"), hyp) is Tri.UNKNOWN
     # same-base symmetric powers past the adjoint: a self-twist of Sym^4 is
