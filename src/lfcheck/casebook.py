@@ -320,7 +320,7 @@ class CaseSpec(NamedTuple):
     structural: bool = False
     # isobaric operands (expressions) for the pair-multiplicity pole rule;
     # used instead of per-factor pole bookkeeping when the multiplied-out
-    # product would contain symmetric powers of undeclared cuspidality
+    # product would contain powers the ledger refuses
     pair_pole: tuple[str, str] | None = None
 
 

@@ -2,13 +2,13 @@
 Rankin-Selberg L-functions of cuspidal data.
 
 Both ledgers, `pole_order` and `isobaric_pair_pole`, take fully decomposed
-values and share one pair rule, `_pair_pole`.  `cuspidality` calls every
-atom that the declared shapes rewrite non-cuspidal, and such a factor or
-pair member is refused.  For cuspidal data: a trivial character contributes
-a simple pole, any other standard L-function none, and a pair a simple pole
-exactly when its second member is the contragredient of the first
-(Jacquet-Shalika).  Three-valued answers about cuspidality, character
-triviality and dual matching propagate to interval bounds [lo, hi].
+values and share one pair rule, `_pair_pole`.  `cuspidality` decides each
+atom, and a factor or pair member that is not known to be cuspidal under
+the declared shapes is refused.  For cuspidal data: a trivial character
+contributes a simple pole, any other standard L-function none, and a pair a
+simple pole exactly when its second member is the contragredient of the
+first (Jacquet-Shalika).  Three-valued answers about character triviality
+and dual matching propagate to interval bounds [lo, hi].
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ from .repalg import Entry, GL2Type, RepAtom, RSPair, VirtualRep, opaque_info
 
 class PoleError(InputError):
     pass
-
-
-class NonCuspidalError(PoleError):
-    """Raised for factors the declared hypotheses decompose further."""
 
 
 class PoleInterval(namedtuple("PoleInterval", "lo hi")):
@@ -49,14 +45,12 @@ class PoleInterval(namedtuple("PoleInterval", "lo hi")):
 ZERO = PoleInterval(0, 0)
 ONE = PoleInterval(1, 1)
 MAYBE = PoleInterval(0, 1)
-_DUAL_POLE = {
-    Tri.YES: (ONE, "dual pair, simple pole"),
-    Tri.NO: (ZERO, "members not dual, entire"),
-    Tri.UNKNOWN: (MAYBE, "dual matching undecided"),
-}
 
 # the least symmetric power of a base of each shape that is not known to be
-# cuspidal; no shape declares anything past Sym^4
+# cuspidal.  Below it, cuspidality is a theorem: Gelbart-Jacquet for Sym^2,
+# Kim-Shahidi for Sym^3 and Sym^4.  Every power at or past it is refused: a
+# finite image makes it non-cuspidal, and for `general` it is not known to be
+# automorphic.
 FIRST_NONCUSPIDAL = {
     GL2Type.DIHEDRAL: 2,
     GL2Type.TETRAHEDRAL: 3,
@@ -65,25 +59,19 @@ FIRST_NONCUSPIDAL = {
 }
 
 
-def cuspidality(atom: RepAtom, hyp: Hypotheses) -> Tri:
-    """Whether the atom names a cuspidal representation under the declared
-    shapes.  Characters count as cuspidal on GL(1).  An opaque atom (a nu or
-    ind summand) is cuspidal by construction, but exists only when its base
-    has the shape whose rule emits it; any other is refused."""
+def cuspidality(atom: RepAtom, hyp: Hypotheses) -> bool:
+    """Whether the atom is known to be cuspidal under the declared shapes.
+    Characters count as cuspidal on GL(1).  An opaque atom (a nu or ind
+    summand) is cuspidal by construction, but exists only when its base has
+    the shape whose rule emits it; any other is refused."""
     if atom.kind == "char":
-        return Tri.YES
+        return True
     if atom.kind == "op":
         info = opaque_info(atom.label)
         if hyp.type_of(info.base) is not info.shape:
             raise PoleError(f"{atom.label} needs {info.base} to be {info.shape.value}")
-        return Tri.YES
-    t = hyp.type_of(atom.base)
-    if atom.m < FIRST_NONCUSPIDAL[t]:
-        return Tri.YES
-    # every power past the first of a dihedral base splits into pieces of degree <= 2
-    if atom.m <= 4 or t is GL2Type.DIHEDRAL:
-        return Tri.NO
-    return Tri.UNKNOWN
+        return True
+    return atom.m < FIRST_NONCUSPIDAL[hyp.type_of(atom.base)]
 
 
 def _pair_pole(
@@ -91,15 +79,16 @@ def _pair_pole(
 ) -> tuple[PoleInterval, str]:
     """Pole of the pair of atoms a and b, with its reason; a refusal calls the
     pair `name`.  For cuspidal members the pole is simple exactly when b is
-    the contragredient of a.  Both are checked for NO before UNKNOWN widens."""
-    cores = (a.core(), b.core())
-    cusp = [cuspidality(c, hyp) for c in cores]
-    for c, cc in zip(cores, cusp):
-        if cc is Tri.NO:
-            raise NonCuspidalError(f"{name}: member {c.pretty()} is non-cuspidal")
-    if Tri.UNKNOWN in cusp:
-        return MAYBE, "member cuspidality undeclared"
-    return _DUAL_POLE[atom_equal(b, a.dual(), hyp)]
+    the contragredient of a."""
+    for c in (a.core(), b.core()):
+        if not cuspidality(c, hyp):
+            raise PoleError(f"{name}: member {c.pretty()} is not known to be cuspidal")
+    dual = atom_equal(b, a.dual(), hyp)
+    if dual is Tri.YES:
+        return ONE, "dual pair, simple pole"
+    if dual is Tri.NO:
+        return ZERO, "members not dual, entire"
+    return MAYBE, "dual matching undecided"
 
 
 def _entry_pole(key: Entry, hyp: Hypotheses) -> tuple[PoleInterval, str]:
@@ -111,13 +100,10 @@ def _entry_pole(key: Entry, hyp: Hypotheses) -> tuple[PoleInterval, str]:
             if t is Tri.NO:
                 return ZERO, f"{key.pretty()}: nontrivial character, entire"
             return MAYBE, f"{key.pretty()}: character triviality undecided"
-        c = cuspidality(key, hyp)
-        if c is Tri.NO:
-            raise NonCuspidalError(
-                f"{key.pretty()} is non-cuspidal under the declared shapes"
+        if not cuspidality(key, hyp):
+            raise PoleError(
+                f"{key.pretty()} is not known to be cuspidal under the declared shapes"
             )
-        if c is Tri.UNKNOWN:
-            return MAYBE, f"{key.pretty()}: cuspidality undeclared"
         return ZERO, f"{key.pretty()}: cuspidal standard L-function, entire"
     assert isinstance(key, RSPair)
     iv, why = _pair_pole(key.a, key.b.twisted(key.twist), hyp, key.pretty())
@@ -141,9 +127,9 @@ def isobaric_pair_pole(
 ) -> tuple[PoleInterval, list[str]]:
     """Order at s = 1 of the pairing of two isobaric sums: one simple pole
     per constituent pair in which the second is the contragredient of the
-    first, counted with multiplicity; a constituent that the declared shapes
-    make non-cuspidal is refused.  It stays sharp where the multiplied-out
-    product would hold high symmetric powers of undeclared cuspidality."""
+    first, counted with multiplicity; a constituent not known to be cuspidal
+    under the declared shapes is refused.  It stays sharp where the
+    multiplied-out product would hold powers the ledger refuses."""
     if not (A.is_isobaric() and B.is_isobaric()):
         raise PoleError("pair pole rule needs isobaric operands")
     total = ZERO

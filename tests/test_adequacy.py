@@ -1,16 +1,16 @@
 """Every verdict of the eleven cases can go red (mutation adequacy).
 
-Each mutation below changes `CASES`, one rewrite rule or the claimed side
-in-process, and names every verdict that then fails to PASS; all the others
-must PASS as before.  A case's verdict that no mutation here and no test
-in `ELSEWHERE` turns red is a blind spot, listed by name in `BLIND_SPOTS`.
-That list may only shrink.
+Each mutation below changes `CASES`, one rewrite rule, the cuspidality
+table or the claimed side in-process, and names every verdict that then
+fails to PASS; all the others must PASS as before.  A case's verdict that
+no mutation here and no test in `ELSEWHERE` turns red is a blind spot,
+listed by name in `BLIND_SPOTS`.  That list may only shrink.
 """
 
 import pytest
 
 import test_casebook
-from lfcheck import decompose
+from lfcheck import decompose, poles
 from lfcheck.casebook import CASES, run_all, verify_case
 from lfcheck.cli import main
 from lfcheck.decompose import Hypotheses
@@ -54,7 +54,17 @@ def _without_dihedral_adjoint(monkeypatch):
     monkeypatch.setattr(decompose, "_decompose_atom", dropped)
 
 
-REFUSED = "(Ad(pi) x Ad(pi') tw chi): member Ad(pi) tw om_pi is non-cuspidal"
+def _first_noncuspidal(shape, m):
+    def mutate(monkeypatch):
+        monkeypatch.setitem(poles.FIRST_NONCUSPIDAL, shape, m)
+
+    return mutate
+
+
+REFUSED = (
+    "(Ad(pi) x Ad(pi') tw chi): member Ad(pi) tw om_pi is not known to be cuspidal"
+)
+NOT_CUSPIDAL = "is not known to be cuspidal under the declared shapes"
 
 # name -> (case, mutation or None, --tamper value, the verdicts that do not
 # PASS as (name, status, detail), where a detail of None is not compared)
@@ -175,6 +185,24 @@ MUTATIONS = {
         "5.3.2", _declared("5.3.2", O, T), None,
         [("classification", "FAIL", "declared shapes classify as 4.2")],
     ),
+    # the cuspidality table lowered by one: the ledger refuses the case's
+    # highest power of that shape, and no other verdict changes
+    "FIRST_NONCUSPIDAL tetrahedral 2 in 4.2": (
+        "4.2", _first_noncuspidal(T, 2), None,
+        [("pole ledger", "FAIL", f"refused: Ad(pi) {NOT_CUSPIDAL}")],
+    ),
+    "FIRST_NONCUSPIDAL tetrahedral 2 in 5.3.1": (
+        "5.3.1", _first_noncuspidal(T, 2), None,
+        [("pole ledger", "FAIL", f"refused: Ad(pi) tw chi {NOT_CUSPIDAL}")],
+    ),
+    "FIRST_NONCUSPIDAL general 4 in 4.4.1": (
+        "4.4.1", _first_noncuspidal(GEN, 4), None,
+        [("pole ledger", "FAIL", f"refused: Sym^4(pi) tw om_pi^-2 {NOT_CUSPIDAL}")],
+    ),
+    "FIRST_NONCUSPIDAL general 4 in 4.4.2": (
+        "4.4.2", _first_noncuspidal(GEN, 4), None,
+        [("pole ledger", "FAIL", f"refused: Sym^4(pi) tw om_pi^-2 {NOT_CUSPIDAL}")],
+    ),
     "slip recorded as 3": (
         "4.4.3",
         _slip("""
@@ -243,7 +271,7 @@ ELSEWHERE = (
 
 # verdict -> the cases in which it appears and nothing turns it red
 BLIND_SPOTS = {
-    "pole ledger": ("4.2", "4.3", "4.4.1", "4.4.2", "5.3.1", "5.3.2"),
+    "pole ledger": ("4.3", "5.3.2"),
     "entirety": ("4.2", "4.4.1", "4.4.2", "4.4.3"),
     "ghl budget": ("4.1", "4.2", "4.4.1", "4.4.3", "5.3.3"),
 }

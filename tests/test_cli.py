@@ -385,9 +385,17 @@ def test_size_cap(capsys, cmd):
     top = f"Sym^{SYM_MAX}(pi)"
     assert SIZE_MAX == (SYM_MAX + 1) ** 2
     code, out, err = run_cli([cmd[0], f"{top} (x) {top}", *cmd[1:]], capsys)
-    assert code == 0 and err == ""
+    if cmd[0] == "poles":
+        # the ledger refuses powers at or past FIRST_NONCUSPIDAL, so the arm
+        # also times the largest value it accepts: size 2 * (half - 1)
+        assert code == 2 and out == "" and "is not known to be cuspidal" in err
+    else:
+        assert code == 0 and err == ""
     half = (SIZE_MAX + 1) // 2
-    chars = " (+) ".join(f"chi^{i}" for i in range(1, half + 1))
+    below = " (+) ".join(f"chi^{i}" for i in range(1, half))
+    code, out, err = run_cli([cmd[0], f"pi (x) ({below})", *cmd[1:]], capsys)
+    assert code == 0 and err == ""
+    chars = f"{below} (+) chi^{half}"
     for expr, msg in (
         # one past the cap, by a sum and by a pair
         (f"{top} (x) {top} (+) chi", f"sum of size {SIZE_MAX + 1}"),
@@ -667,9 +675,21 @@ def test_scan_failure_names_its_tolerance(capsys):
         ("ind_pi", "octa_octa.hyp", "error: ind_pi needs pi to be dihedral\n"),
         ("nu_pi", "tetra_octa.hyp", "error: nu_pi needs pi to be octahedral\n"),
         ("Ad(pi') (x) ind_pi'", "octa_octa.hyp", "ind_pi' needs pi' to be dihedral"),
+        # a power past its shape's FIRST_NONCUSPIDAL is refused, not read [0, 1]:
+        # each has a double pole, from two invariants of the binary group
+        (
+            "Sym^12(pi) tw om_pi^-6", "tetra_octa.hyp",
+            "error: Sym^12(pi) tw om_pi^-6 is not known to be cuspidal "
+            "under the declared shapes\n",
+        ),
+        (
+            "Sym^24(pi') tw om_pi'^-12", "tetra_octa.hyp",
+            "error: Sym^24(pi') tw om_pi'^-12 is not known to be cuspidal "
+            "under the declared shapes\n",
+        ),
     ],
 )
-def test_poles_opaque_atom_of_another_shape_exit_two(capsys, expr, hyp, need):
+def test_poles_refusal_exit_two(capsys, expr, hyp, need):
     argv = ["poles", expr, "--hyp", os.path.join(FIXTURES, hyp)]
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""

@@ -11,7 +11,6 @@ from lfcheck.poles import (
     MAYBE,
     ONE,
     ZERO,
-    NonCuspidalError,
     PoleError,
     PoleInterval,
     cuspidality,
@@ -19,7 +18,7 @@ from lfcheck.poles import (
     pole_order,
     self_dual_abelian_entries,
 )
-from lfcheck.decompose import Hypotheses, Tri, _decompose_atom, decompose_under
+from lfcheck.decompose import Hypotheses, _decompose_atom, decompose_under
 from lfcheck.exprlang import SYM_MAX, parse_expr
 from lfcheck.repalg import (
     OPAQUE,
@@ -80,27 +79,39 @@ def test_cuspidal_atom_entire():
 # Sym^1 to Sym^6 of a base of each shape; every higher power reads as Sym^6
 CUSPIDALITY = {
     GL2Type.DIHEDRAL: "YNNNNN",
-    GL2Type.TETRAHEDRAL: "YYNN??",
-    GL2Type.OCTAHEDRAL: "YYYN??",
-    GL2Type.GENERAL: "YYYY??",
+    GL2Type.TETRAHEDRAL: "YYNNNN",
+    GL2Type.OCTAHEDRAL: "YYYNNN",
+    GL2Type.GENERAL: "YYYYNN",
 }
 
 
 def test_cuspidality_taxonomy():
-    read = {"Y": Tri.YES, "N": Tri.NO, "?": Tri.UNKNOWN}
+    read = {"Y": True, "N": False}
     for t, other in itertools.product(GL2Type, repeat=2):
         for base, hyp in (("pi", Hypotheses(t, other)), ("pi'", Hypotheses(other, t))):
+            # the other base's standard L-function, cuspidal under every shape
+            partner = VirtualRep.of(sym_atom("pi" if base == "pi'" else "pi'", 1))
             for m in range(1, SYM_MAX + 1):
+                atom = sym_atom(base, m, chi)
                 want = read[CUSPIDALITY[t][min(m, 6) - 1]]
-                assert cuspidality(sym_atom(base, m, chi), hyp) is want, (base, m, hyp)
+                assert cuspidality(atom, hyp) is want, (base, m, hyp)
+                # the ledger decides each power, alone or as a pair member:
+                # entire or refused, and never widened to [0, 1]
+                alone = VirtualRep.of(atom)
+                for V in (alone, rs_product(partner, alone)):
+                    if want:
+                        assert pole_order(V, hyp)[0] == ZERO, (V, hyp)
+                    else:
+                        with pytest.raises(PoleError, match="not known to be cuspidal"):
+                            pole_order(V, hyp)
             # a character is cuspidal on GL(1)
-            assert cuspidality(char_atom(chi), hyp) is Tri.YES
+            assert cuspidality(char_atom(chi), hyp) is True
 
 
 def test_non_cuspidal_input_rejected():
     hypT = Hypotheses(GL2Type.TETRAHEDRAL, GL2Type.GENERAL)
     V = VirtualRep.of(sym_atom("pi", 4, G.gen("om_pi", -2)))
-    with pytest.raises(NonCuspidalError):
+    with pytest.raises(PoleError, match="^Sym\\^4\\(pi\\) tw om_pi\\^-2 is not known"):
         pole_order(V, hypT)
     # after decomposition the ledger goes through
     iv, _ = pole_order(decompose_under(V, hypT), hypT)
@@ -109,7 +120,7 @@ def test_non_cuspidal_input_rejected():
 
 def test_every_rewritten_atom_is_non_cuspidal():
     # the ledger refuses undecomposed input through cuspidality alone, so
-    # every atom the declared shapes rewrite must read NO there
+    # every atom the declared shapes rewrite must read False there
     atoms = [char_atom(chi), *(opaque_atom(label) for label in OPAQUE)]
     atoms += [sym_atom(b, m, chi) for b in ("pi", "pi'") for m in range(1, 7)]
     rewritten = 0
@@ -118,7 +129,7 @@ def test_every_rewritten_atom_is_non_cuspidal():
         for atom in atoms:
             if _decompose_atom(atom, hyp) is not None:
                 rewritten += 1
-                assert cuspidality(atom, hyp) is Tri.NO, (atom, hyp)
+                assert cuspidality(atom, hyp) is False, (atom, hyp)
     # per base: one atom for each of its three degenerate types, with the
     # other base of any of four types
     assert rewritten == 2 * 3 * 4
@@ -135,7 +146,7 @@ def test_opaque_atoms_carry_the_shape_of_their_rule():
                 if atom.kind == "op":
                     info = OPAQUE[atom.label]
                     assert info.base == b and hyp.type_of(b) is info.shape
-                    assert cuspidality(atom, hyp) is Tri.YES
+                    assert cuspidality(atom, hyp) is True
                     emitted.add(atom.label)
     assert emitted == set(OPAQUE)
 
@@ -146,7 +157,7 @@ def test_opaque_atom_of_another_shape_refused():
         for t in GL2Type:
             hyp = Hypotheses(t, t)
             if t is info.shape:
-                assert cuspidality(opaque_atom(label), hyp) is Tri.YES
+                assert cuspidality(opaque_atom(label), hyp) is True
                 continue
             want = f"^{label} needs {info.base} to be {info.shape.value}$"
             with pytest.raises(PoleError, match=want):
@@ -156,15 +167,6 @@ def test_opaque_atom_of_another_shape_refused():
                 V = rs_product(VirtualRep.of(sym_atom(b, 1)), op)
                 with pytest.raises(PoleError, match=f"^{label} needs"):
                     pole_order(V, hyp)
-
-
-def test_pair_with_a_non_cuspidal_member_refused_before_widening():
-    # Sym^5(pi) has undeclared cuspidality, but Sym^4(pi') is non-cuspidal
-    # for a tetrahedral pi', so the pair is refused rather than read [0, 1]
-    hyp = Hypotheses(GL2Type.GENERAL, GL2Type.TETRAHEDRAL)
-    V = parse_expr("Sym^5(pi) (x) Sym^4(pi')")
-    with pytest.raises(NonCuspidalError, match="Sym\\^4\\(pi'\\) is non-cuspidal"):
-        pole_order(V, hyp)
 
 
 def test_self_dual_opaque_pair_has_pole():
@@ -240,7 +242,8 @@ def test_isobaric_pair_pole_refuses_a_non_cuspidal_constituent():
     for hyp in hyps:
         try:
             raw = isobaric_pair_pole(left, right, hyp)
-        except NonCuspidalError:
+        except PoleError as err:
+            assert "is not known to be cuspidal" in str(err)
             refused += 1
             continue
         dec = (decompose_under(left, hyp), decompose_under(right, hyp))
@@ -254,7 +257,9 @@ def test_isobaric_pair_pole_of_a_dihedral_adjoint():
     # paired with itself: the undecomposed adjoint is refused, not read [1, 1]
     hyp = Hypotheses(GL2Type.DIHEDRAL, GL2Type.DIHEDRAL)
     A = VirtualRep.of(ad_atom("pi"))
-    with pytest.raises(NonCuspidalError, match="member Ad\\(pi\\) tw om_pi is"):
+    with pytest.raises(
+        PoleError, match="member Ad\\(pi\\) tw om_pi is not known to be cuspidal$"
+    ):
         isobaric_pair_pole(A, A, hyp)
     D = decompose_under(A, hyp)
     assert isobaric_pair_pole(D, D, hyp)[0] == PoleInterval(0, 2)
