@@ -5,13 +5,20 @@ for realness, non-negativity and the square identity.
 `_compile` turns the three polynomials of `dseries.coeff_polys` into one
 generated loop whose every value is bit-identical to term-by-term
 evaluation; `scan_positivity` runs it and keeps the violations and the two
-extremes.  Only the `scan` subcommand loads this module.
+extremes.  A long scan is cut into contiguous chunks of primes, one per
+CPU and at most one per MIN_CHUNK_ROWS rows; forked children scan every
+chunk but the first, which this process scans, and the chunks' results
+merge in p order into exactly the result of one scan.  Only the `scan`
+subcommand loads this module.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
 from math import inf
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import TOL, UNIT_SLACK
 from .dseries import coeff_polys, w_text
@@ -216,27 +223,36 @@ def _bases(points):
         yield p, values
 
 
-def scan_positivity(
-    points: dict[int, tuple[complex, complex, complex, complex, complex]],
-    lmax: int,
-    tol: float = TOL,
-) -> ScanResult:
-    """Check non-negativity and the square identity for each prepared prime
-    point and each prime-power exponent up to lmax, in (p, l) order.
+# the fewest rows worth a chunk of their own: a fork, reply and reap cost
+# about 2.7 ms on a shared 2-vCPU Xeon, the time of some 220 rows, so a
+# chunk this long pays for its worker several times over
+MIN_CHUNK_ROWS = 1000
 
-    points maps p to (alpha1, beta1, alpha2, beta2, chi(p)).  The compiled
-    loop evaluates every row but yields only those that can fail a check or
-    move an extreme (_compile); the bookkeeping below runs on those, so it
-    finds the same failures and the same first (p, l) of each extreme as it
-    would on every row.  Each check is made on every row, and each failed
-    check keeps one Violation: its first row and its count of failing rows.
-    `checked` is the loop's own count of the rows it evaluated.
-    """
+
+def _chunk_count(primes: int, lmax: int) -> int:
+    """How many chunks a scan of `primes` primes at `lmax` powers is cut
+    into: one per CPU this process may run on, and no more than one per
+    MIN_CHUNK_ROWS rows or one per prime.  One where the platform cannot
+    fork or name its CPUs, or where another thread runs, since a fork
+    copies only the calling thread and any lock another one holds."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    threading = sys.modules.get("threading")  # no threads unless it is loaded
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, primes, primes * lmax // MIN_CHUNK_ROWS))
+
+
+def _tally(rows, tol: float) -> ScanResult:
+    """The result of the rows a scan loop yields (_compile), the same as
+    every row would give: each check is made on every row it is
+    handed, and each failed check keeps one Violation, its first row and
+    its count of failing rows.  `checked` is the loop's own count of the
+    rows it evaluated."""
     min_value, min_at, max_abs_delta, max_delta_at = inf, None, 0.0, None
     first: dict[str, tuple] = {}  # kind -> its first failing row
     counts: dict[str, int] = {}
-    fn, coefs = _compile(coeff_polys())
-    rows = fn(_bases(points), lmax, tol, *coefs)
     while True:
         try:
             p, ell, direct, sos = next(rows)
@@ -260,3 +276,122 @@ def scan_positivity(
     return ScanResult(
         checked, min_value, min_at, max_abs_delta, max_delta_at, violations
     )
+
+
+def _merge(parts: Sequence[ScanResult]) -> ScanResult:
+    """The result of one scan over the chunks' rows in turn, from each
+    chunk's own result: the counts add, each check keeps its first failing
+    row from the earliest chunk that has one, and an extreme moves only to
+    a strictly better value, so the first (p, l) keeps a tie."""
+    checked, min_value, min_at, max_abs_delta, max_delta_at = 0, inf, None, 0.0, None
+    fails: dict[str, Violation] = {}
+    for part in parts:
+        checked += part.checked
+        if part.min_at is not None and (min_at is None or part.min_value < min_value):
+            min_value, min_at = part.min_value, part.min_at
+        if part.max_delta_at is not None and (
+            max_delta_at is None or part.max_abs_delta > max_abs_delta
+        ):
+            max_abs_delta, max_delta_at = part.max_abs_delta, part.max_delta_at
+        for v in part.violations:
+            seen = fails.setdefault(v.kind, v)
+            if seen is not v:
+                fails[v.kind] = seen._replace(count=seen.count + v.count)
+    return ScanResult(
+        checked, min_value, min_at, max_abs_delta, max_delta_at, tuple(fails.values())
+    )
+
+
+def _fork(work, chunk, children: dict[int, int]) -> Callable[[], ScanResult]:
+    """A function returning work(chunk), which a forked child computes and
+    sends back through a pipe as plain tuples, by `marshal`; children maps
+    the child's pid to the read end of its pipe until the child is reaped.
+    Where fork fails, the chunk is scanned here instead.
+
+    The child leaves only by os._exit, so it never flushes the stdio it
+    inherited, runs no atexit handler and never returns into its caller."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        part = work(chunk)
+        return lambda: part
+    if pid == 0:
+        status = 1
+        try:
+            part = work(chunk)
+            data = marshal.dumps((*part[:-1], tuple(map(tuple, part.violations))))
+            while data:
+                data = data[os.write(w, data) :]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    children[pid] = r
+    where = f"the scan worker for p = {chunk[0][0]}..{chunk[-1][0]}"
+
+    def reply() -> ScanResult:
+        data = bytearray()
+        while block := os.read(r, 1 << 16):
+            data += block
+        status = os.waitpid(pid, 0)[1]
+        del children[pid]
+        os.close(r)
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise RuntimeError(f"{where} exited with status {code}")
+        try:
+            *head, fails = marshal.loads(data)
+            return ScanResult(*head, tuple(Violation(*v) for v in fails))
+        except (EOFError, ValueError, TypeError):
+            raise RuntimeError(f"{where} sent a short reply") from None
+
+    return reply
+
+
+def scan_positivity(
+    points: dict[int, tuple[complex, complex, complex, complex, complex]],
+    lmax: int,
+    tol: float = TOL,
+) -> ScanResult:
+    """Check non-negativity and the square identity for each prepared prime
+    point and each prime-power exponent up to lmax, in (p, l) order.
+
+    points maps p to (alpha1, beta1, alpha2, beta2, chi(p)), each checked
+    for unit modulus before any row is evaluated.  The primes are cut into
+    contiguous chunks, _chunk_count of them; a forked child scans each
+    chunk after the first while this process scans the first, and
+    _merge joins the chunks' results in p order.  Each chunk runs the
+    compiled loop, which evaluates every row but yields only those that
+    can fail a check or move an extreme (_compile), and _tally keeps the
+    result of those, which is the result of every row of the chunk.  So
+    every verdict, count, first failing row and first (p, l) of an extreme
+    is that of one scan over every row, and memory is bounded per chunk.
+    One chunk forks nothing.  A child that fails or replies short raises
+    RuntimeError, and every child is killed and reaped before this returns
+    or raises.
+    """
+    fn, coefs = _compile(coeff_polys())
+    bases = list(_bases(points))
+    n, k = len(bases), _chunk_count(len(bases), lmax)
+    chunks = [bases[i * n // k : (i + 1) * n // k] for i in range(k)]
+
+    def work(chunk) -> ScanResult:
+        return _tally(fn(chunk, lmax, tol, *coefs), tol)
+
+    children: dict[int, int] = {}  # pid -> read end, until it is reaped
+    try:
+        replies = [_fork(work, chunk, children) for chunk in chunks[1:]]
+        parts = [work(chunks[0])]
+        parts += [reply() for reply in replies]
+    finally:
+        if children:  # only a failed scan leaves one, so only it loads signal
+            from signal import SIGKILL
+
+            for pid, r in children.items():
+                os.close(r)
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    return _merge(parts)

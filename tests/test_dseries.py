@@ -1,8 +1,12 @@
 """Auxiliary degree-324 product: assembly, square identity, scanning."""
 
 import cmath
+import marshal
 import math
+import os
 import random
+import threading
+import time
 
 import pytest
 
@@ -122,7 +126,54 @@ def scanned_rows(monkeypatch, points, lmax, loop_tol=-1.0):
 
     with monkeypatch.context() as m:  # so a second call spies on the real loop
         m.setattr(scan, "_compile", spy)
+        # the spy collects rows in this process, so the scan forks nothing
+        m.setattr(scan, "_chunk_count", lambda primes, lmax: 1)
         return scan_positivity(points, lmax), rows
+
+
+def force_chunks(monkeypatch, n):
+    """Cut every scan into n chunks, whatever the host's CPUs."""
+    monkeypatch.setattr(scan, "_chunk_count", lambda primes, lmax: n)
+
+
+@pytest.fixture(scope="module")
+def acceptance_points():
+    points, _ = prepare_scan_points(
+        builtin_form("delta", 10**4), builtin_form("11a", 10**4),
+        parse_char_spec("kronecker:-4"), 10**4,
+    )
+    return points
+
+
+@pytest.fixture(scope="module")
+def table_points(tmp_path_factory):
+    """Points from seeded tables: a_p anywhere up to the exact bound, and on
+    it now and then, with a character of 12th roots of unity, so the values
+    are complex."""
+    tmp_path = tmp_path_factory.mktemp("tables")
+    rng = random.Random(12012)
+    primes = sieve(3000)
+    paths = []
+    for k, level in ((12, 1), (2, 11)):
+        path = tmp_path / f"w{k}.tsv"
+        rows = [f"#weight {k} level {level}"]
+        for p in primes:
+            b = math.isqrt(4 * p ** (k - 1))
+            ap = rng.choice((-b, b)) if rng.random() < 0.05 else rng.randint(-b, b)
+            rows.append(f"{p}\t{ap}")
+        path.write_text("\n".join(rows) + "\n")
+        paths.append(str(path))
+    chi = tmp_path / "chi.tsv"
+    with open(chi, "w") as fh:
+        for p in primes:
+            a = 2 * math.pi * rng.randrange(12) / 12
+            fh.write(f"{p}\t{math.cos(a)!r}\t{math.sin(a)!r}\n")
+    points, skipped = prepare_scan_points(
+        load_eigenvalue_file(paths[0]), load_eigenvalue_file(paths[1]),
+        parse_char_spec(str(chi)), 3000,
+    )
+    assert skipped == [11]
+    return points
 
 
 def assert_bit_equal(rows, ref):
@@ -212,24 +263,18 @@ def test_scan_rows_sorted_and_clean(monkeypatch):
     assert res.min_at != res.max_delta_at  # so a swap of the two would show
 
 
-def test_kernel_is_bit_equal_on_the_acceptance_scan(monkeypatch):
-    points, _ = prepare_scan_points(
-        builtin_form("delta", 10**4), builtin_form("11a", 10**4),
-        parse_char_spec("kronecker:-4"), 10**4,
-    )
+def test_kernel_is_bit_equal_on_the_acceptance_scan(monkeypatch, acceptance_points):
+    points = acceptance_points
     res, rows = scanned_rows(monkeypatch, points, 4)
     assert res.ok and len(rows) == 4908
     assert res.min_at == (3079, 4)
     assert_bit_equal(rows, reference_rows(points, 4))
 
 
-def test_loop_yields_few_rows_and_the_same_result(monkeypatch):
+def test_loop_yields_few_rows_and_the_same_result(monkeypatch, acceptance_points):
     # the filter runs: the real loop hands the bookkeeping a small share of
     # the acceptance scan's rows, and the result is the one every row gives
-    points, _ = prepare_scan_points(
-        builtin_form("delta", 10**4), builtin_form("11a", 10**4),
-        parse_char_spec("kronecker:-4"), 10**4,
-    )
+    points = acceptance_points
     res, rows = scanned_rows(monkeypatch, points, 4, loop_tol=None)
     assert res.ok and res.checked == 4908
     assert 0 < len(rows) < 0.05 * 4908
@@ -283,31 +328,8 @@ def test_every_failing_row_is_a_violation(monkeypatch, shift, kind):
     assert {(v.p, v.l) for v in res.violations} == {(min(points), 1)}
 
 
-def test_kernel_is_bit_equal_on_seeded_tables(monkeypatch, tmp_path):
-    # a_p anywhere up to the exact bound, and on it now and then, with a
-    # character of 12th roots of unity, so the values are complex
-    rng = random.Random(12012)
-    primes = sieve(3000)
-    paths = []
-    for k, level in ((12, 1), (2, 11)):
-        path = tmp_path / f"w{k}.tsv"
-        rows = [f"#weight {k} level {level}"]
-        for p in primes:
-            b = math.isqrt(4 * p ** (k - 1))
-            ap = rng.choice((-b, b)) if rng.random() < 0.05 else rng.randint(-b, b)
-            rows.append(f"{p}\t{ap}")
-        path.write_text("\n".join(rows) + "\n")
-        paths.append(str(path))
-    chi = tmp_path / "chi.tsv"
-    with open(chi, "w") as fh:
-        for p in primes:
-            a = 2 * math.pi * rng.randrange(12) / 12
-            fh.write(f"{p}\t{math.cos(a)!r}\t{math.sin(a)!r}\n")
-    points, skipped = prepare_scan_points(
-        load_eigenvalue_file(paths[0]), load_eigenvalue_file(paths[1]),
-        parse_char_spec(str(chi)), 3000,
-    )
-    assert skipped == [11]
+def test_kernel_is_bit_equal_on_seeded_tables(monkeypatch, table_points):
+    points = table_points
     _res, rows = scanned_rows(monkeypatch, points, 8)
     assert len(rows) == 8 * len(points)
     assert any(abs(r[2].imag) > 0 for r in rows)
@@ -386,25 +408,31 @@ def test_scan_empty_not_ok():
     assert res.checked == 0 and not res.ok
 
 
+def fake_rows(monkeypatch, row):
+    """Replace the compiled loop with one that yields (p, l, *row(p, l))
+    for every row and counts them all."""
+
+    def fake_compile(polys):
+        def loop(bases, lmax, tol, *coefs):
+            n = 0
+            for p, _values in bases:
+                for ell in range(1, lmax + 1):
+                    n += 1
+                    yield (p, ell, *row(p, ell))
+            return n
+
+        return loop, ()
+
+    monkeypatch.setattr(scan, "_compile", fake_compile)
+
+
 def test_scan_violations_are_records(monkeypatch):
     # each check on every row: l = 1 fails the gap, l = 2 the sign too and
     # l = 3 all three; each check keeps its first row and counts its rows
     sq = 1.23456789012345
     direct = {1: 2.5 + 0j, 2: -1 + 0j, 3: -1 + 1j, 4: sq + 0j}
     points = {3: (1, 1, 1, 1, 1)}
-
-    def fake_compile(polys):
-        def scan(bases, lmax, tol, *coefs):
-            n = 0
-            for p, _values in bases:
-                for ell in range(1, lmax + 1):
-                    n += 1
-                    yield p, ell, direct[ell], sq
-            return n
-
-        return scan, ()
-
-    monkeypatch.setattr(scan, "_compile", fake_compile)
+    fake_rows(monkeypatch, lambda p, ell: (direct[ell], sq))
     res = scan_positivity(points, lmax=4, tol=1e-9)
     assert res.violations == (
         Violation(SQUARE_IDENTITY, 3, 1, 2.5 + 0j, sq, 3),
@@ -419,6 +447,157 @@ def test_scan_violations_are_records(monkeypatch):
     assert not res.ok
     # l = 2 and 3 tie on both extremes; the first is named
     assert (res.min_at, res.max_delta_at) == ((3, 2), (3, 2))
+
+
+def test_chunk_count_follows_cpus_rows_primes_and_threads(monkeypatch):
+    # one chunk per CPU, per MIN_CHUNK_ROWS rows and per prime, whichever
+    # is fewest; one where fork is missing or another thread runs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    rows = scan.MIN_CHUNK_ROWS
+    assert scan._chunk_count(2 * rows - 1, 1) == 1
+    assert scan._chunk_count(2 * rows, 1) == 2
+    assert scan._chunk_count(10**6, 1) == 4
+    assert scan._chunk_count(3, 10**4) == 3
+    assert scan._chunk_count(0, 4) == 1
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        assert scan._chunk_count(10**6, 1) == 1
+    finally:
+        stop.set()
+        waiter.join(10)
+    assert not waiter.is_alive()
+    assert scan._chunk_count(10**6, 1) == 4
+    monkeypatch.delattr(os, "fork")
+    assert scan._chunk_count(10**6, 1) == 1
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls this process makes, one entry each."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# four primes, cut into p = 3, 5 (this process) and p = 7, 13 (a child)
+FOUR = dict.fromkeys((3, 5, 7, 13), (1, 1, 1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "inputs, lmax, tol",
+    [("acceptance", 4, 1e-9), ("acceptance", 4, -1.0), ("table", 8, 1e-9)],
+)
+def test_split_scan_is_the_one_chunk_scan(
+    monkeypatch, request, forks, inputs, lmax, tol
+):
+    # cut into 1, 2 and 3 chunks, each after the first scanned by a forked
+    # child, the scan gives one result, repr for repr: every count, first
+    # failing row and first (p, l) of an extreme.  A negative tol fails
+    # every row's realness, so the merge adds counts from every chunk.
+    points = request.getfixturevalue(f"{inputs}_points")
+    results, forked = [], []
+    for n in (1, 2, 3):
+        force_chunks(monkeypatch, n)
+        results.append(scan_positivity(points, lmax, tol))
+        forked.append(len(forks))
+    assert forked == [0, 1, 3]  # one chunk forks nothing
+    assert [repr(r) for r in results[1:]] == [repr(results[0])] * 2
+    assert results[0].checked == lmax * len(points)
+    assert bool(results[0].violations) == (tol < 0)
+    assert_no_child_left()
+
+
+def test_split_tie_goes_to_the_earlier_chunk(monkeypatch, forks):
+    # every row is the same failing row, so the extremes tie across the
+    # chunk boundary: the first (p, l) keeps them and each check's first
+    # row, and each check counts the rows of both chunks
+    fake_rows(monkeypatch, lambda p, ell: (-1 + 0j, 1.0))
+    force_chunks(monkeypatch, 2)
+    res = scan_positivity(FOUR, lmax=1)
+    assert len(forks) == 1
+    assert res == ScanResult(4, -1.0, (3, 1), 2.0, (3, 1), (
+        Violation(NONNEGATIVITY, 3, 1, -1 + 0j, 1.0, 4),
+        Violation(SQUARE_IDENTITY, 3, 1, -1 + 0j, 1.0, 4),
+    ))
+
+
+class Boom(Exception):
+    pass
+
+
+def test_a_scan_that_raises_kills_and_reaps_its_children(monkeypatch, forks):
+    # this process's chunk raises while the child's would sleep a minute:
+    # the error propagates at once, and the child is killed and reaped
+    def row(p, ell):
+        if p == 3:
+            raise Boom
+        time.sleep(60)
+        return 1 + 0j, 1.0
+
+    fake_rows(monkeypatch, row)
+    force_chunks(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(Boom):
+        scan_positivity(FOUR, lmax=1)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_failing_worker_fails_the_scan(monkeypatch):
+    # a child that exits non-zero is an error, never a result with fewer rows
+    def row(p, ell):
+        if p == 13:
+            raise Boom
+        return 1 + 0j, 1.0
+
+    fake_rows(monkeypatch, row)
+    force_chunks(monkeypatch, 2)
+    want = r"^the scan worker for p = 7\.\.13 exited with status 1$"
+    with pytest.raises(RuntimeError, match=want):
+        scan_positivity(FOUR, lmax=1)
+    assert_no_child_left()
+
+
+def test_a_short_reply_fails_the_scan(monkeypatch):
+    # only the child marshals, so only its reply is cut short
+    dumps = marshal.dumps
+    monkeypatch.setattr(marshal, "dumps", lambda value: dumps(value)[:-1])
+    force_chunks(monkeypatch, 2)
+    want = r"^the scan worker for p = \d+\.\.59 sent a short reply$"
+    with pytest.raises(RuntimeError, match=want):
+        scan_positivity(_small_points(), lmax=1)
+    assert_no_child_left()
+
+
+def test_a_chunk_that_cannot_fork_is_scanned_here(monkeypatch):
+    points = _small_points()
+    force_chunks(monkeypatch, 1)
+    want = repr(scan_positivity(points, lmax=3, tol=-1.0))
+    calls = []
+
+    def no_fork():
+        calls.append(1)
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    force_chunks(monkeypatch, 3)
+    assert repr(scan_positivity(points, lmax=3, tol=-1.0)) == want
+    assert len(calls) == 2
+    assert_no_child_left()
 
 
 def test_direct_path_evaluates_the_built_polynomial(monkeypatch):

@@ -98,6 +98,22 @@ def test_json_output_loads_json():
     assert "json" in modules_after(["--json", *COMMANDS["expand"][0]])
 
 
+# what a process pool would load, and compile on every cold start where no
+# bytecode is cached; a split scan is a bare fork and needs none of them.
+# `threading` is left out: this interpreter's `site` already loads it.
+POOL = {"multiprocessing", "concurrent.futures", "pickle", "subprocess"}
+
+
+def test_split_scan_loads_no_process_pool():
+    # the acceptance scan, long enough to split where two CPUs are free;
+    # what the bare interpreter loads before lfcheck runs does not count
+    argv = [*SCAN[:-4], "--xmax", "10000", "--lmax", "4"]
+    bare = set(run_child("import sys; print(*sorted(sys.modules))").split())
+    loaded = modules_after(argv)
+    assert {m for m in loaded if m.split(".")[0] == "lfcheck"} == COMMANDS["scan"][1]
+    assert not (loaded - bare) & POOL
+
+
 def test_repalg_reads_no_declaration():
     # the formal calculus stands on the character group alone: it loads no
     # other lfcheck module, and no function of it takes a declaration
