@@ -3,8 +3,10 @@ Rankin-Selberg zero-repulsion arguments: exact character bookkeeping, a
 formal isobaric/Rankin-Selberg calculus, pole-order ledgers under declared
 shape hypotheses, and numeric cross-checks against classical eigenforms.
 
-The names below are re-exported from their modules on first access, so
-`import lfcheck` loads none of its submodules."""
+The names in `EXPORTS` are re-exported from their modules on first
+access, so `import lfcheck` loads none of its submodules.  That table is
+the only one that maps modules to names: `cli` binds its subcommands'
+names from it too."""
 
 from importlib import import_module
 
@@ -38,7 +40,9 @@ def read_lines(path: str) -> list[str]:
     return _split_lines(text)
 
 
-_EXPORTS = {
+# the names each module exports: what `lfcheck` re-exports and what a
+# `cli` subcommand binds when it loads that module
+EXPORTS = {
     "chargroup": ("FormalCharacter",),
     "repalg": (
         "GL2Type",
@@ -62,19 +66,34 @@ _EXPORTS = {
         "verify_plethysm_bridge",
     ),
     "dseries": ("build_D", "verify_sos"),
-    "scan": ("scan_positivity",),
+    "scan": ("NONNEGATIVITY", "REALNESS", "SQUARE_IDENTITY", "scan_positivity"),
     "exprlang": ("parse_expr",),
-    "poles": ("PoleInterval", "isobaric_pair_pole", "pole_order"),
+    "hypfile": ("parse_hyp_file",),
+    "ingest": (
+        "BUILTINS",
+        "BoundError",
+        "builtin_form",
+        "load_eigenvalue_file",
+        "parse_char_spec",
+        "prepare_scan_points",
+    ),
+    "satake": ("CoefficientError", "coeff_poly"),
+    "poles": (
+        "PoleInterval",
+        "isobaric_pair_pole",
+        "pole_order",
+        "self_dual_abelian_entries",
+    ),
 }
-_OWNER = {name: mod for mod, names in _EXPORTS.items() for name in names}
+OWNER = {name: mod for mod, names in EXPORTS.items() for name in names}
 
-__all__ = [*_OWNER, "InputError", "TOL", "UNIT_SLACK", "__version__"]
+__all__ = [*OWNER, "InputError", "TOL", "UNIT_SLACK", "__version__"]
 
 
 def __getattr__(name):
-    if name not in _OWNER:
+    if name not in OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    value = getattr(import_module(f".{OWNER[name]}", __name__), name)
     globals()[name] = value
     return value
 

@@ -22,9 +22,10 @@ usage; no command imports argparse.  Options follow their subcommand, as
 
 Every command runs in a fresh interpreter, so this module imports only
 `report` up front; each subcommand loads the modules it calls on first
-use (`_load`).  The names they provide stay attributes of this module,
-resolved on first access through `__getattr__`, so callers can read or
-replace them here before `main` runs.
+use (`_load`) and binds here the names the package's one table,
+`lfcheck.EXPORTS`, lists for them.  Those names stay attributes of this
+module, resolved on first access through `__getattr__`, so callers can
+read or replace them here before `main` runs.
 """
 
 from __future__ import annotations
@@ -36,50 +37,25 @@ import time
 from importlib import import_module
 from types import SimpleNamespace
 
-from . import TOL, InputError, __version__
+from . import EXPORTS, OWNER, TOL, InputError, __version__
 from .report import Report, Section, Verdict, check, digest, render_json, render_text
-
-# The names each subcommand takes from the modules it loads.
-_LAZY = {
-    "casebook": (
-        "CASE_IDS",
-        "run_all",
-        "verify_case",
-        "verify_plethysm_bridge",
-    ),
-    "decompose": ("decompose_under",),
-    "dseries": ("verify_sos",),
-    "exprlang": ("parse_expr",),
-    "hypfile": ("parse_hyp_file",),
-    "ingest": (
-        "BUILTINS",
-        "BoundError",
-        "builtin_form",
-        "load_eigenvalue_file",
-        "parse_char_spec",
-        "prepare_scan_points",
-    ),
-    "poles": ("pole_order", "self_dual_abelian_entries"),
-    "satake": ("CoefficientError", "coeff_poly"),
-    "scan": ("NONNEGATIVITY", "REALNESS", "SQUARE_IDENTITY", "scan_positivity"),
-}
-_OWNER = {name: mod for mod, names in _LAZY.items() for name in names}
 
 
 def _load(*modules: str) -> None:
-    """Import the named submodules and bind their `_LAZY` names here.  A
-    name bound already (say, a wrapper installed from outside) is kept."""
+    """Import the named submodules and bind here the names `EXPORTS` lists
+    for them.  A name bound already (say, a wrapper installed from
+    outside) is kept."""
     g = globals()
     for mod in modules:
         m = import_module(f".{mod}", __package__)
-        for name in _LAZY[mod]:
+        for name in EXPORTS[mod]:
             g.setdefault(name, getattr(m, name))
 
 
 def __getattr__(name: str):
-    if name not in _OWNER:
+    if name not in OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(_OWNER[name])
+    _load(OWNER[name])
     return globals()[name]
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .chargroup import BASES, GENS, ONE, STD_ORDERS, FormalCharacter, base_name
+from .chargroup import BASES, GENS, ONE, FormalCharacter, base_name
 from .repalg import (
     Entry,
     GL2Type,
@@ -54,39 +54,30 @@ class Tri(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def nontrivial_gens(hyp: Hypotheses) -> frozenset[str]:
-    """Generators the hypothesis set declares nontrivial."""
-    out = set()
-    for base in BASES:
-        t = hyp.type_of(base)
-        if t is GL2Type.TETRAHEDRAL:
-            out.add(base_name("mu", base))
-        elif t is GL2Type.OCTAHEDRAL:
-            out.add(base_name("eta", base))
-    return frozenset(out)
-
-
-_PRIME_ORDERS = {2, 3}
+# the stem each shape declares nontrivial over its base.  Both have prime
+# order in `chargroup.STEMS` (mu 3, eta 2), so the cyclic group one
+# generates has prime order and every nonzero power of it is nontrivial.
+_NONTRIVIAL_STEM = {GL2Type.TETRAHEDRAL: "mu", GL2Type.OCTAHEDRAL: "eta"}
 
 
 def is_trivial(c: FormalCharacter, hyp: Hypotheses) -> Tri:
     """Is the character provably trivial / provably nontrivial / unknown?
 
     Sound rules only: the zero vector is trivial; a word supported on a single
-    generator of declared prime order that the hypotheses declare nontrivial
-    is nontrivial (the cyclic group it generates has prime order, so every
-    nonzero power is nontrivial).  Everything else is UNKNOWN -- in
-    particular words in chi or the central characters, and cross-products
-    like mu_pi * mu_pi' that could collapse for particular forms.
+    generator that the declared shapes make nontrivial (`_NONTRIVIAL_STEM`)
+    is nontrivial.  Everything else is UNKNOWN -- in particular words in chi
+    or the central characters, and cross-products like mu_pi * mu_pi' that
+    could collapse for particular forms.
     """
     supp = c.support()
     if not supp:
         return Tri.YES
     if len(supp) == 1:
-        g, _e = supp[0]
-        n = STD_ORDERS.get(g)
-        if n in _PRIME_ORDERS and g in nontrivial_gens(hyp):
-            return Tri.NO
+        g = supp[0][0]
+        for base in BASES:
+            stem = _NONTRIVIAL_STEM.get(hyp.type_of(base))
+            if stem and g == base_name(stem, base):
+                return Tri.NO
     return Tri.UNKNOWN
 
 

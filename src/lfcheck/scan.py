@@ -223,9 +223,11 @@ def _bases(points):
         yield p, values
 
 
-# the fewest rows worth a chunk of their own: a fork, reply and reap cost
-# about 2.7 ms on a shared 2-vCPU Xeon, the time of some 220 rows, so a
-# chunk this long pays for its worker several times over
+# the fewest rows worth a chunk of their own.  On a shared 2-vCPU Xeon a
+# fork, reply and reap cost about 2.7 ms in a warm process, the time of
+# some 220 rows.  A fresh process pays more: there the acceptance scan's
+# two chunks of about 2,450 rows cost 13-15 ms more CPU than one chunk and
+# took 12-14 ms off the scan stage, so a worker buys wall time at CPU cost
 MIN_CHUNK_ROWS = 1000
 
 

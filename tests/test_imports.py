@@ -5,15 +5,17 @@ it imports, so the import set is part of a command's cost.  These tests run
 the console entry point (`from lfcheck.cli import main`) in a child process
 and read `sys.modules` once `main` has returned: each subcommand loads
 exactly its own lfcheck modules, and none loads argparse; `repalg` loads
-only the character group and takes no declaration.  Three checks on the
-source close the file: each module's private names stay its own, every
-annotation names something its module can resolve, and the status rule,
-the base names and the tolerances each have one owner, with no sort_key
-restating the order of a value's fields and no name over a base spelled
-out.
+only the character group and takes no declaration.  Four checks on the
+source close the file: each `cli` handler reads only names it binds, each
+module's private names stay its own, every annotation names something its
+module can resolve, and the status rule, the base names and the
+tolerances each have one owner, with no sort_key restating the order of a
+value's fields and no name over a base spelled out.
 """
 
 import ast
+import builtins
+import dis
 import glob
 import importlib
 import importlib.util
@@ -22,6 +24,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import typing
 
 import pytest
@@ -142,6 +145,71 @@ def test_package_names_resolve_lazily():
     import lfcheck
 
     assert run_child(code) == f"{len(lfcheck.__all__)} [] True"
+
+
+def _global_reads(code):
+    """The global names a code object and the functions nested in it read."""
+    names = {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _global_reads(const)
+    return names
+
+
+def _module_names(arg):
+    """The modules a `_load` argument can name: a string, or either branch
+    of a conditional."""
+    if isinstance(arg, ast.IfExp):
+        return _module_names(arg.body) | _module_names(arg.orelse)
+    assert isinstance(arg, ast.Constant), ast.dump(arg)
+    return {arg.value}
+
+
+def test_each_handler_reads_only_names_it_binds():
+    # a handler, the functions nested in it and the cli helpers it calls read
+    # only builtins, cli's own module globals and the names the package
+    # exports for the modules its _load calls name; any other name would
+    # raise NameError, and only on the path that reads it
+    import lfcheck
+
+    path = os.path.join(SRC, "lfcheck", "cli.py")
+    with open(path) as fh:
+        source = fh.read()
+    module = compile(source, path, "exec")
+    functions = {
+        c.co_name: c for c in module.co_consts if isinstance(c, types.CodeType)
+    }
+    own = {
+        i.argval for i in dis.get_instructions(module)
+        if i.opname in ("STORE_NAME", "STORE_GLOBAL")
+    } | {"__name__", "__package__", "__file__", "__doc__"}
+    handlers = {
+        node.name: node for node in ast.parse(source, path).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    }
+    assert sorted(handlers) == ["_cmd_expand", "_cmd_poles", "_cmd_scan", "_cmd_verify"]
+    unbound = []
+    for name, node in sorted(handlers.items()):
+        loaded = set()
+        for call in ast.walk(node):
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == "_load"
+            ):
+                loaded |= {m for arg in call.args for m in _module_names(arg)}
+        assert loaded <= set(lfcheck.EXPORTS), name
+        allowed = vars(builtins).keys() | own
+        allowed |= {n for mod in loaded for n in lfcheck.EXPORTS[mod]}
+        reads, todo = set(), [name]
+        while todo:
+            fn = todo.pop()
+            for read in _global_reads(functions[fn]) - reads:
+                reads.add(read)
+                if read in functions:
+                    todo.append(read)
+        unbound += [f"{name}: {read}" for read in sorted(reads - allowed)]
+    assert unbound == []
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -21,6 +21,7 @@ from lfcheck.decompose import (
     atom_equal,
     declared_selftwists,
     decompose_under,
+    is_trivial,
 )
 from lfcheck.repalg import (
     OPAQUE,
@@ -332,6 +333,32 @@ def test_atom_equal_three_values():
     assert atom_equal(S4, sym_atom("pi", 4, eta), hypO) is Tri.NO
     assert atom_equal(S4, sym_atom("pi", 4, chi), hypO) is Tri.UNKNOWN
     assert atom_equal(sym_atom("pi", 3), sym_atom("pi", 3, eta), hypO) is Tri.UNKNOWN
+
+
+def test_is_trivial_decides_only_declared_words():
+    # trivial only for the empty word; nontrivial only for a nonzero power
+    # of the one generator a shape declares nontrivial over its base (mu
+    # of a tetrahedral base, eta of an octahedral one); all else UNKNOWN
+    declared = {GL2Type.TETRAHEDRAL: "mu", GL2Type.OCTAHEDRAL: "eta"}
+    hyps = [Hypotheses(t1, t2) for t1, t2 in itertools.product(GL2Type, repeat=2)]
+    hyps += [Hypotheses(t, t, twist_equiv=True) for t in GL2Type]
+    words = [G.gen(g, e) for g in G.STD_GENERATORS for e in range(-4, 5)]
+    pairs = itertools.combinations(G.STD_GENERATORS, 2)
+    words += [G.gen(g) * G.gen(h) for g, h in pairs]
+    for hyp in hyps:
+        nontrivial = {
+            G.base_name(declared[hyp.type_of(b)], b)
+            for b in G.BASES if hyp.type_of(b) in declared
+        }
+        for c in words:
+            supp = c.support()
+            if not supp:
+                want = Tri.YES
+            elif len(supp) == 1 and supp[0][0] in nontrivial:
+                want = Tri.NO
+            else:
+                want = Tri.UNKNOWN
+            assert is_trivial(c, hyp) is want, (hyp, c)
 
 
 def test_atom_equal_twist_equivalent_cross_base():
