@@ -6,10 +6,10 @@ for realness, non-negativity and the square identity.
 generated loop whose every value is bit-identical to term-by-term
 evaluation; `scan_positivity` runs it and keeps the violations and the two
 extremes.  A long scan is cut into contiguous chunks of primes, one per
-CPU and at most one per MIN_CHUNK_ROWS rows; forked children scan every
-chunk but the first, which this process scans, and the chunks' results
-merge in p order into exactly the result of one scan.  Only the `scan`
-subcommand loads this module.
+CPU and at most one per MIN_CHUNK_ROWS rows; forked children run the loop
+on every chunk but the first, which this process runs, and stream the
+rows it yields back, and one tally reads every chunk's rows in p order.
+Only the `scan` subcommand loads this module.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import marshal
 import os
 import sys
 from math import inf
-from typing import Callable, NamedTuple, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 from . import TOL, UNIT_SLACK
 from .dseries import coeff_polys, w_text
@@ -248,10 +248,11 @@ def _chunk_count(primes: int, lmax: int) -> int:
 
 def _tally(rows, tol: float) -> ScanResult:
     """The result of the rows a scan loop yields (_compile), the same as
-    every row would give: each check is made on every row it is
-    handed, and each failed check keeps one Violation, its first row and
-    its count of failing rows.  `checked` is the loop's own count of the
-    rows it evaluated."""
+    every row would give: each check is made on every row it is handed,
+    an extreme moves only to a strictly better value, so the first (p, l)
+    keeps a tie, and each failed check keeps one Violation, its first row
+    and its count of failing rows.  `checked` is the count `rows` returns,
+    the number of rows its loops evaluated."""
     min_value, min_at, max_abs_delta, max_delta_at = inf, None, 0.0, None
     first: dict[str, tuple] = {}  # kind -> its first failing row
     counts: dict[str, int] = {}
@@ -280,77 +281,60 @@ def _tally(rows, tol: float) -> ScanResult:
     )
 
 
-def _merge(parts: Sequence[ScanResult]) -> ScanResult:
-    """The result of one scan over the chunks' rows in turn, from each
-    chunk's own result: the counts add, each check keeps its first failing
-    row from the earliest chunk that has one, and an extreme moves only to
-    a strictly better value, so the first (p, l) keeps a tie."""
-    checked, min_value, min_at, max_abs_delta, max_delta_at = 0, inf, None, 0.0, None
-    fails: dict[str, Violation] = {}
-    for part in parts:
-        checked += part.checked
-        if part.min_at is not None and (min_at is None or part.min_value < min_value):
-            min_value, min_at = part.min_value, part.min_at
-        if part.max_delta_at is not None and (
-            max_delta_at is None or part.max_abs_delta > max_abs_delta
-        ):
-            max_abs_delta, max_delta_at = part.max_abs_delta, part.max_delta_at
-        for v in part.violations:
-            seen = fails.setdefault(v.kind, v)
-            if seen is not v:
-                fails[v.kind] = seen._replace(count=seen.count + v.count)
-    return ScanResult(
-        checked, min_value, min_at, max_abs_delta, max_delta_at, tuple(fails.values())
-    )
-
-
-def _fork(work, chunk, children: dict[int, int]) -> Callable[[], ScanResult]:
-    """A function returning work(chunk), which a forked child computes and
-    sends back through a pipe as plain tuples, by `marshal`; children maps
-    the child's pid to the read end of its pipe until the child is reaped.
-    Where fork fails, the chunk is scanned here instead.
+def _fork(loop, chunk, children: dict[int, BinaryIO]):
+    """A generator over the rows loop(chunk) yields, returning its count.
+    A forked child runs the loop and writes each row, then the count, to a
+    pipe by `marshal`; the generator reads them in turn and reaps the child
+    once it has the count.  children maps the child's pid to the read end
+    of its pipe until the child is reaped.  Where fork fails, the chunk is
+    scanned here instead, when its rows are read.
 
     The child leaves only by os._exit, so it never flushes the stdio it
-    inherited, runs no atexit handler and never returns into its caller."""
+    inherited, runs no atexit handler and never returns into its caller.
+    It holds no result: a full pipe makes it wait until the rows are read."""
     r, w = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(r)
         os.close(w)
-        part = work(chunk)
-        return lambda: part
+        return loop(chunk)
     if pid == 0:
         status = 1
         try:
-            part = work(chunk)
-            data = marshal.dumps((*part[:-1], tuple(map(tuple, part.violations))))
-            while data:
-                data = data[os.write(w, data) :]
+            os.close(r)
+            with open(w, "wb") as out:
+                rows = loop(chunk)
+                while True:
+                    try:
+                        marshal.dump(next(rows), out)
+                    except StopIteration as stop:
+                        marshal.dump(stop.value, out)
+                        break
             status = 0
         finally:
             os._exit(status)
     os.close(w)
-    children[pid] = r
+    children[pid] = reader = open(r, "rb")
     where = f"the scan worker for p = {chunk[0][0]}..{chunk[-1][0]}"
 
-    def reply() -> ScanResult:
-        data = bytearray()
-        while block := os.read(r, 1 << 16):
-            data += block
-        status = os.waitpid(pid, 0)[1]
-        del children[pid]
-        os.close(r)
+    def reply():
+        with reader:
+            try:
+                while not isinstance(row := marshal.load(reader), int):
+                    yield row
+            except (EOFError, ValueError):
+                row = None
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
         code = os.waitstatus_to_exitcode(status)
         if code:
             raise RuntimeError(f"{where} exited with status {code}")
-        try:
-            *head, fails = marshal.loads(data)
-            return ScanResult(*head, tuple(Violation(*v) for v in fails))
-        except (EOFError, ValueError, TypeError):
-            raise RuntimeError(f"{where} sent a short reply") from None
+        if row is None:
+            raise RuntimeError(f"{where} sent a short reply")
+        return row
 
-    return reply
+    return reply()
 
 
 def scan_positivity(
@@ -363,37 +347,40 @@ def scan_positivity(
 
     points maps p to (alpha1, beta1, alpha2, beta2, chi(p)), each checked
     for unit modulus before any row is evaluated.  The primes are cut into
-    contiguous chunks, _chunk_count of them; a forked child scans each
-    chunk after the first while this process scans the first, and
-    _merge joins the chunks' results in p order.  Each chunk runs the
-    compiled loop, which evaluates every row but yields only those that
-    can fail a check or move an extreme (_compile), and _tally keeps the
-    result of those, which is the result of every row of the chunk.  So
-    every verdict, count, first failing row and first (p, l) of an extreme
-    is that of one scan over every row, and memory is bounded per chunk.
-    One chunk forks nothing.  A child that fails or replies short raises
-    RuntimeError, and every child is killed and reaped before this returns
-    or raises.
+    contiguous chunks, _chunk_count of them; a forked child runs the
+    compiled loop on each chunk after the first while this process runs it
+    on the first.  The loop evaluates every row but yields only those that
+    can fail a check or move an extreme given the rows before them in its
+    chunk (_compile), a superset of those that can given every earlier
+    row.  _tally reads the rows of every chunk in p order, so every
+    verdict, count, first failing row and first (p, l) of an extreme is
+    that of one scan over every row.  One chunk forks nothing.  A child
+    that fails or replies short raises RuntimeError, and every child is
+    killed and reaped before this returns or raises.
     """
     fn, coefs = _compile(coeff_polys())
     bases = list(_bases(points))
     n, k = len(bases), _chunk_count(len(bases), lmax)
     chunks = [bases[i * n // k : (i + 1) * n // k] for i in range(k)]
 
-    def work(chunk) -> ScanResult:
-        return _tally(fn(chunk, lmax, tol, *coefs), tol)
+    def loop(chunk):
+        return fn(chunk, lmax, tol, *coefs)
 
-    children: dict[int, int] = {}  # pid -> read end, until it is reaped
+    def rows(replies):
+        checked = yield from loop(chunks[0])
+        for reply in replies:
+            checked += yield from reply
+        return checked
+
+    children: dict[int, BinaryIO] = {}  # pid -> read end, until it is reaped
     try:
-        replies = [_fork(work, chunk, children) for chunk in chunks[1:]]
-        parts = [work(chunks[0])]
-        parts += [reply() for reply in replies]
+        replies = [_fork(loop, chunk, children) for chunk in chunks[1:]]
+        return _tally(rows(replies), tol)
     finally:
         if children:  # only a failed scan leaves one, so only it loads signal
             from signal import SIGKILL
 
-            for pid, r in children.items():
-                os.close(r)
+            for pid, reader in children.items():
+                reader.close()
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-    return _merge(parts)

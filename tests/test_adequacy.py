@@ -1,16 +1,17 @@
 """Every verdict of the eleven cases can go red (mutation adequacy).
 
 Each mutation below changes `CASES`, one rewrite rule, the cuspidality
-table or the claimed side in-process, and names every verdict that then
-fails to PASS; all the others must PASS as before.  A case's verdict that
-no mutation here and no test in `ELSEWHERE` turns red is a blind spot,
-listed by name in `BLIND_SPOTS`.  That list may only shrink.
+table, the factor of D the ghl budget counts or the claimed side
+in-process, and names every verdict that then fails to PASS; all the
+others must PASS as before.  A case's verdict that no mutation here and
+no test in `ELSEWHERE` turns red is a blind spot, listed by name in
+`BLIND_SPOTS`.  That list may only shrink.
 """
 
 import pytest
 
 import test_casebook
-from lfcheck import decompose, poles
+from lfcheck import casebook, decompose, poles
 from lfcheck.casebook import CASES, run_all, verify_case
 from lfcheck.cli import main
 from lfcheck.decompose import Hypotheses
@@ -59,6 +60,17 @@ def _first_noncuspidal(shape, m):
         monkeypatch.setitem(poles.FIRST_NONCUSPIDAL, shape, m)
 
     return mutate
+
+
+def _counted_factor(text):
+    def mutate(monkeypatch):
+        monkeypatch.setattr(casebook, "_FACTOR", text)
+
+    return mutate
+
+
+# a factor D does not hold, so the computed ell is 0
+OTHER_FACTOR = _counted_factor("1  Ad(pi) (x) Ad(pi') tw chi^2")
 
 
 REFUSED = (
@@ -203,6 +215,31 @@ MUTATIONS = {
         "4.4.2", _first_noncuspidal(GEN, 4), None,
         [("pole ledger", "FAIL", f"refused: Sym^4(pi) tw om_pi^-2 {NOT_CUSPIDAL}")],
     ),
+    # the computed ell counts another factor of D than A x A'chi
+    "computed ell of another factor in 4.1": (
+        "4.1", OTHER_FACTOR, None,
+        [("ghl budget", "FAIL", "computed ell = 0, recorded ell = 6")],
+    ),
+    "computed ell of another factor in 4.2": (
+        "4.2", OTHER_FACTOR, None,
+        [("ghl budget", "FAIL", "computed ell = 0, recorded ell = 6")],
+    ),
+    "computed ell of another factor in 4.4.1": (
+        "4.4.1", OTHER_FACTOR, None,
+        [("ghl budget", "FAIL", "computed ell = 0, recorded ell = 4")],
+    ),
+    "computed ell of another factor in 4.4.3": (
+        "4.4.3", OTHER_FACTOR, None,
+        [
+            ("identity", "FAIL", None),  # the case's deliberate red
+            ("ghl budget", "FAIL", "computed ell = 0, recorded ell = 4"),
+        ],
+    ),
+    # 5.3.3 has no D, so only its recorded ell and k meet
+    "recorded ell = 1 in 5.3.3": (
+        "5.3.3", _recorded("5.3.3", ell=1), None,
+        [("ghl budget", "FAIL", "2*ell = 2 <= k = 3")],
+    ),
     "slip recorded as 3": (
         "4.4.3",
         _slip("""
@@ -273,7 +310,6 @@ ELSEWHERE = (
 BLIND_SPOTS = {
     "pole ledger": ("4.3", "5.3.2"),
     "entirety": ("4.2", "4.4.1", "4.4.2", "4.4.3"),
-    "ghl budget": ("4.1", "4.2", "4.4.1", "4.4.3", "5.3.3"),
 }
 
 

@@ -101,33 +101,37 @@ def reference_rows(points, lmax):
     return out
 
 
-def scanned_rows(monkeypatch, points, lmax, loop_tol=-1.0):
-    """Run the scan and return its result with what its compiled loop
-    yielded.  The loop is given loop_tol, whose default, a negative one,
-    makes it yield every row, or the scan's own tol when loop_tol is None;
-    the scan's own checks keep their default tol."""
+def scanned_rows(monkeypatch, points, lmax, loop_tol=-1.0, chunks=1):
+    """Run the scan, cut into `chunks` chunks, and return its result with
+    the rows its tally read: those the compiled loop yielded, each chunk's
+    after the first through a forked child's pipe.  The loop is given
+    loop_tol, whose default, a negative one, makes it yield every row, or
+    the scan's own tol when loop_tol is None; the scan's own checks keep
+    their default tol."""
     rows = []
-    compile_loop = scan._compile
+    compile_loop, tally = scan._compile, scan._tally
 
     def spy(polys):
         fn, coefs = compile_loop(polys)
 
-        def tee(bases, lmax, tol, *coefs):
-            loop = fn(bases, lmax, tol if loop_tol is None else loop_tol, *coefs)
-            while True:
-                try:
-                    row = next(loop)
-                except StopIteration as stop:
-                    return stop.value
-                rows.append(row)
-                yield row
+        def loop(bases, lmax, tol, *coefs):
+            return fn(bases, lmax, tol if loop_tol is None else loop_tol, *coefs)
 
-        return tee, coefs
+        return loop, coefs
 
-    with monkeypatch.context() as m:  # so a second call spies on the real loop
+    def collect(loop):
+        while True:
+            try:
+                row = next(loop)
+            except StopIteration as stop:
+                return stop.value
+            rows.append(row)
+            yield row
+
+    with monkeypatch.context() as m:  # so a second call spies on the real scan
         m.setattr(scan, "_compile", spy)
-        # the spy collects rows in this process, so the scan forks nothing
-        m.setattr(scan, "_chunk_count", lambda primes, lmax: 1)
+        m.setattr(scan, "_tally", lambda loop, tol: tally(collect(loop), tol))
+        force_chunks(m, chunks)
         return scan_positivity(points, lmax), rows
 
 
@@ -264,25 +268,31 @@ def test_scan_rows_sorted_and_clean(monkeypatch):
 
 
 def test_kernel_is_bit_equal_on_the_acceptance_scan(monkeypatch, acceptance_points):
+    # in one chunk and in two, whose second sends its rows through a pipe
     points = acceptance_points
-    res, rows = scanned_rows(monkeypatch, points, 4)
-    assert res.ok and len(rows) == 4908
-    assert res.min_at == (3079, 4)
-    assert_bit_equal(rows, reference_rows(points, 4))
+    ref = reference_rows(points, 4)
+    for chunks in (1, 2):
+        res, rows = scanned_rows(monkeypatch, points, 4, chunks=chunks)
+        assert res.ok and len(rows) == 4908
+        assert res.min_at == (3079, 4)
+        assert_bit_equal(rows, ref)
 
 
 def test_loop_yields_few_rows_and_the_same_result(monkeypatch, acceptance_points):
     # the filter runs: the real loop hands the bookkeeping a small share of
-    # the acceptance scan's rows, and the result is the one every row gives
+    # the acceptance scan's rows, and the result is the one every row gives.
+    # Each chunk's loop starts afresh, so two chunks yield 11 of 2,452 rows
+    # and 13 of 2,456 where one yields 11 of 4,908.
     points = acceptance_points
-    res, rows = scanned_rows(monkeypatch, points, 4, loop_tol=None)
-    assert res.ok and res.checked == 4908
-    assert 0 < len(rows) < 0.05 * 4908
-    every, all_rows = scanned_rows(monkeypatch, points, 4)
-    assert len(all_rows) == 4908
-    assert res == every
-    yielded = {r[:2] for r in rows}
-    assert_bit_equal(rows, [r for r in all_rows if r[:2] in yielded])
+    for chunks, yields in ((1, 11), (2, 11 + 13)):
+        res, rows = scanned_rows(monkeypatch, points, 4, None, chunks)
+        assert res.ok and res.checked == 4908
+        assert len(rows) == yields
+        every, all_rows = scanned_rows(monkeypatch, points, 4, chunks=chunks)
+        assert len(all_rows) == 4908
+        assert res == every
+        yielded = {r[:2] for r in rows}
+        assert_bit_equal(rows, [r for r in all_rows if r[:2] in yielded])
 
 
 def test_loop_with_negative_tol_yields_every_row():
@@ -329,11 +339,14 @@ def test_every_failing_row_is_a_violation(monkeypatch, shift, kind):
 
 
 def test_kernel_is_bit_equal_on_seeded_tables(monkeypatch, table_points):
+    # in one chunk and in two, whose second sends its rows through a pipe
     points = table_points
-    _res, rows = scanned_rows(monkeypatch, points, 8)
-    assert len(rows) == 8 * len(points)
-    assert any(abs(r[2].imag) > 0 for r in rows)
-    assert_bit_equal(rows, reference_rows(points, 8))
+    ref = reference_rows(points, 8)
+    for chunks in (1, 2):
+        _res, rows = scanned_rows(monkeypatch, points, 8, chunks=chunks)
+        assert len(rows) == 8 * len(points)
+        assert any(abs(r[2].imag) > 0 for r in rows)
+        assert_bit_equal(rows, ref)
 
 
 def test_kernel_is_built_once_and_holds_no_coefficient(monkeypatch):
@@ -487,11 +500,6 @@ def forks(monkeypatch):
     return calls
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 # four primes, cut into p = 3, 5 (this process) and p = 7, 13 (a child)
 FOUR = dict.fromkeys((3, 5, 7, 13), (1, 1, 1, 1, 1))
 
@@ -506,7 +514,7 @@ def test_split_scan_is_the_one_chunk_scan(
     # cut into 1, 2 and 3 chunks, each after the first scanned by a forked
     # child, the scan gives one result, repr for repr: every count, first
     # failing row and first (p, l) of an extreme.  A negative tol fails
-    # every row's realness, so the merge adds counts from every chunk.
+    # every row's realness, so the tally counts rows from every chunk.
     points = request.getfixturevalue(f"{inputs}_points")
     results, forked = [], []
     for n in (1, 2, 3):
@@ -517,7 +525,6 @@ def test_split_scan_is_the_one_chunk_scan(
     assert [repr(r) for r in results[1:]] == [repr(results[0])] * 2
     assert results[0].checked == lmax * len(points)
     assert bool(results[0].violations) == (tol < 0)
-    assert_no_child_left()
 
 
 def test_split_tie_goes_to_the_earlier_chunk(monkeypatch, forks):
@@ -554,7 +561,6 @@ def test_a_scan_that_raises_kills_and_reaps_its_children(monkeypatch, forks):
         scan_positivity(FOUR, lmax=1)
     assert time.monotonic() - start < 30
     assert len(forks) == 1
-    assert_no_child_left()
 
 
 def test_a_failing_worker_fails_the_scan(monkeypatch):
@@ -569,18 +575,56 @@ def test_a_failing_worker_fails_the_scan(monkeypatch):
     want = r"^the scan worker for p = 7\.\.13 exited with status 1$"
     with pytest.raises(RuntimeError, match=want):
         scan_positivity(FOUR, lmax=1)
-    assert_no_child_left()
+
+
+SHORT = r"^the scan worker for p = \d+\.\.59 sent a short reply$"
 
 
 def test_a_short_reply_fails_the_scan(monkeypatch):
-    # only the child marshals, so only its reply is cut short
-    dumps = marshal.dumps
-    monkeypatch.setattr(marshal, "dumps", lambda value: dumps(value)[:-1])
+    # only the child marshals, so only its count is cut short
+    dump = marshal.dump
+
+    def short(value, file):
+        if isinstance(value, int):
+            return file.write(marshal.dumps(value)[:-1])
+        return dump(value, file)
+
+    monkeypatch.setattr(marshal, "dump", short)
     force_chunks(monkeypatch, 2)
-    want = r"^the scan worker for p = \d+\.\.59 sent a short reply$"
-    with pytest.raises(RuntimeError, match=want):
+    with pytest.raises(RuntimeError, match=SHORT):
         scan_positivity(_small_points(), lmax=1)
-    assert_no_child_left()
+
+
+def test_a_worker_that_ends_before_its_count_fails_the_scan(monkeypatch):
+    # the child sends every row, then exits cleanly without its count: the
+    # end of its pipe is no end of its rows
+    dump = marshal.dump
+
+    def end_early(value, file):
+        if isinstance(value, int):
+            file.flush()
+            os._exit(0)
+        return dump(value, file)
+
+    monkeypatch.setattr(marshal, "dump", end_early)
+    force_chunks(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=SHORT):
+        scan_positivity(_small_points(), lmax=3, tol=-1.0)
+
+
+def test_a_stream_longer_than_its_pipe_is_read_whole(monkeypatch, acceptance_points):
+    # at a negative tol the loop yields every row, so the child's half of
+    # the acceptance scan sends more than a pipe holds, and waits while
+    # this process reads; the scan is still the one-chunk scan
+    points = acceptance_points
+    fn, coefs = scan._compile(dseries.coeff_polys())
+    bases = list(scan._bases(points))
+    child = fn(bases[len(bases) // 2 :], 4, -1.0, *coefs)
+    assert sum(len(marshal.dumps(row)) for row in child) > 65536
+    force_chunks(monkeypatch, 1)
+    want = repr(scan_positivity(points, 4, -1.0))
+    force_chunks(monkeypatch, 2)
+    assert repr(scan_positivity(points, 4, -1.0)) == want
 
 
 def test_a_chunk_that_cannot_fork_is_scanned_here(monkeypatch):
@@ -597,7 +641,6 @@ def test_a_chunk_that_cannot_fork_is_scanned_here(monkeypatch):
     force_chunks(monkeypatch, 3)
     assert repr(scan_positivity(points, lmax=3, tol=-1.0)) == want
     assert len(calls) == 2
-    assert_no_child_left()
 
 
 def test_direct_path_evaluates_the_built_polynomial(monkeypatch):
