@@ -21,6 +21,7 @@ y^2 + y = x^3 - x^2 - 10x - 20.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from bisect import bisect_right
 from itertools import compress, islice
@@ -222,32 +223,30 @@ def _pentagonal(nmax: int, step: int) -> list[tuple[int, int]]:
 
 
 def _times_square_packed(series: list[int], terms: list[tuple[int, int]]):
-    """series * (sum s q^e over terms)^2 through the length of series, as an
-    array of signed 32-bit ints; no exponent e may exceed len(series).
+    """series * (sum s q^e over terms)^2 through the length of series, as a
+    tuple of ints that each fit a signed 32-bit word; no exponent e may
+    exceed len(series).
 
     The series is packed into one int X with the coefficient of q^n in bits
-    32n to 32n + 31, so multiplying by s q^e adds s (X << 32e), and masking
-    X to len(series) slots truncates the series.  Every coefficient is read
+    32n to 32n + 31 (little-endian two's complement words, on every
+    platform), so multiplying by s q^e adds s (X << 32e), and masking X to
+    len(series) slots truncates the series.  Every coefficient is read
     back with a bias of 2^31 per slot, which is exact while each lies
     strictly between -2^31 and 2^31.  Each coefficient of both products sums
     at most len(terms)^2 signed entries of the series, so that holds a
     priori below the bound checked first; past it one slot could carry into
     the next, which is an internal error."""
-    from array import array
-
     bound = max(map(abs, series)) * len(terms) ** 2
     if bound >= 1 << 31:
         raise ArithmeticError(
             f"packed product: coefficient bound {bound} does not fit 32 bits"
         )
     n = len(series)
+    words = f"<{n}i"
     bias = int.from_bytes(b"\0\0\0\x80" * n, "little")
     mask = (1 << 32 * n) - 1
-    slots = array("i", series)
-    if sys.byteorder == "big":
-        slots.byteswap()
     # two's complement slots, then the same series as a sum of signed slots
-    x = ((int.from_bytes(slots, "little") ^ bias) - bias) & mask
+    x = ((int.from_bytes(struct.pack(words, *series), "little") ^ bias) - bias) & mask
     for _ in range(2):
         acc = 0
         for e, s in terms:
@@ -255,11 +254,7 @@ def _times_square_packed(series: list[int], terms: list[tuple[int, int]]):
             y = (x & ((1 << 32 * (n - e)) - 1)) << 32 * e
             acc = acc + y if s > 0 else acc - y
         x = acc & mask
-    slots = array("i")
-    slots.frombytes((((x + bias) & mask) ^ bias).to_bytes(4 * n, "little"))
-    if sys.byteorder == "big":
-        slots.byteswap()
-    return slots
+    return struct.unpack(words, (((x + bias) & mask) ^ bias).to_bytes(4 * n, "little"))
 
 
 def x0_11_eigenvalues(xmax: int) -> dict[int, int]:

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-try:  # the built-in module spares loading OpenSSL on every command
+try:  # a built-in module spares loading OpenSSL on every command
     from _sha256 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:  # its name from Python 3.12 on
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 class Verdict(NamedTuple):

@@ -225,9 +225,10 @@ def _bases(points):
 
 # the fewest rows worth a chunk of their own.  On a shared 2-vCPU Xeon a
 # fork, reply and reap cost about 2.7 ms in a warm process, the time of
-# some 220 rows.  A fresh process pays more: there the acceptance scan's
-# two chunks of about 2,450 rows cost 13-15 ms more CPU than one chunk and
-# took 12-14 ms off the scan stage, so a worker buys wall time at CPU cost
+# some 220 rows.  A fresh process pays more: cut in two, the acceptance
+# scan takes about 2,450 more minor faults and 4-10 ms more system time,
+# since the fork leaves this process's pages copy-on-write through its
+# teardown (gc.freeze() does not help), so a worker buys wall time at CPU cost
 MIN_CHUNK_ROWS = 1000
 
 

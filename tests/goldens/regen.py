@@ -5,9 +5,11 @@ Run from the repository root:
     python3 tests/goldens/regen.py
 
 The commands and the normalization (timing lines stripped, the fixtures
-directory replaced by the placeholder FIXTURES) come from tests/test_cli.py,
-so a new golden is one entry in its GOLDEN_COMMANDS.  Every command runs
-from the fixtures directory, as in test_golden.
+directory replaced by the placeholder FIXTURES) come from
+tests/golden_commands.py, which tests/test_cli.py reads too, so a new golden
+is one entry in its GOLDEN_COMMANDS.  That module needs no pytest, so any
+installed interpreter can run this script.  Every command runs from the
+fixtures directory, as in test_golden.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(TESTS), "src"))
 sys.path.insert(0, TESTS)
 
 from lfcheck.cli import main  # noqa: E402
-from test_cli import FIXTURES, GOLDEN_COMMANDS, normalize  # noqa: E402
+from golden_commands import FIXTURES, GOLDEN_COMMANDS, normalize  # noqa: E402
 
 
 def run(argv):

@@ -1,11 +1,13 @@
 """Every verdict of the eleven cases can go red (mutation adequacy).
 
 Each mutation below changes `CASES`, one rewrite rule, the cuspidality
-table, the factor of D the ghl budget counts or the claimed side
-in-process, and names every verdict that then fails to PASS; all the
-others must PASS as before.  A case's verdict that no mutation here and
-no test in `ELSEWHERE` turns red is a blind spot, listed by name in
-`BLIND_SPOTS`.  That list may only shrink.
+table, one rule the ledger decides equality or triviality by, the factor
+of D the ghl budget counts or the claimed side in-process, and names
+every verdict that then fails to PASS; all the others must PASS as
+before.  A case's verdict that no mutation here and no test in
+`ELSEWHERE` turns red is a blind spot, listed by name in `BLIND_SPOTS`.
+That list is empty and may only shrink, so a new verdict comes with its
+mutation.
 """
 
 import pytest
@@ -14,7 +16,7 @@ import test_casebook
 from lfcheck import casebook, decompose, poles
 from lfcheck.casebook import CASES, run_all, verify_case
 from lfcheck.cli import main
-from lfcheck.decompose import Hypotheses
+from lfcheck.decompose import Hypotheses, Tri
 from lfcheck.repalg import GL2Type
 
 
@@ -67,6 +69,44 @@ def _counted_factor(text):
         monkeypatch.setattr(casebook, "_FACTOR", text)
 
     return mutate
+
+
+def _cross_base_adjoints_undecided(monkeypatch):
+    # drops the multiplicity-one rule: Sym^2 atoms on different bases of
+    # twist-inequivalent forms are no longer decided unequal
+    real = poles.atom_equal
+
+    def undecided(x, y, hyp):
+        if x.kind == y.kind == "sym" and x.m == y.m == 2 and x.base != y.base:
+            if not hyp.twist_equiv:
+                return Tri.UNKNOWN
+        return real(x, y, hyp)
+
+    monkeypatch.setattr(poles, "atom_equal", undecided)
+
+
+def _undecided_character_read_as_entire(monkeypatch):
+    real = poles.is_trivial
+
+    def entire(c, hyp):
+        t = real(c, hyp)
+        return Tri.NO if t is Tri.UNKNOWN else t
+
+    monkeypatch.setattr(poles, "is_trivial", entire)
+
+
+def _adjoints_undecided(cid, got, want, factors, k, standing=()):
+    return (
+        cid, _cross_base_adjoints_undecided, None,
+        [
+            *standing,
+            (
+                "pole ledger", "FAIL",
+                f"order interval {got}, expected {want} ({factors} factors examined)",
+            ),
+            ("entirety", "UNKNOWN", f"interval {got} straddles k = {k}"),
+        ],
+    )
 
 
 # a factor D does not hold, so the computed ell is 0
@@ -235,6 +275,32 @@ MUTATIONS = {
             ("ghl budget", "FAIL", "computed ell = 0, recorded ell = 4"),
         ],
     ),
+    # the ledger computed without one rule it decides by
+    "cross-base adjoints undecided in 4.2": _adjoints_undecided(
+        "4.2", "[6, 26]", "[6, 6]", 24, 6
+    ),
+    "cross-base adjoints undecided in 4.3": _adjoints_undecided(
+        "4.3", "[6, 27]", "[6, 7]", 24, 7
+    ),
+    "cross-base adjoints undecided in 4.4.1": _adjoints_undecided(
+        "4.4.1", "[6, 20]", "[6, 6]", 18, 6
+    ),
+    "cross-base adjoints undecided in 4.4.2": _adjoints_undecided(
+        "4.4.2", "[6, 20]", "[6, 6]", 18, 6
+    ),
+    "cross-base adjoints undecided in 4.4.3": _adjoints_undecided(
+        "4.4.3", "[6, 18]", "[6, 7]", 15, 7,
+        standing=[("identity", "FAIL", None)],  # the case's deliberate red
+    ),
+    "undecided character read as entire in 5.3.2": (
+        "5.3.2", _undecided_character_read_as_entire, None,
+        [
+            (
+                "pole ledger", "FAIL",
+                "order interval [0, 0], expected [0, 1] (4 factors examined)",
+            ),
+        ],
+    ),
     # 5.3.3 has no D, so only its recorded ell and k meet
     "recorded ell = 1 in 5.3.3": (
         "5.3.3", _recorded("5.3.3", ell=1), None,
@@ -307,10 +373,7 @@ ELSEWHERE = (
 )
 
 # verdict -> the cases in which it appears and nothing turns it red
-BLIND_SPOTS = {
-    "pole ledger": ("4.3", "5.3.2"),
-    "entirety": ("4.2", "4.4.1", "4.4.2", "4.4.3"),
-}
+BLIND_SPOTS = {}
 
 
 def test_blind_spots_are_exactly_the_verdicts_nothing_turns_red():

@@ -259,20 +259,36 @@ def test_builtin_delta_congruence_mod_691_through_1e4():
         assert (t - 1 - pow(p, 11, 691)) % 691 == 0, p
 
 
+def _naive_square_product(series, terms):
+    want = series
+    for _ in range(2):
+        out = [0] * len(series)
+        for e, s in terms:
+            for i in range(e, len(series)):
+                out[i] += s * want[i - e]
+        want = out
+    return want
+
+
 def test_packed_square_product_matches_the_naive_product():
     rng = random.Random(4111)
     for n in (1, 2, 7, 40):
         series = [rng.randrange(-1000, 1001) for _ in range(n)]
         exponents = sorted(rng.sample(range(n), min(n, 6)))
         terms = [(e, rng.choice((1, -1))) for e in exponents]
-        want = series
-        for _ in range(2):
-            out = [0] * n
-            for e, s in terms:
-                for i in range(e, n):
-                    out[i] += s * want[i - e]
-            want = out
+        want = _naive_square_product(series, terms)
         assert list(ingest._times_square_packed(series, terms)) == want
+
+
+def test_packed_square_product_ignores_the_native_byte_order(monkeypatch):
+    # the slots are explicit little-endian words, so the other native order
+    # gives the same product
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(sys, "byteorder", other)
+    series, terms = [5, -3, 7, 0, 2], [(0, 1), (2, -1)]
+    want = _naive_square_product(series, terms)
+    assert want == [5, -3, -3, 6, -7]
+    assert list(ingest._times_square_packed(series, terms)) == want
 
 
 def test_packed_square_product_is_exact_up_to_the_slot_width():
